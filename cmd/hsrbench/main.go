@@ -30,11 +30,6 @@
 // measurement records of the engine experiments (experiment id, wall
 // clock, peak heap, allocation volume, workers) as a JSON array — the
 // artifact CI uploads to track the performance trajectory.
-//
-// (Naming note: the figure experiments were renamed F1..F3 -> FG1..FG3 when
-// F1 became the fleet experiment, mirroring the L1/L6 -> LM1/LM6 rename that
-// freed L1 for the LOD store and the T1..T5 -> TH1..TH5 rename that freed T1
-// for the tiled engine.)
 package main
 
 import (
@@ -113,16 +108,6 @@ func main() {
 		sort.Strings(names)
 		fmt.Fprintf(os.Stderr, "unknown experiment(s) %s; available: %s, all\n",
 			strings.Join(unknown, ", "), strings.Join(names, ", "))
-		for _, w := range unknown {
-			switch w {
-			case "T2", "T3", "T4", "T5":
-				fmt.Fprintf(os.Stderr, "note: the Theorem 3.1 experiments were renamed T1..T5 -> TH1..TH5; T1 now runs the tiled engine\n")
-			case "L6":
-				fmt.Fprintf(os.Stderr, "note: the lemma experiments were renamed L1/L6 -> LM1/LM6; L1 now runs the LOD store experiment\n")
-			case "F2", "F3":
-				fmt.Fprintf(os.Stderr, "note: the figure experiments were renamed F1..F3 -> FG1..FG3; F1 now runs the fleet experiment\n")
-			}
-		}
 		os.Exit(2)
 	}
 	if *jsonPath != "" {

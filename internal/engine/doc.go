@@ -25,5 +25,9 @@
 //
 // The executor also owns the per-terrain amortized state the adapters used
 // to carry individually: the canonical-view depth order (hsr.Prepare), the
-// tile partition and edge index, and the shared profile-tree arena pool.
+// tile partition, and the shared profile-tree arena pool. Every tiled plan
+// — in-core, out-of-core, or a session frame — runs the one banded
+// pipeline, tile.Solve, over the lattice the executor picks per frame: the
+// resident terrain (perspective-transformed for the frame) or the paged
+// grid seen through the frame's view.
 package engine

@@ -24,6 +24,18 @@ func testGrid(t *testing.T) *terrain.Terrain {
 	return tt
 }
 
+// testAltGrid builds an 8x8-cell grid with alternating diagonals: a grid in
+// shape but not in the canonical triangulation tiling numbers by.
+func testAltGrid(t *testing.T) *terrain.Terrain {
+	t.Helper()
+	tt, err := terrain.Grid{Rows: 8, Cols: 8, Dx: 1, Dy: 1, AlternateDiagonals: true,
+		H: func(i, j int) float64 { return float64((i*3+j*5)%7) * 0.5 }}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tt
+}
+
 // testTIN builds a terrain without grid structure.
 func testTIN(t *testing.T) *terrain.Terrain {
 	t.Helper()
@@ -38,6 +50,7 @@ func testTIN(t *testing.T) *terrain.Terrain {
 
 func TestPlannerRouting(t *testing.T) {
 	grid := testGrid(t)
+	alt := testAltGrid(t)
 	tin := testTIN(t)
 	eyes := func(n int) []geom.Pt3 { return make([]geom.Pt3, n) }
 
@@ -66,6 +79,10 @@ func TestPlannerRouting(t *testing.T) {
 		{"forced tiled on a small grid", grid,
 			Request{Force: ForceTiled}, ModeTiled, true, false},
 		{"forced tiled on a TIN fails", tin,
+			Request{Force: ForceTiled}, "", false, true},
+		{"alternate-diagonal grid never tiles automatically", alt,
+			Request{TileCells: 1}, ModeMonolithic, false, false},
+		{"forced tiled on an alternate-diagonal grid fails", alt,
 			Request{Force: ForceTiled}, "", false, true},
 		{"one eye, monolithic route", grid,
 			Request{Perspective: true, Eyes: eyes(1)}, ModeBatched, false, false},

@@ -25,8 +25,8 @@ type Config struct {
 // Executor runs any Plan for one terrain under one worker budget. It lazily
 // builds — and then shares across every solve, frame and tile — the
 // expensive per-terrain state: the canonical-view depth order, the tile
-// partition with its edge index, and the profile-tree arena pool. An
-// Executor is safe for concurrent use.
+// partition, and the profile-tree arena pool. An Executor is safe for
+// concurrent use.
 type Executor struct {
 	t       *terrain.Terrain
 	paged   *tile.PagedGrid // out-of-core backing; exactly one of t/paged is set
@@ -40,7 +40,6 @@ type Executor struct {
 
 	tileOnce sync.Once
 	part     *tile.Partition
-	idx      *tile.EdgeIndex
 	tileErr  error
 
 	boundsOnce sync.Once
@@ -82,30 +81,12 @@ func (e *Executor) EnsurePrepared() error {
 	return e.prepErr
 }
 
-// EnsureTiles builds (once) the tile partition and edge index, surfacing
-// tiling errors — such as terrains without grid structure — eagerly. The
-// partition comes from the planner, so the executor runs exactly the tile
-// grid plans explain.
+// EnsureTiles builds (once) the tile partition, surfacing tiling errors —
+// such as terrains without grid structure — eagerly. The partition comes
+// from the planner, so the executor runs exactly the tile grid plans
+// explain.
 func (e *Executor) EnsureTiles() error {
-	e.tileOnce.Do(func() {
-		part, err := e.planner.partition()
-		if err != nil {
-			e.tileErr = err
-			return
-		}
-		if e.paged != nil {
-			// The paged solver derives edge ids in closed form; there is no
-			// resident terrain to index.
-			e.part = part
-			return
-		}
-		idx, err := tile.NewEdgeIndex(e.t)
-		if err != nil {
-			e.tileErr = err
-			return
-		}
-		e.part, e.idx = part, idx
-	})
+	e.tileOnce.Do(func() { e.part, e.tileErr = e.planner.partition() })
 	return e.tileErr
 }
 
@@ -126,11 +107,8 @@ type Outcome struct {
 // exactly one outcome. On error the failure with the lowest frame index is
 // reported deterministically (see Frames).
 func (e *Executor) Run(plan *Plan, req Request) ([]Outcome, error) {
-	if e.paged != nil {
-		return e.runPaged(plan, req, nil)
-	}
 	if !plan.Perspective {
-		oc, err := e.solveView(e.t, plan, req, plan.WorkersPerFrame, nil)
+		oc, err := e.solveView(plan, req, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -141,15 +119,14 @@ func (e *Executor) Run(plan *Plan, req Request) ([]Outcome, error) {
 	}
 	outs := make([]Outcome, plan.Frames)
 	label := "batch frame"
-	if plan.Tiled {
+	switch {
+	case plan.Mode == ModeOutOfCore:
+		label = "out-of-core frame"
+	case plan.Tiled:
 		label = "tiled frame"
 	}
 	if err := Frames(plan.FrameWorkers, req.Eyes, label, func(i int) error {
-		tt, err := e.frameTerrain(req.Eyes[i], req.MinDepth)
-		if err != nil {
-			return err
-		}
-		oc, err := e.solveView(tt, plan, req, plan.WorkersPerFrame, nil)
+		oc, err := e.solveView(plan, req, frameView(req, i), nil, nil)
 		if err != nil {
 			return err
 		}
@@ -161,83 +138,67 @@ func (e *Executor) Run(plan *Plan, req Request) ([]Outcome, error) {
 	return outs, nil
 }
 
-// runPaged executes a plan against the paged backing. Perspective frames run
-// one at a time (the plan pinned FrameWorkers to 1), each through its own
-// view of the shared height source, so residency stays at one band.
-func (e *Executor) runPaged(plan *Plan, req Request, emit func(hsr.VisiblePiece) error) ([]Outcome, error) {
-	if !plan.Perspective {
-		oc, err := e.solvePagedView(nil, req, plan.WorkersPerFrame, emit)
-		if err != nil {
-			return nil, err
-		}
-		return []Outcome{oc}, nil
-	}
-	if plan.Frames == 0 {
-		return nil, nil
-	}
-	outs := make([]Outcome, plan.Frames)
-	if err := Frames(plan.FrameWorkers, req.Eyes, "out-of-core frame", func(i int) error {
-		view := &geom.PerspectiveTransform{Eye: req.Eyes[i], MinDepth: req.MinDepth}
-		oc, err := e.solvePagedView(view, req, plan.WorkersPerFrame, emit)
-		if err != nil {
-			return err
-		}
-		outs[i] = oc
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return outs, nil
+// frameView is the perspective transform of frame i of a request.
+func frameView(req Request, i int) *geom.PerspectiveTransform {
+	return &geom.PerspectiveTransform{Eye: req.Eyes[i], MinDepth: req.MinDepth}
 }
 
-// solvePagedView runs one view of the paged grid through the banded
-// out-of-core solver.
-func (e *Executor) solvePagedView(view *geom.PerspectiveTransform, req Request, workers int, emit func(hsr.VisiblePiece) error) (Outcome, error) {
-	if err := e.EnsureTiles(); err != nil {
-		return Outcome{}, err
+// terrainView maps the resident terrain through a frame's perspective
+// (vertex-only; the triangle and edge tables are shared). A nil view is the
+// canonical view: the terrain itself.
+func (e *Executor) terrainView(view *geom.PerspectiveTransform) (*terrain.Terrain, error) {
+	if view == nil {
+		return e.t, nil
 	}
-	g := *e.paged
-	g.View = view
-	solve := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
-		return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, req.Algorithm, w, e.pool)
+	return e.t.TransformShared(view.Apply)
+}
+
+// lattice returns the tile lattice of one view (nil = canonical): the paged
+// grid seen through the view, which transforms vertices as they page in, or
+// the resident terrain mapped through it.
+func (e *Executor) lattice(view *geom.PerspectiveTransform) (tile.Lattice, error) {
+	if e.paged != nil {
+		g := *e.paged
+		g.View = view
+		return &g, nil
 	}
-	res, st, err := tile.SolvePaged(&g, e.part, solve, tile.Options{
-		Workers: workers, NoCull: e.cfg.NoCull, Emit: emit, Trace: req.Trace,
-	})
+	tt, err := e.terrainView(view)
 	if err != nil {
-		return Outcome{}, err
+		return nil, err
 	}
-	return Outcome{Res: res, Tile: st}, nil
+	return tile.Resident{T: tt}, nil
 }
 
-// frameTerrain maps the shared topology through one frame's perspective
-// transform (vertex-only; the triangle and edge tables are reused).
-func (e *Executor) frameTerrain(eye geom.Pt3, minDepth float64) (*terrain.Terrain, error) {
-	pt := geom.PerspectiveTransform{Eye: eye, MinDepth: minDepth}
-	return e.t.TransformShared(pt.Apply)
-}
-
-// solveView runs one view — canonical or a perspective frame — through the
-// plan's pipeline. A non-nil emit streams the pieces instead of
-// materializing them (tiled plans flush each depth band as it completes).
-func (e *Executor) solveView(tt *terrain.Terrain, plan *Plan, req Request, workers int, emit func(hsr.VisiblePiece) error) (Outcome, error) {
+// solveView runs one view — canonical (nil view) or a perspective frame —
+// through the plan's pipeline. A non-nil emit streams the pieces instead of
+// materializing them (tiled plans flush each depth band as it completes);
+// a non-nil co warm-starts a tiled solve from a session's previous frame.
+func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTransform, emit func(hsr.VisiblePiece) error, co *tile.Coherence) (Outcome, error) {
 	if plan.Tiled {
 		if err := e.EnsureTiles(); err != nil {
+			return Outcome{}, err
+		}
+		lat, err := e.lattice(view)
+		if err != nil {
 			return Outcome{}, err
 		}
 		solve := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
 			return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, req.Algorithm, w, e.pool)
 		}
-		res, st, err := tile.Solve(tt, e.part, e.idx, solve, tile.Options{
-			Workers: workers, NoCull: e.cfg.NoCull, Emit: emit, Trace: req.Trace,
+		res, st, err := tile.Solve(lat, e.part, solve, tile.Options{
+			Workers: plan.WorkersPerFrame, NoCull: e.cfg.NoCull, Emit: emit, Coherence: co, Trace: req.Trace,
 		})
 		if err != nil {
 			return Outcome{}, err
 		}
 		return Outcome{Res: res, Tile: st}, nil
 	}
+	tt, err := e.terrainView(view)
+	if err != nil {
+		return Outcome{}, err
+	}
 	prepare := func() (*hsr.Prepared, error) { return hsr.Prepare(tt) }
-	if tt == e.t {
+	if view == nil {
 		prepare = func() (*hsr.Prepared, error) {
 			if err := e.EnsurePrepared(); err != nil {
 				return nil, err
@@ -245,7 +206,7 @@ func (e *Executor) solveView(tt *terrain.Terrain, plan *Plan, req Request, worke
 			return e.prep, nil
 		}
 	}
-	res, err := Dispatch(tt, prepare, req.Algorithm, workers, e.pool)
+	res, err := Dispatch(tt, prepare, req.Algorithm, plan.WorkersPerFrame, e.pool)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -295,23 +256,11 @@ func (e *Executor) RunStream(plan *Plan, req Request, sink Sink) (*StreamStats, 
 		k++
 		return nil
 	}
-	var oc Outcome
-	var err error
-	if e.paged != nil {
-		var view *geom.PerspectiveTransform
-		if plan.Perspective {
-			view = &geom.PerspectiveTransform{Eye: req.Eyes[0], MinDepth: req.MinDepth}
-		}
-		oc, err = e.solvePagedView(view, req, plan.WorkersPerFrame, emit)
-	} else {
-		tt := e.t
-		if plan.Perspective {
-			if tt, err = e.frameTerrain(req.Eyes[0], req.MinDepth); err != nil {
-				return nil, err
-			}
-		}
-		oc, err = e.solveView(tt, plan, req, plan.WorkersPerFrame, emit)
+	var view *geom.PerspectiveTransform
+	if plan.Perspective {
+		view = frameView(req, 0)
 	}
+	oc, err := e.solveView(plan, req, view, emit, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,8 @@ package engine
 import (
 	"fmt"
 
-	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/session"
-	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
 )
 
@@ -37,14 +35,16 @@ func (pl *Planner) PlanSession(req Request) (*Plan, error) {
 func (e *Executor) PlanSession(req Request) (*Plan, error) { return e.planner.PlanSession(req) }
 
 // tileBounds builds (once) the frame-invariant world bounding box of every
-// tile, the input to the session cone checks. It requires EnsureTiles.
+// tile from the canonical lattice, the input to the session cone checks.
+// It requires EnsureTiles.
 func (e *Executor) tileBounds() ([]tile.WorldBox, error) {
 	e.boundsOnce.Do(func() {
-		if e.paged != nil {
-			e.bounds = e.paged.TileBounds(e.part)
+		lat, err := e.lattice(nil)
+		if err != nil {
+			e.boundsErr = err
 			return
 		}
-		e.bounds, e.boundsErr = tile.TileBounds(e.t, e.part)
+		e.bounds, e.boundsErr = tile.TileBounds(lat, e.part)
 	})
 	return e.bounds, e.boundsErr
 }
@@ -74,48 +74,12 @@ func (e *Executor) RunSessionFrame(plan *Plan, req Request, st *session.State, s
 	if !plan.Perspective || len(req.Eyes) != 1 {
 		return nil, fmt.Errorf("terrainhsr: a session frame solves a single eye, got %d", len(req.Eyes))
 	}
-	eye := req.Eyes[0]
 	solve := func(co *tile.Coherence, emit func(hsr.VisiblePiece) error) (int, int64, tile.Stats, error) {
-		if e.paged != nil {
-			g := *e.paged
-			g.View = &geom.PerspectiveTransform{Eye: eye, MinDepth: req.MinDepth}
-			solveFn := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
-				return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, req.Algorithm, w, e.pool)
-			}
-			res, ts, err := tile.SolvePaged(&g, e.part, solveFn, tile.Options{
-				Workers: plan.WorkersPerFrame, NoCull: e.cfg.NoCull, Emit: emit, Coherence: co, Trace: req.Trace,
-			})
-			if err != nil {
-				return 0, 0, tile.Stats{}, err
-			}
-			return res.N, res.Crossings, ts, nil
-		}
-		tt, err := e.frameTerrain(eye, req.MinDepth)
+		oc, err := e.solveView(plan, req, frameView(req, 0), emit, co)
 		if err != nil {
 			return 0, 0, tile.Stats{}, err
 		}
-		if plan.Tiled {
-			solveFn := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
-				return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, req.Algorithm, w, e.pool)
-			}
-			res, ts, err := tile.Solve(tt, e.part, e.idx, solveFn, tile.Options{
-				Workers: plan.WorkersPerFrame, NoCull: e.cfg.NoCull, Emit: emit, Coherence: co, Trace: req.Trace,
-			})
-			if err != nil {
-				return 0, 0, tile.Stats{}, err
-			}
-			return res.N, res.Crossings, ts, nil
-		}
-		res, err := Dispatch(tt, func() (*hsr.Prepared, error) { return hsr.Prepare(tt) }, req.Algorithm, plan.WorkersPerFrame, e.pool)
-		if err != nil {
-			return 0, 0, tile.Stats{}, err
-		}
-		for _, p := range res.Pieces {
-			if err := emit(p); err != nil {
-				return 0, 0, tile.Stats{}, err
-			}
-		}
-		return res.N, res.Crossings, tile.Stats{}, nil
+		return oc.Res.N, oc.Res.Crossings, oc.Tile, nil
 	}
-	return st.NextFrame(eye, solve, func(p hsr.VisiblePiece) error { return sink(p) })
+	return st.NextFrame(req.Eyes[0], solve, func(p hsr.VisiblePiece) error { return sink(p) })
 }

@@ -79,8 +79,8 @@ type State struct {
 }
 
 // New builds a session over a terrain with the given tile count and
-// frame-invariant world bounds (from tile.TileBounds / PagedGrid.TileBounds)
-// and the request's perspective depth floor. tiles == 0 (or nil bounds)
+// frame-invariant world bounds (from tile.TileBounds) and the request's
+// perspective depth floor. tiles == 0 (or nil bounds)
 // disables verdict reuse — the session still replays identical eyes.
 func New(tiles int, bounds []tile.WorldBox, minDepth float64) *State {
 	if len(bounds) != tiles {

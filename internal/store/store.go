@@ -153,6 +153,30 @@ func Write(dir string, levels []*dem.DEM, spec Spec) error {
 	return nil
 }
 
+// validate checks a level's manifest entry for self-consistency against
+// the store's tile size. Readers index tile files and the TileMaxHeights
+// table by these fields, so a corrupt or hostile manifest must fail Open
+// rather than misindex later — a wrong cull bound would hide visible
+// terrain.
+func (info LevelInfo) validate(tileRows, tileCols int) error {
+	if info.Rows < 2 || info.Cols < 2 || info.Rows > dem.MaxSamples/info.Cols {
+		return fmt.Errorf("%dx%d samples, need at least 2x2 and at most %d", info.Rows, info.Cols, dem.MaxSamples)
+	}
+	if !(info.CellSize > 0) || math.IsInf(info.CellSize, 1) {
+		return fmt.Errorf("cell size %v, need a finite positive spacing", info.CellSize)
+	}
+	if want := tileCount(info.Rows, tileRows); info.TileGridRows != want {
+		return fmt.Errorf("%d tile rows, but %d samples in %d-sample tiles make %d", info.TileGridRows, info.Rows, tileRows, want)
+	}
+	if want := tileCount(info.Cols, tileCols); info.TileGridCols != want {
+		return fmt.Errorf("%d tile columns, but %d samples in %d-sample tiles make %d", info.TileGridCols, info.Cols, tileCols, want)
+	}
+	if n := len(info.TileMaxHeights); n != 0 && n != info.TileGridRows*info.TileGridCols {
+		return fmt.Errorf("%d tile max heights for a %dx%d tile grid", n, info.TileGridRows, info.TileGridCols)
+	}
+	return nil
+}
+
 // tileCount returns how many tiles of extent tile cover n samples.
 func tileCount(n, tile int) int { return (n + tile - 1) / tile }
 
@@ -243,6 +267,11 @@ func Open(dir string) (*Store, error) {
 	}
 	if man.TileRows < 1 || man.TileCols < 1 {
 		return nil, fmt.Errorf("store: manifest tile size %dx%d", man.TileRows, man.TileCols)
+	}
+	for l, info := range man.Levels {
+		if err := info.validate(man.TileRows, man.TileCols); err != nil {
+			return nil, fmt.Errorf("store: %s: manifest level %d: %w", dir, l, err)
+		}
 	}
 	return &Store{dir: dir, man: man, levels: make([]levelState, len(man.Levels))}, nil
 }

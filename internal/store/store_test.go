@@ -1,10 +1,12 @@
 package store
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"terrainhsr/internal/dem"
@@ -132,6 +134,67 @@ func TestOpenRejects(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(`{"format":"other","version":1,"levels":[{"rows":2,"cols":2,"cell_size":1}],"tile_rows":4,"tile_cols":4}`), 0o644)
 	if _, err := Open(dir); err == nil {
 		t.Fatal("foreign format opened")
+	}
+}
+
+// TestOpenRejectsHostileManifests edits the manifest of a valid store and
+// requires Open to refuse each edit with an error naming the level, before
+// a Pager could misindex the tile tables or serve a wrong cull bound.
+func TestOpenRejectsHostileManifests(t *testing.T) {
+	d, err := dem.New(97, 97, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range d.Heights {
+		d.Heights[k] = float64(k % 13)
+	}
+	cases := []struct {
+		name string
+		edit func(li *LevelInfo)
+	}{
+		{"tile grid one column short, max heights cut to match", func(li *LevelInfo) {
+			li.TileGridCols = 6
+			li.TileMaxHeights = li.TileMaxHeights[:42]
+		}},
+		{"tile grid one row long", func(li *LevelInfo) { li.TileGridRows = 8 }},
+		{"max heights short", func(li *LevelInfo) { li.TileMaxHeights = li.TileMaxHeights[:48] }},
+		{"max heights long", func(li *LevelInfo) { li.TileMaxHeights = append(li.TileMaxHeights, 1) }},
+		{"one sample row", func(li *LevelInfo) { li.Rows, li.TileGridRows = 1, 1 }},
+		{"no sample columns", func(li *LevelInfo) { li.Cols, li.TileGridCols = 0, 0 }},
+		{"sample count overflows", func(li *LevelInfo) { li.Rows = 1 << 40 }},
+		{"zero cell size", func(li *LevelInfo) { li.CellSize = 0 }},
+		{"negative cell size", func(li *LevelInfo) { li.CellSize = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := Write(dir, []*dem.DEM{d}, Spec{TileRows: 16, TileCols: 16}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "manifest.json")
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man manifest
+			if err := json.Unmarshal(buf, &man); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir); err != nil {
+				t.Fatalf("unedited store: %v", err)
+			}
+			tc.edit(&man.Levels[0])
+			if buf, err = json.Marshal(man); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir)
+			if err == nil || !strings.Contains(err.Error(), "level 0") {
+				t.Fatalf("Open = %v, want an error locating level 0", err)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,9 @@ type Grid struct {
 	Dx, Dy     float64
 	H          HeightFn
 	// AlternateDiagonals flips the diagonal on odd cells, producing a
-	// "union jack"-like pattern that avoids long aligned diagonals.
+	// "union jack"-like pattern that avoids long aligned diagonals. Such a
+	// grid does not follow the canonical triangulation, so Build leaves it
+	// without grid metadata (IsGrid is false) and it cannot be tiled.
 	AlternateDiagonals bool
 }
 
@@ -71,7 +73,9 @@ func (g Grid) Build() (*Terrain, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.GridRows, t.GridCols = g.Rows, g.Cols
+	if !g.AlternateDiagonals {
+		t.GridRows, t.GridCols = g.Rows, g.Cols
+	}
 	return t, nil
 }
 

@@ -27,12 +27,15 @@ type Terrain struct {
 	Edges []Edge
 
 	// GridRows and GridCols record the cell dimensions when the terrain was
-	// built by Grid.Build (both zero otherwise). A grid terrain's vertex and
-	// triangle indices follow the canonical layout — vertex (i, j) is
-	// i*(GridCols+1)+j, cell (i, j) owns triangles 2*(i*GridCols+j) and
-	// 2*(i*GridCols+j)+1 — which is what package tile partitions by. The
-	// metadata survives Transform and TransformShared because both preserve
-	// the triangulation's index structure.
+	// built by Grid.Build with the canonical diagonal split (both zero
+	// otherwise). A grid terrain's vertex and triangle indices follow the
+	// canonical layout — vertex (i, j) is i*(GridCols+1)+j, cell (i, j) owns
+	// triangles (a, b, c) and (a, c, d) over its corners a=(i, j),
+	// b=(i+1, j), c=(i+1, j+1), d=(i, j+1), numbered 2*(i*GridCols+j) and
+	// 2*(i*GridCols+j)+1 — so its edge numbering has the closed form package
+	// tile partitions and numbers by. The metadata survives Transform and
+	// TransformShared because both preserve the triangulation's index
+	// structure.
 	GridRows, GridCols int
 }
 

@@ -43,6 +43,9 @@ func TestGridAlternateDiagonals(t *testing.T) {
 	if got, want := tr.NumEdges(), EdgeCountForGrid(4, 4); got != want {
 		t.Fatalf("edges %d want %d", got, want)
 	}
+	if tr.IsGrid() {
+		t.Fatal("alternate-diagonal grid carries canonical grid metadata")
+	}
 }
 
 func TestGridErrors(t *testing.T) {

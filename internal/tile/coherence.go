@@ -1,12 +1,10 @@
 package tile
 
 import (
-	"fmt"
 	"math"
 
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/geom"
-	"terrainhsr/internal/terrain"
 )
 
 // This file is the frame-coherence layer of the tiled solver: per-tile
@@ -103,84 +101,22 @@ func (wb WorldBox) Cone(eye geom.Pt3, minDepth float64) (lo, hi, z float64, ok b
 	return lo, hi, z, true
 }
 
-// TileBounds computes every tile's world bounding box from a resident grid
-// terrain in world (untransformed) space. The scan covers exactly the vertex
-// rectangle ownedExtent scans after the per-frame transform — owned cell
-// rows and columns, both ends inclusive — so a Cone projection of the box
-// bounds the tile's exact transformed extent for any eye.
-func TileBounds(t *terrain.Terrain, p *Partition) ([]WorldBox, error) {
-	if t == nil || !t.IsGrid() {
-		return nil, fmt.Errorf("tile: terrain is not a grid")
+// TileBounds computes every tile's world bounding box from the untransformed
+// lattice: owned cell rows and columns, both ends inclusive — exactly the
+// vertex rectangle the per-tile cull bounds after the per-frame transform —
+// so a Cone projection of the box bounds the tile's transformed extent for
+// any eye. A paged lattice's boxes need no paging (see PagedGrid.worldBox).
+func TileBounds(l Lattice, p *Partition) ([]WorldBox, error) {
+	if err := l.check(p); err != nil {
+		return nil, err
 	}
-	if t.GridRows != p.Rows || t.GridCols != p.Cols {
-		return nil, fmt.Errorf("tile: partition is %dx%d cells but terrain is %dx%d", p.Rows, p.Cols, t.GridRows, t.GridCols)
-	}
-	nvc := t.GridCols + 1
 	out := make([]WorldBox, p.NumTiles())
 	for b := 0; b < p.NumBands; b++ {
 		for c := 0; c < p.NumCols; c++ {
-			r0, r1, c0, c1 := p.TileCells(b, c)
-			wb := WorldBox{
-				X0: math.Inf(1), X1: math.Inf(-1),
-				Y0: math.Inf(1), Y1: math.Inf(-1),
-				H: math.Inf(-1), Valid: true,
-			}
-			for i := r0; i <= r1; i++ {
-				for j := c0; j <= c1; j++ {
-					v := t.Verts[i*nvc+j]
-					wb.X0 = math.Min(wb.X0, v.X)
-					wb.X1 = math.Max(wb.X1, v.X)
-					wb.Y0 = math.Min(wb.Y0, v.Y)
-					wb.Y1 = math.Max(wb.Y1, v.Y)
-					wb.H = math.Max(wb.H, v.Z)
-				}
-			}
-			out[b*p.NumCols+c] = wb
+			out[b*p.NumCols+c] = l.worldBox(p.TileCells(b, c))
 		}
 	}
 	return out, nil
-}
-
-// TileBounds computes every tile's world bounding box without paging any
-// heights: the world X/Y ranges follow in closed form from the grid geometry
-// (both coordinates are monotone in the sample indices, even under float
-// rounding, so corners bound the rectangle), and H comes from the source's
-// MaxHeight over the same inclusive sample rectangle the paged cull queries.
-// Tiles whose source reports no bound get Valid=false and are never
-// cone-verified — matching solvePagedTile, which never culls them either.
-func (g *PagedGrid) TileBounds(p *Partition) []WorldBox {
-	worldY := func(i, j int) float64 {
-		q := geom.Pt3{X: float64(i) * g.Cell, Y: float64(j) * g.Cell}
-		if g.Shear > 0 {
-			q.Y += g.Shear * q.X
-		}
-		return q.Y
-	}
-	out := make([]WorldBox, p.NumTiles())
-	for b := 0; b < p.NumBands; b++ {
-		for c := 0; c < p.NumCols; c++ {
-			// Cell-exclusive uppers equal vertex-inclusive uppers, so the
-			// corner samples below span the tile's vertex rectangle.
-			r0, r1, c0, c1 := p.TileCells(b, c)
-			wb := WorldBox{
-				X0: float64(r0) * g.Cell,
-				X1: float64(r1) * g.Cell,
-				Y0: math.Inf(1), Y1: math.Inf(-1),
-			}
-			for _, i := range [2]int{r0, r1} {
-				for _, j := range [2]int{c0, c1} {
-					y := worldY(i, j)
-					wb.Y0 = math.Min(wb.Y0, y)
-					wb.Y1 = math.Max(wb.Y1, y)
-				}
-			}
-			if h, ok := g.Src.MaxHeight(r0, r1, c0, c1); ok {
-				wb.H, wb.Valid = h, true
-			}
-			out[b*p.NumCols+c] = wb
-		}
-	}
-	return out
 }
 
 // ReuseStats counts the verify-then-reuse outcomes of one coherent solve.
@@ -206,13 +142,14 @@ func (r *ReuseStats) Add(o ReuseStats) {
 	r.VerifyFailures += o.VerifyFailures
 }
 
-// Coherence activates frame-coherent verify-then-reuse in Solve and
-// SolvePaged (via Options.Coherence): tiles whose previous-frame verdict was
-// culled or hidden are cone-checked against the current front envelope and
-// skipped when the check passes; every tile's fresh verdict is recorded for
-// the next frame. Bounds must describe the same terrain the solve runs on
-// (TileBounds) and, for paged solves, must be built from the same height
-// source, so the cone check stays a strict strengthening of the exact cull.
+// Coherence activates frame-coherent verify-then-reuse in Solve (via
+// Options.Coherence): tiles whose previous-frame verdict was culled or
+// hidden are cone-checked against the current front envelope and skipped
+// when the check passes; every tile's fresh verdict is recorded for
+// the next frame. Bounds must come from TileBounds over the untransformed
+// lattice of the terrain the solve runs on (for paged solves, the same
+// height source), so the cone check stays a strict strengthening of the
+// exact cull.
 type Coherence struct {
 	// Bounds holds one frame-invariant world box per tile.
 	Bounds []WorldBox

@@ -42,11 +42,7 @@ func TestConeCheckSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxes, err := TileBounds(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := NewEdgeIndex(tr)
+	boxes, err := TileBounds(Resident{tr}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +53,21 @@ func TestConeCheckSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		lat := Resident{tt}
 		bs := &bandState{}
 		var stats Stats
 		for b := 0; b < p.NumBands; b++ {
 			r0, r1 := p.BandRows(b)
-			ivs := cellIntervals(tt, r0, r1)
+			ys, err := bandYs(lat, p.Cols, r0, r1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivs := cellIntervals(ys)
 			outcomes := make([]*tileOutcome, p.NumCols)
 			for c := 0; c < p.NumCols; c++ {
 				_, _, c0, c1 := p.TileCells(b, c)
-				owned, maxZ := ownedExtent(tt, r0, r1, c0, c1)
+				owned := ownedIV(ys, r0, r1, c0, c1)
+				maxZ, _ := lat.zBound(r0, r1, c0, c1)
 				exact := bs.front.CoversAbove(owned.lo, owned.hi, maxZ)
 				lo, hi, zc, ok := boxes[b*p.NumCols+c].Cone(eye, 1)
 				cone := ok && bs.front.CoversAbove(lo, hi, zc)
@@ -80,7 +82,7 @@ func TestConeCheckSoundness(t *testing.T) {
 					outcomes[c] = &tileOutcome{culled: true}
 					continue
 				}
-				oc, err := solveTile(tt, p, idx, b, c, r0, r1, ivs, bs.front, seqSolve, 1, false, nil)
+				oc, err := solveTile(lat, p, b, c, ys, ivs, bs.front, seqSolve, 1, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,11 +109,11 @@ func TestSeedNilIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, sa, err := Solve(tr, p, nil, seqSolve, Options{Workers: 1})
+	a, sa, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := Solve(tr, p, nil, seqSolve, Options{Workers: 1, Seed: nil})
+	b, sb, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +144,11 @@ func TestSeedClipsLikeFront(t *testing.T) {
 		{A: geom.Pt2{X: -100, Z: 3}, B: geom.Pt2{X: 20, Z: 3}},
 	}, envelope.NoEdge)
 
-	plain, _, err := Solve(tr, p, nil, seqSolve, Options{Workers: 1})
+	plain, _, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, sst, err := Solve(tr, p, nil, seqSolve, Options{Workers: 1, Seed: seed})
+	seeded, sst, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestSeedClipsLikeFront(t *testing.T) {
 	total := envelope.BuildUpperEnvelope([]geom.Seg2{
 		{A: geom.Pt2{X: -1e6, Z: 1e6}, B: geom.Pt2{X: 1e6, Z: 1e6}},
 	}, envelope.NoEdge)
-	none, nst, err := Solve(tr, p, nil, seqSolve, Options{Workers: 1, Seed: total})
+	none, nst, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: total})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +201,7 @@ func TestCoherentSolveIdenticalAndVerdictsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := NewEdgeIndex(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boxes, err := TileBounds(tr, p)
+	boxes, err := TileBounds(Resident{tr}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +213,12 @@ func TestCoherentSolveIdenticalAndVerdictsRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, pst, err := Solve(tt, p, idx, seqSolve, Options{Workers: 1})
+		plain, pst, err := Solve(Resident{tt}, p, seqSolve, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		co := &Coherence{Bounds: boxes, Eye: eye, MinDepth: 1, Prev: prev}
-		coh, cst, err := Solve(tt, p, idx, seqSolve, Options{Workers: 1, Coherence: co})
+		coh, cst, err := Solve(Resident{tt}, p, seqSolve, Options{Workers: 1, Coherence: co})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +256,10 @@ func TestCoherentSolveIdenticalAndVerdictsRecorded(t *testing.T) {
 }
 
 // TestPagedCoherentSolveIdentical mirrors the coherent-identity check on
-// the paged path: SolvePaged with Coherence and bounds from
-// PagedGrid.TileBounds stays byte-identical to the plain paged solve.
+// the paged lattice: Solve over a PagedGrid with Coherence and bounds from
+// TileBounds stays byte-identical to the plain paged solve, and to the
+// coherent solve over the equivalent resident lattice, at one and three
+// workers, materialized and streamed.
 func TestPagedCoherentSolveIdentical(t *testing.T) {
 	rows, cols := 48, 48
 	p, err := NewPartition(rows, cols, Spec{TileRows: 16, TileCols: 16})
@@ -268,47 +268,68 @@ func TestPagedCoherentSolveIdentical(t *testing.T) {
 	}
 	base := PagedGrid{Rows: rows, Cols: cols, Cell: 1,
 		Src: newMemSource(rows+1, cols+1, testHeights)}
-	boxes := base.TileBounds(p)
+	boxes, err := TileBounds(&base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, wb := range boxes {
 		if !wb.Valid {
 			t.Fatal("memSource bounds every rectangle; TileBounds dropped one")
 		}
 	}
+	world := residentTerrain(t, rows, cols, 0, testHeights)
+	resBoxes, err := TileBounds(Resident{world}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	var prev []Verdict
-	reused := 0
 	eyes := []geom.Pt3{
 		{X: -20, Y: 24.3, Z: 12},
 		{X: -18, Y: 24.3, Z: 11},
 		{X: -16, Y: 24.3, Z: 10},
 	}
-	for f, eye := range eyes {
-		view := &geom.PerspectiveTransform{Eye: eye, MinDepth: 1}
-		g := base
-		g.View = view
-		plain, pst, err := SolvePaged(&g, p, seqSolve, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		co := &Coherence{Bounds: boxes, Eye: eye, MinDepth: 1, Prev: prev}
-		g2 := base
-		g2.View = view
-		coh, cst, err := SolvePaged(&g2, p, seqSolve, Options{Workers: 1, Coherence: co})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain.Pieces) != len(coh.Pieces) || zeroTimings(pst) != zeroTimings(cst) {
-			t.Fatalf("frame %d: paged coherent solve diverges (%d vs %d pieces)", f, len(plain.Pieces), len(coh.Pieces))
-		}
-		for i := range plain.Pieces {
-			if plain.Pieces[i] != coh.Pieces[i] {
-				t.Fatalf("frame %d piece %d differs", f, i)
+	for _, workers := range []int{1, 3} {
+		for _, stream := range []bool{false, true} {
+			var prev, prevR []Verdict
+			reused := 0
+			for f, eye := range eyes {
+				view := &geom.PerspectiveTransform{Eye: eye, MinDepth: 1}
+				g := base
+				g.View = view
+				plain, pst := solveCollect(t, &g, p, Options{Workers: workers}, stream)
+				co := &Coherence{Bounds: boxes, Eye: eye, MinDepth: 1, Prev: prev}
+				g2 := base
+				g2.View = view
+				coh, cst := solveCollect(t, &g2, p, Options{Workers: workers, Coherence: co}, stream)
+				if len(plain) != len(coh) || zeroTimings(pst) != zeroTimings(cst) {
+					t.Fatalf("w=%d stream=%v frame %d: paged coherent solve diverges (%d vs %d pieces)",
+						workers, stream, f, len(plain), len(coh))
+				}
+				for i := range plain {
+					if plain[i] != coh[i] {
+						t.Fatalf("w=%d stream=%v frame %d piece %d differs", workers, stream, f, i)
+					}
+				}
+				tr, err := world.TransformShared(view.Apply)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rco := &Coherence{Bounds: resBoxes, Eye: eye, MinDepth: 1, Prev: prevR}
+				res, _ := solveCollect(t, Resident{tr}, p, Options{Workers: workers, Coherence: rco}, stream)
+				if len(res) != len(coh) {
+					t.Fatalf("w=%d stream=%v frame %d: resident coherent %d pieces, paged %d", workers, stream, f, len(res), len(coh))
+				}
+				for i := range res {
+					if res[i] != coh[i] {
+						t.Fatalf("w=%d stream=%v frame %d piece %d: resident %+v paged %+v", workers, stream, f, i, res[i], coh[i])
+					}
+				}
+				reused += co.Stats.TilesReused
+				prev, prevR = co.Out, rco.Out
+			}
+			if reused == 0 {
+				t.Fatalf("w=%d stream=%v: paged flyover reused no verdicts", workers, stream)
 			}
 		}
-		reused += co.Stats.TilesReused
-		prev = co.Out
-	}
-	if reused == 0 {
-		t.Fatal("paged flyover reused no verdicts")
 	}
 }

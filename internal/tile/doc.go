@@ -35,6 +35,19 @@
 //     hidden-surface removal, a tile whose bounding box lies entirely below
 //     the accumulated envelope is culled without being solved.
 //
+//   - Lattices. One band loop, one per-tile solve and one sub-terrain
+//     extractor (Solve) read grid geometry through a Lattice, which has
+//     exactly two implementations. Resident reads an in-memory grid
+//     terrain's vertex table in place, so any vertex-only transform of a
+//     grid — a perspective frame included — tiles without closed-form
+//     coordinates; its cull bound is the exact maximum transformed height
+//     of a tile's vertices. PagedGrid builds vertices from the closed-form
+//     grid chain over heights streamed from a HeightSource, bounds a tile
+//     by the source's MaxHeight without reading it, and retires each band's
+//     pages once its silhouette is merged. Both follow terrain.Grid's
+//     canonical triangulation, so global edge ids and owners come from one
+//     closed form on both, and both produce the same bytes.
+//
 // The accumulated envelope is exactly the prefix profile P_i of the paper's
 // phase 2, coarsened from per-edge granularity to per-band granularity; the
 // equivalence argument is spelled out in ALGORITHM.md.

@@ -30,49 +30,64 @@ func (a yiv) intersects(b yiv, pad float64) bool {
 	return a.lo <= b.hi+pad && b.lo <= a.hi+pad
 }
 
-// cellIntervals computes the canonical-y interval of every cell in rows
-// [r0, r1), indexed [row-r0][col]. It reads the (possibly transformed)
-// vertex table, so it is recomputed per perspective frame.
-func cellIntervals(t *terrain.Terrain, r0, r1 int) [][]yiv {
-	cols := t.GridCols
-	nvc := cols + 1
-	out := make([][]yiv, r1-r0)
-	for i := r0; i < r1; i++ {
+// bandYs computes the canonical y of every vertex in rows [r0, r1] (all
+// columns), indexed [i-r0][j]. It reads no heights, so it is what lets
+// halos and cull boxes be computed for tiles that are never read; it is
+// recomputed per perspective frame.
+func bandYs(l Lattice, cols, r0, r1 int) ([][]float64, error) {
+	out := make([][]float64, r1-r0+1)
+	flat := make([]float64, (r1-r0+1)*(cols+1))
+	for i := r0; i <= r1; i++ {
+		row := flat[(i-r0)*(cols+1) : (i-r0+1)*(cols+1)]
+		for j := range row {
+			y, err := l.y(i, j)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = y
+		}
+		out[i-r0] = row
+	}
+	return out, nil
+}
+
+// cellIntervals computes the canonical-y interval of every cell of the
+// band whose Y table is ys, indexed [row-r0][col].
+func cellIntervals(ys [][]float64) [][]yiv {
+	cols := len(ys[0]) - 1
+	out := make([][]yiv, len(ys)-1)
+	for i := range out {
 		row := make([]yiv, cols)
-		for j := 0; j < cols; j++ {
+		for j := range row {
 			// The cell's four corner vertices.
-			a := t.Verts[i*nvc+j].Y
-			b := t.Verts[i*nvc+j+1].Y
-			c := t.Verts[(i+1)*nvc+j].Y
-			d := t.Verts[(i+1)*nvc+j+1].Y
+			a := ys[i][j]
+			b := ys[i][j+1]
+			c := ys[i+1][j]
+			d := ys[i+1][j+1]
 			row[j] = yiv{
 				lo: math.Min(math.Min(a, b), math.Min(c, d)),
 				hi: math.Max(math.Max(a, b), math.Max(c, d)),
 			}
 		}
-		out[i-r0] = row
+		out[i] = row
 	}
 	return out
 }
 
-// ownedExtent returns the canonical-y interval and the maximum height of the
-// owned cell rectangle [r0, r1) × [c0, c1) (vertex rows r0..r1, columns
-// c0..c1). The interval bounds the image-x range any owned piece can occupy;
-// the height bounds its z — together they are the tile's cullable bounding
-// box in the image plane.
-func ownedExtent(t *terrain.Terrain, r0, r1, c0, c1 int) (iv yiv, maxZ float64) {
-	nvc := t.GridCols + 1
-	iv = yiv{lo: math.Inf(1), hi: math.Inf(-1)}
-	maxZ = math.Inf(-1)
+// ownedIV returns the canonical-y interval of the owned vertex rectangle
+// [r0, r1] x [c0, c1] of a band starting at row r0: the image-x range any
+// owned piece can occupy. With the lattice's zBound it is the tile's
+// cullable bounding box in the image plane.
+func ownedIV(ys [][]float64, r0, r1, c0, c1 int) yiv {
+	iv := yiv{lo: math.Inf(1), hi: math.Inf(-1)}
 	for i := r0; i <= r1; i++ {
 		for j := c0; j <= c1; j++ {
-			v := t.Verts[i*nvc+j]
-			iv.lo = math.Min(iv.lo, v.Y)
-			iv.hi = math.Max(iv.hi, v.Y)
-			maxZ = math.Max(maxZ, v.Z)
+			y := ys[i-r0][j]
+			iv.lo = math.Min(iv.lo, y)
+			iv.hi = math.Max(iv.hi, y)
 		}
 	}
-	return iv, maxZ
+	return iv
 }
 
 // haloRanges returns, per band row, the half-open cell-column range that the
@@ -117,43 +132,73 @@ type subTerrain struct {
 	owned []bool
 }
 
-// extract materializes the sub-terrain of the tile in band b, column slot c,
-// whose per-row cell ranges were computed by haloRanges for rows [r0, r1).
-func extract(t *terrain.Terrain, p *Partition, idx *EdgeIndex, b, c int, r0, r1 int, ranges [][2]int) (*subTerrain, error) {
+// extract materializes the sub-terrain of the tile in band b, column slot
+// c, whose per-row cell ranges were computed by haloRanges for rows
+// [r0, r1). It pages in one rectangle of vertices — the bounding column
+// range of the halo — and builds the canonical triangles of every included
+// cell in row-major order, so local vertex and edge numbering depend only
+// on the cells, never on which lattice supplied the vertices. Global edge
+// ids and owners come from the closed-form grid numbering.
+func extract(l Lattice, p *Partition, b, c int, r0, r1 int, ranges [][2]int) (*subTerrain, error) {
 	or0, or1, oc0, oc1 := p.TileCells(b, c)
 
-	// Gather the triangles of every included cell.
-	var gtris []int32
-	for i := r0; i < r1; i++ {
-		jlo, jhi := ranges[i-r0][0], ranges[i-r0][1]
-		// The owned columns are always included, intersecting by construction.
-		for j := jlo; j < jhi; j++ {
-			base := int32(2 * (i*p.Cols + j))
-			gtris = append(gtris, base, base+1)
+	// The bounding column range of the halo, to page in one rectangle.
+	jlo, jhi, cells := 0, 0, 0
+	for _, rg := range ranges {
+		if rg[0] >= rg[1] {
+			continue
 		}
+		if cells == 0 || rg[0] < jlo {
+			jlo = rg[0]
+		}
+		if rg[1] > jhi {
+			jhi = rg[1]
+		}
+		cells += rg[1] - rg[0]
 	}
-	if len(gtris) == 0 {
+	if cells == 0 {
 		return nil, fmt.Errorf("tile: band %d col %d selected no cells", b, c)
 	}
+	at, err := l.vertices(r0, r1, jlo, jhi) // vertex cols of cells [jlo, jhi)
+	if err != nil {
+		return nil, fmt.Errorf("tile: band %d col %d: %w", b, c, err)
+	}
 
-	// Remap vertices to a compact local numbering.
-	localOf := make(map[int32]int32)
-	var verts []geom.Pt3
-	var gverts []int32
+	// Number vertices compactly in first-reference order while emitting the
+	// canonical grid triples terrain.Grid.Build emits for every included
+	// cell (i, j).
+	nvc := int32(p.Cols + 1)
+	maxVerts := (r1 - r0 + 1) * (jhi - jlo + 1)
+	localOf := make(map[int32]int32, maxVerts)
+	verts := make([]geom.Pt3, 0, maxVerts)
+	gverts := make([]int32, 0, maxVerts)
+	var vertErr error
 	localID := func(gv int32) int32 {
 		lv, ok := localOf[gv]
 		if !ok {
 			lv = int32(len(verts))
 			localOf[gv] = lv
-			verts = append(verts, t.Verts[gv])
+			v, err := at(int(gv)/int(nvc), int(gv)%int(nvc))
+			if err != nil && vertErr == nil {
+				vertErr = err
+			}
+			verts = append(verts, v)
 			gverts = append(gverts, gv)
 		}
 		return lv
 	}
-	tris := make([][3]int32, len(gtris))
-	for k, gt := range gtris {
-		src := t.Tris[gt]
-		tris[k] = [3]int32{localID(src[0]), localID(src[1]), localID(src[2])}
+	tris := make([][3]int32, 0, 2*cells)
+	for i := r0; i < r1; i++ {
+		for j := ranges[i-r0][0]; j < ranges[i-r0][1]; j++ {
+			a := localID(int32(i)*nvc + int32(j))
+			bb := localID(int32(i+1)*nvc + int32(j))
+			cc := localID(int32(i+1)*nvc + int32(j) + 1)
+			d := localID(int32(i)*nvc + int32(j) + 1)
+			tris = append(tris, [3]int32{a, bb, cc}, [3]int32{a, cc, d})
+		}
+	}
+	if vertErr != nil {
+		return nil, vertErr
 	}
 
 	sub, err := terrain.New(verts, tris)
@@ -167,13 +212,83 @@ func extract(t *terrain.Terrain, p *Partition, idx *EdgeIndex, b, c int, r0, r1 
 		owned:      make([]bool, len(sub.Edges)),
 	}
 	for le, ed := range sub.Edges {
-		ge, ok := idx.Global(gverts[ed.V0], gverts[ed.V1])
-		if !ok {
-			return nil, fmt.Errorf("tile: band %d col %d: local edge %d has no global counterpart", b, c, le)
+		ge, oi, oj, err := gridEdge(p.Cols, int(nvc), gverts[ed.V0], gverts[ed.V1])
+		if err != nil {
+			return nil, fmt.Errorf("tile: band %d col %d: local edge %d: %w", b, c, le, err)
 		}
 		st.globalEdge[le] = ge
-		oi, oj := idx.Owner(ge)
 		st.owned[le] = oi >= or0 && oi < or1 && oj >= oc0 && oj < oc1
 	}
 	return st, nil
+}
+
+// gridEdgeBase returns how many global edges are discovered before cell
+// (i, j) in the canonical triangle walk of an R x cols cell grid. Each cell
+// past the first of its row adds 3 new edges (its right vertical, its
+// diagonal, and one horizontal); the first cell of a row adds its left
+// vertical too; cells of the first row also add their front horizontal.
+func gridEdgeBase(cols, i, j int) int32 {
+	base := 3*(i*cols+j) + i
+	if j >= 1 {
+		base++
+	}
+	if i == 0 {
+		base += j
+	} else {
+		base += cols
+	}
+	return int32(base)
+}
+
+// gridEdge resolves the grid edge joining global samples g0 and g1 to its
+// global id and owner cell, in closed form — the same numbering terrain.New
+// derives by walking a grid terrain's triangles, and the same owner rule
+// (the cell of the edge's lowest-numbered incident triangle). Validated
+// exhaustively against the reference EdgeIndex in tests.
+func gridEdge(cols, nvc int, g0, g1 int32) (id int32, oi, oj int, err error) {
+	if g0 > g1 {
+		g0, g1 = g1, g0
+	}
+	i0, j0 := int(g0)/nvc, int(g0)%nvc
+	i1, j1 := int(g1)/nvc, int(g1)%nvc
+	switch {
+	case i1-i0 == 1 && j1-j0 == 0:
+		// Vertical (along depth): first seen as edge (a,b) of cell
+		// (i0, j0-1)'s second-column triangle walk, or opening cell (i0, 0).
+		if j0 == 0 {
+			id = gridEdgeBase(cols, i0, 0)
+			oi, oj = i0, 0
+		} else {
+			id = gridEdgeBase(cols, i0, j0-1) + 2
+			if j0 == 1 {
+				id++
+			}
+			oi, oj = i0, j0-1
+		}
+	case i1-i0 == 0 && j1-j0 == 1:
+		// Horizontal (across): owned behind, except on the front row.
+		if i0 == 0 {
+			id = gridEdgeBase(cols, 0, j0) + 3
+			if j0 == 0 {
+				id++
+			}
+			oi, oj = 0, j0
+		} else {
+			id = gridEdgeBase(cols, i0-1, j0)
+			if j0 == 0 {
+				id++
+			}
+			oi, oj = i0-1, j0
+		}
+	case i1-i0 == 1 && j1-j0 == 1:
+		// Diagonal of cell (i0, j0).
+		id = gridEdgeBase(cols, i0, j0) + 1
+		if j0 == 0 {
+			id++
+		}
+		oi, oj = i0, j0
+	default:
+		return 0, 0, 0, fmt.Errorf("tile: samples %d and %d share no grid edge", g0, g1)
+	}
+	return id, oi, oj, nil
 }

@@ -1,7 +1,9 @@
 package tile
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"terrainhsr/internal/geom"
@@ -11,13 +13,16 @@ import (
 )
 
 // memSource serves heights from a resident array and records which samples
-// were ever requested — the test stand-in for store.Pager.
+// were ever requested — the test stand-in for store.Pager. Concurrent tiles
+// call Rect at once, so the recording is locked.
 type memSource struct {
 	rows, cols int // samples
 	h          []float64
-	noBound    bool   // make MaxHeight claim ignorance
-	touched    []bool // samples some Rect has covered
-	retired    int
+	noBound    bool // make MaxHeight claim ignorance
+
+	mu      sync.Mutex
+	touched []bool // samples some Rect has covered
+	retired int
 }
 
 func newMemSource(rows, cols int, h func(i, j int) float64) *memSource {
@@ -33,6 +38,8 @@ func newMemSource(rows, cols int, h func(i, j int) float64) *memSource {
 }
 
 func (m *memSource) Rect(r0, r1, c0, c1 int) (func(i, j int) float64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i := r0; i <= r1; i++ {
 		for j := c0; j <= c1; j++ {
 			m.touched[i*m.cols+j] = true
@@ -42,6 +49,8 @@ func (m *memSource) Rect(r0, r1, c0, c1 int) (func(i, j int) float64, error) {
 }
 
 func (m *memSource) Retire(row int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if row > m.retired {
 		m.retired = row
 	}
@@ -101,6 +110,41 @@ func residentTerrain(t *testing.T, rows, cols int, shear float64, h func(i, j in
 	return tr
 }
 
+// EdgeIndex is the reference gridEdge is checked against: it walks a
+// resident grid terrain's edge table — whose order is the global edge
+// numbering — and records for every global edge the grid cell that owns it
+// (the cell of its lowest-numbered incident triangle).
+type EdgeIndex struct {
+	// ownerCell[e] is the flattened cell index (i*Cols + j) owning edge e.
+	ownerCell []int32
+	cols      int
+}
+
+// NewEdgeIndex builds the edge index for a grid terrain.
+func NewEdgeIndex(t *terrain.Terrain) (*EdgeIndex, error) {
+	if !t.IsGrid() {
+		return nil, fmt.Errorf("tile: terrain carries no grid metadata (built by something other than terrain.Grid)")
+	}
+	idx := &EdgeIndex{
+		ownerCell: make([]int32, len(t.Edges)),
+		cols:      t.GridCols,
+	}
+	for e, ed := range t.Edges {
+		owner := ed.Left
+		if owner == terrain.NoTri || (ed.Right != terrain.NoTri && ed.Right < owner) {
+			owner = ed.Right
+		}
+		idx.ownerCell[e] = owner / 2 // Grid.Build emits two triangles per cell
+	}
+	return idx, nil
+}
+
+// Owner returns the owning cell (i, j) of global edge e.
+func (idx *EdgeIndex) Owner(e int32) (i, j int) {
+	cell := int(idx.ownerCell[e])
+	return cell / idx.cols, cell % idx.cols
+}
+
 func TestGridEdgeFormulaMatchesIndex(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 5}, {5, 1}, {2, 2}, {4, 7}, {7, 4}, {8, 8}}
 	for _, sh := range shapes {
@@ -137,13 +181,13 @@ func TestSolvePagedMatchesSolveCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		want, wantSt, err := Solve(tr, p, nil, seqSolve, Options{Workers: workers})
+		want, wantSt, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := newMemSource(rows+1, cols+1, testHeights)
 		g := &PagedGrid{Rows: rows, Cols: cols, Cell: 1, Shear: shear, Src: src}
-		got, gotSt, err := SolvePaged(g, p, seqSolve, Options{Workers: workers})
+		got, gotSt, err := Solve(g, p, seqSolve, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,35 +212,92 @@ func TestSolvePagedMatchesSolveCanonical(t *testing.T) {
 	}
 }
 
-func TestSolvePagedMatchesSolvePerspective(t *testing.T) {
-	const rows, cols, shear = 30, 28, 0.07
-	view := &geom.PerspectiveTransform{Eye: geom.Pt3{X: -3.5, Y: 11, Z: 9}}
-	base := residentTerrain(t, rows, cols, shear, testHeights)
-	tr, err := base.TransformShared(view.Apply)
+// solveCollect runs Solve and returns its stats and its pieces in delivery
+// order: the materialized slice, or the streamed sequence when stream is set.
+func solveCollect(t *testing.T, l Lattice, p *Partition, opt Options, stream bool) ([]hsr.VisiblePiece, Stats) {
+	t.Helper()
+	var streamed []hsr.VisiblePiece
+	if stream {
+		opt.Emit = func(pc hsr.VisiblePiece) error {
+			streamed = append(streamed, pc)
+			return nil
+		}
+	}
+	res, st, err := Solve(l, p, seqSolve, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !stream {
+		return res.Pieces, st
+	}
+	if res.Pieces != nil {
+		t.Fatal("streaming solve still materialized pieces")
+	}
+	return streamed, st
+}
+
+// TestSolvePagedMatchesSolvePerspective compares the two lattices byte for
+// byte over a short perspective flyover, under every option that changes
+// the solve's path: worker counts, streaming, and frame coherence (each
+// frame carrying its own lattice's previous verdicts).
+func TestSolvePagedMatchesSolvePerspective(t *testing.T) {
+	const rows, cols, shear = 30, 28, 0.07
+	base := residentTerrain(t, rows, cols, shear, testHeights)
 	p, err := NewPartition(rows, cols, Spec{TileRows: 7, TileCols: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Solve(tr, p, nil, seqSolve, Options{Workers: 3})
+	paged := PagedGrid{Rows: rows, Cols: cols, Cell: 1, Shear: shear,
+		Src: newMemSource(rows+1, cols+1, testHeights)}
+	resBoxes, err := TileBounds(Resident{base}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newMemSource(rows+1, cols+1, testHeights)
-	g := &PagedGrid{Rows: rows, Cols: cols, Cell: 1, Shear: shear, View: view, Src: src}
-	got, _, err := SolvePaged(g, p, seqSolve, Options{Workers: 3})
+	pagedBoxes, err := TileBounds(&paged, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != want.N || len(got.Pieces) != len(want.Pieces) {
-		t.Fatalf("paged N=%d pieces=%d, resident N=%d pieces=%d",
-			got.N, len(got.Pieces), want.N, len(want.Pieces))
-	}
-	for i := range got.Pieces {
-		if got.Pieces[i] != want.Pieces[i] {
-			t.Fatalf("piece %d differs: paged %+v resident %+v", i, got.Pieces[i], want.Pieces[i])
+	eyes := []geom.Pt3{{X: -3.5, Y: 11, Z: 9}, {X: -3.8, Y: 11.2, Z: 8.5}, {X: -4.1, Y: 11.4, Z: 8}}
+	for _, workers := range []int{1, 3} {
+		for _, stream := range []bool{false, true} {
+			for _, coherent := range []bool{false, true} {
+				var prevR, prevP []Verdict
+				reusedR, reusedP := 0, 0
+				for f, eye := range eyes {
+					view := &geom.PerspectiveTransform{Eye: eye}
+					tr, err := base.TransformShared(view.Apply)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g := paged
+					g.View = view
+					ropt, popt := Options{Workers: workers}, Options{Workers: workers}
+					if coherent {
+						ropt.Coherence = &Coherence{Bounds: resBoxes, Eye: eye, Prev: prevR}
+						popt.Coherence = &Coherence{Bounds: pagedBoxes, Eye: eye, Prev: prevP}
+					}
+					want, _ := solveCollect(t, Resident{tr}, p, ropt, stream)
+					got, _ := solveCollect(t, &g, p, popt, stream)
+					if len(got) != len(want) {
+						t.Fatalf("w=%d stream=%v coherent=%v frame %d: paged %d pieces, resident %d",
+							workers, stream, coherent, f, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("w=%d stream=%v coherent=%v frame %d: piece %d differs: paged %+v resident %+v",
+								workers, stream, coherent, f, i, got[i], want[i])
+						}
+					}
+					if coherent {
+						prevR, prevP = ropt.Coherence.Out, popt.Coherence.Out
+						reusedR += ropt.Coherence.Stats.TilesReused
+						reusedP += popt.Coherence.Stats.TilesReused
+					}
+				}
+				if coherent && (reusedR == 0 || reusedP == 0) {
+					t.Fatalf("w=%d stream=%v: flyover reused no verdicts (resident %d, paged %d)", workers, stream, reusedR, reusedP)
+				}
+			}
 		}
 	}
 }
@@ -209,14 +310,14 @@ func TestSolvePagedNoBoundStillMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Solve(tr, p, nil, seqSolve, Options{NoCull: true})
+	want, _, err := Solve(Resident{tr}, p, seqSolve, Options{NoCull: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := newMemSource(rows+1, cols+1, testHeights)
 	src.noBound = true
 	g := &PagedGrid{Rows: rows, Cols: cols, Cell: 1, Src: src}
-	got, st, err := SolvePaged(g, p, seqSolve, Options{})
+	got, st, err := Solve(g, p, seqSolve, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +342,7 @@ func TestSolvePagedCulledTilesNeverRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := SolvePaged(g, p, seqSolve, Options{})
+	_, st, err := Solve(g, p, seqSolve, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +362,14 @@ func TestSolvePagedStreamsLikeSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Solve(tr, p, nil, seqSolve, Options{})
+	want, _, err := Solve(Resident{tr}, p, seqSolve, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := newMemSource(rows+1, cols+1, testHeights)
 	g := &PagedGrid{Rows: rows, Cols: cols, Cell: 1, Shear: 0.07, Src: src}
 	var streamed []int32
-	res, _, err := SolvePaged(g, p, seqSolve, Options{Emit: func(pc hsr.VisiblePiece) error {
+	res, _, err := Solve(g, p, seqSolve, Options{Emit: func(pc hsr.VisiblePiece) error {
 		streamed = append(streamed, pc.Edge)
 		return nil
 	}})

@@ -99,32 +99,24 @@ type tileOutcome struct {
 // tiles independently and merging front to back. The result is equivalent
 // to a monolithic solve of the same terrain (same visible pieces up to
 // float tolerance at piece boundaries) while peak memory scales with a
-// band of tiles rather than with the whole terrain.
+// band of tiles rather than with the whole terrain. Both lattices produce
+// the same bytes and, whenever the paged height bound is exact, the same
+// tile counts.
 //
-// Bands are processed front to back. Within a band, tiles solve
-// concurrently: each extracts its sub-terrain (owned cells plus same-band
-// halo, see extract.go), runs solve on it, and keeps the visible pieces of
-// the edges it owns. The band barrier then clips every kept piece against
-// the accumulated silhouette envelope of all earlier bands — occlusion
-// crossing band seams — and merges the band's own unclipped silhouette into
-// the accumulator for the bands behind it.
-//
-// idx may be nil (it is then derived from t); callers solving many frames
-// of vertex-only transformed terrains should build one EdgeIndex and reuse
-// it, since it depends only on the shared topology.
-func Solve(t *terrain.Terrain, p *Partition, idx *EdgeIndex, solve SolveFunc, opt Options) (*hsr.Result, Stats, error) {
+// Bands are processed front to back. Per band: compute the band's Y table
+// (no heights), cull tiles the front envelope covers (their vertices are
+// never requested), then solve the surviving tiles concurrently — each
+// extracts its sub-terrain (owned cells plus same-band halo, see
+// extract.go), runs solve on it, and keeps the visible pieces of the edges
+// it owns. The band barrier then clips every kept piece against the
+// accumulated silhouette envelope of all earlier bands — occlusion crossing
+// band seams — and merges the band's own unclipped silhouette into the
+// accumulator for the bands behind it. Finally the band's rows are retired
+// from the lattice, which lets a paged source release them.
+func Solve(l Lattice, p *Partition, solve SolveFunc, opt Options) (*hsr.Result, Stats, error) {
 	var stats Stats
-	if t == nil || !t.IsGrid() {
-		return nil, stats, fmt.Errorf("tile: terrain is not a grid (build it with terrain.Grid or terrainhsr.NewGridTerrain/Generate)")
-	}
-	if t.GridRows != p.Rows || t.GridCols != p.Cols {
-		return nil, stats, fmt.Errorf("tile: partition is %dx%d cells but terrain is %dx%d", p.Rows, p.Cols, t.GridRows, t.GridCols)
-	}
-	if idx == nil {
-		var err error
-		if idx, err = NewEdgeIndex(t); err != nil {
-			return nil, stats, err
-		}
+	if err := l.check(p); err != nil {
+		return nil, stats, err
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -146,10 +138,16 @@ func Solve(t *terrain.Terrain, p *Partition, idx *EdgeIndex, solve SolveFunc, op
 		co.prepare(p.NumTiles())
 	}
 	bs := &bandState{emit: opt.Emit, front: opt.Seed, co: co, cols: p.NumCols}
+	solveStart := l.meter()
+	bandStart := solveStart
 	for b := 0; b < p.NumBands; b++ {
 		bsp := beginBand(opt.Trace, &stats)
 		r0, r1 := p.BandRows(b)
-		ivs := cellIntervals(t, r0, r1)
+		ys, err := bandYs(l, p.Cols, r0, r1)
+		if err != nil {
+			return nil, stats, err
+		}
+		ivs := cellIntervals(ys)
 
 		outcomes := make([]*tileOutcome, p.NumCols)
 		errs := make([]error, p.NumCols)
@@ -158,7 +156,7 @@ func Solve(t *terrain.Terrain, p *Partition, idx *EdgeIndex, solve SolveFunc, op
 			if failed.Load() {
 				return
 			}
-			oc, err := solveTile(t, p, idx, b, c, r0, r1, ivs, bs.front, solve, subWorkers, opt.NoCull, co)
+			oc, err := solveTile(l, p, b, c, ys, ivs, bs.front, solve, subWorkers, opt.NoCull, co)
 			if err != nil {
 				errs[c] = err
 				failed.Store(true)
@@ -177,9 +175,18 @@ func Solve(t *terrain.Terrain, p *Partition, idx *EdgeIndex, solve SolveFunc, op
 		}
 		mergeDur := time.Since(mt0)
 		stats.MergeNS += mergeDur.Nanoseconds()
-		bsp.end(b, &stats, mt0, mergeDur, 0, 0)
+		// The band's silhouette is merged; rows in front of r1 can no longer
+		// influence anything (row r1 itself is shared with the next band).
+		l.retire(r1)
+		bandEnd := l.meter()
+		bsp.end(b, &stats, mt0, mergeDur, bandEnd.waitNS-bandStart.waitNS, bandEnd.bytes-bandStart.bytes)
+		bandStart = bandEnd
 	}
-	return bs.result(t.NumEdges(), &stats), stats, nil
+	solveEnd := l.meter()
+	stats.PageWaitNS = solveEnd.waitNS - solveStart.waitNS
+	stats.BytesPaged = solveEnd.bytes - solveStart.bytes
+	stats.PageIns = solveEnd.ins - solveStart.ins
+	return bs.result(terrain.EdgeCountForGrid(p.Rows, p.Cols), &stats), stats, nil
 }
 
 // bandSpan brackets one depth band of a solve for tracing. On an unsampled
@@ -225,8 +232,7 @@ func (bsp bandSpan) end(b int, stats *Stats, mergeStart time.Time, mergeDur time
 
 // bandState carries the cross-band accumulator of a tiled solve — the front
 // envelope, the clipped output (or per-band emission), and the global
-// counters. Solve and SolvePaged share it, so the band barrier behaves
-// identically whether the heights are resident or paged.
+// counters.
 type bandState struct {
 	front     envelope.Profile // silhouette of all earlier bands
 	out       []hsr.VisiblePiece
@@ -354,12 +360,16 @@ func sortVisible(ps []hsr.VisiblePiece) {
 	})
 }
 
-// solveTile runs one tile: verify-then-reuse (when coherent), cull check,
-// sub-terrain extraction, local solve, and translation of the owned pieces
-// to global edge ids. front is read-only here (it is only rewritten between
-// bands, after the band barrier).
-func solveTile(t *terrain.Terrain, p *Partition, idx *EdgeIndex, b, c, r0, r1 int, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence) (*tileOutcome, error) {
-	_, _, c0, c1 := p.TileCells(b, c)
+// solveTile runs one tile of band b: verify-then-reuse (when coherent),
+// cull check, sub-terrain extraction, local solve, and translation of the
+// owned pieces to global edge ids. ys and ivs are the band's Y table and
+// cell intervals. The cull check uses only the Y table and the lattice's
+// height bound, and a reusable prior verdict is first tried against the
+// tile's frame-invariant world box, so a tile's vertices are requested only
+// when it survives both. front is read-only here (it is only rewritten
+// between bands, after the band barrier).
+func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence) (*tileOutcome, error) {
+	r0, r1, c0, c1 := p.TileCells(b, c)
 	verifyFailed := false
 	if co != nil && !noCull && co.reusable(b*p.NumCols+c) {
 		// The previous frame culled or hid this tile; if the conservative
@@ -371,13 +381,15 @@ func solveTile(t *terrain.Terrain, p *Partition, idx *EdgeIndex, b, c, r0, r1 in
 		}
 		verifyFailed = true
 	}
-	owned, maxZ := ownedExtent(t, r0, r1, c0, c1)
-	if !noCull && front.CoversAbove(owned.lo, owned.hi, maxZ) {
-		// Everything the tile could contribute lies on or below the
-		// silhouette of the terrain in front of it: skip the solve entirely.
-		return &tileOutcome{culled: true, verifyFailed: verifyFailed}, nil
+	owned := ownedIV(ys, r0, r1, c0, c1)
+	if !noCull {
+		if z, ok := l.zBound(r0, r1, c0, c1); ok && front.CoversAbove(owned.lo, owned.hi, z) {
+			// Everything the tile could contribute lies on or below the
+			// silhouette of the terrain in front of it: skip the solve.
+			return &tileOutcome{culled: true, verifyFailed: verifyFailed}, nil
+		}
 	}
-	sub, err := extract(t, p, idx, b, c, r0, r1, haloRanges(ivs, owned))
+	sub, err := extract(l, p, b, c, r0, r1, haloRanges(ivs, owned))
 	if err != nil {
 		return nil, err
 	}

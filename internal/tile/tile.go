@@ -1,10 +1,6 @@
 package tile
 
-import (
-	"fmt"
-
-	"terrainhsr/internal/terrain"
-)
+import "fmt"
 
 // Spec selects the tile dimensions of a partition, in grid cells.
 // Zero values pick an automatic size aimed at a handful of tiles per axis
@@ -100,59 +96,4 @@ func (p *Partition) TileCells(b, c int) (r0, r1, c0, c1 int) {
 		c1 = p.Cols
 	}
 	return r0, r1, c0, c1
-}
-
-// edgeKey is a canonical (smaller, larger) global vertex pair.
-type edgeKey struct{ a, b int32 }
-
-func mkEdgeKey(u, v int32) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
-}
-
-// EdgeIndex maps tile-local edges back to the full terrain's edge numbering
-// and records, for every global edge, the grid cell that owns it (the cell
-// of its lowest-numbered incident triangle). It depends only on topology, so
-// one index serves every perspective frame of a terrain whose vertex-only
-// transforms share the triangle and edge tables.
-type EdgeIndex struct {
-	byVerts map[edgeKey]int32
-	// ownerCell[e] is the flattened cell index (i*Cols + j) owning edge e.
-	ownerCell []int32
-	cols      int
-}
-
-// NewEdgeIndex builds the edge index for a grid terrain.
-func NewEdgeIndex(t *terrain.Terrain) (*EdgeIndex, error) {
-	if !t.IsGrid() {
-		return nil, fmt.Errorf("tile: terrain carries no grid metadata (built by something other than terrain.Grid)")
-	}
-	idx := &EdgeIndex{
-		byVerts:   make(map[edgeKey]int32, len(t.Edges)),
-		ownerCell: make([]int32, len(t.Edges)),
-		cols:      t.GridCols,
-	}
-	for e, ed := range t.Edges {
-		idx.byVerts[edgeKey{ed.V0, ed.V1}] = int32(e)
-		owner := ed.Left
-		if owner == terrain.NoTri || (ed.Right != terrain.NoTri && ed.Right < owner) {
-			owner = ed.Right
-		}
-		idx.ownerCell[e] = owner / 2 // Grid.Build emits two triangles per cell
-	}
-	return idx, nil
-}
-
-// Owner returns the owning cell (i, j) of global edge e.
-func (idx *EdgeIndex) Owner(e int32) (i, j int) {
-	cell := int(idx.ownerCell[e])
-	return cell / idx.cols, cell % idx.cols
-}
-
-// Global resolves a global vertex pair to its global edge id.
-func (idx *EdgeIndex) Global(v0, v1 int32) (int32, bool) {
-	e, ok := idx.byVerts[mkEdgeKey(v0, v1)]
-	return e, ok
 }

@@ -2,6 +2,7 @@ package tile
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"terrainhsr/internal/hsr"
@@ -131,7 +132,7 @@ func TestSolveMatchesMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, st, err := Solve(tr, p, nil, seqSolve, Options{Workers: workers})
+				res, st, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s %+v w=%d: %v", kind, spec, workers, err)
 				}
@@ -155,14 +156,14 @@ func TestCullingNeverChangesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	culled, st, err := Solve(tr, p, nil, seqSolve, Options{})
+	culled, st, err := Solve(Resident{tr}, p, seqSolve, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.TilesCulled == 0 {
 		t.Fatal("expected the ridge to cull some back tiles")
 	}
-	full, st2, err := Solve(tr, p, nil, seqSolve, Options{NoCull: true})
+	full, st2, err := Solve(Resident{tr}, p, seqSolve, Options{NoCull: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +186,12 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := Solve(tr, p, nil, seqSolve, Options{Workers: 1})
+	base, _, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		res, _, err := Solve(tr, p, nil, seqSolve, Options{Workers: workers})
+		res, _, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,15 +212,26 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Solve(tr, p, nil, seqSolve, Options{}); err == nil {
+	if _, _, err := Solve(Resident{tr}, p, seqSolve, Options{}); err == nil {
 		t.Fatal("expected error for partition/terrain mismatch")
 	}
 	nogrid := &terrain.Terrain{Verts: tr.Verts, Tris: tr.Tris, Edges: tr.Edges}
 	p2, _ := NewPartition(8, 8, Spec{})
-	if _, _, err := Solve(nogrid, p2, nil, seqSolve, Options{}); err == nil {
+	if _, _, err := Solve(Resident{nogrid}, p2, seqSolve, Options{}); err == nil {
 		t.Fatal("expected error for non-grid terrain")
 	}
 	if _, err := NewEdgeIndex(nogrid); err == nil {
 		t.Fatal("expected NewEdgeIndex error for non-grid terrain")
+	}
+	alt, err := terrain.Grid{Rows: 8, Cols: 8, Dx: 1, Dy: 1, AlternateDiagonals: true,
+		H: func(i, j int) float64 { return float64((i + 2*j) % 5) }}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Solve(Resident{alt}, p2, seqSolve, Options{}); err == nil || !strings.Contains(err.Error(), "not a grid") {
+		t.Fatalf("alternate-diagonal grid: got %v, want the not-a-grid error", err)
+	}
+	if _, err := TileBounds(Resident{alt}, p2); err == nil {
+		t.Fatal("expected TileBounds error for an alternate-diagonal grid")
 	}
 }

@@ -432,9 +432,8 @@ func NewServer(opt ServerOptions) *Server {
 // invalidates every cached answer for the old terrain (stale entries are
 // never served; they age out of the LRU rather than being purged eagerly).
 // Registration plans the ID's routing and prepares the engine state its
-// queries will use (the tile partition and edge index, for terrains the
-// planner routes tiled), so it does O(terrain) work once instead of per
-// query.
+// queries will use (the tile partition, for terrains the planner routes
+// tiled), so it does that work once instead of per query.
 func (s *Server) Register(id string, t *Terrain) error {
 	if id == "" {
 		return fmt.Errorf("terrainhsr: empty terrain ID")

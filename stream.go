@@ -180,7 +180,7 @@ func (s *Solver) NewSession(opt BatchOptions) (*Session, error) {
 }
 
 // NewSession opens a flyover session through the tiled pipeline, reusing
-// the solver's partition and edge index. Tiled sessions get the full
+// the solver's partition and tile bounds. Tiled sessions get the full
 // verify-then-reuse machinery; monolithic ones replay identical eyes only.
 func (ts *TiledSolver) NewSession(opt BatchOptions) (*Session, error) {
 	return newSession(ts.eng, opt, engine.ForceTiled)

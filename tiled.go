@@ -56,9 +56,9 @@ func publicTileStats(st tile.Stats) TileStats {
 
 // TiledSolver solves a grid terrain tile by tile. It is a thin adapter over
 // the internal/engine planner and executor, planned with the tiled engine
-// forced. It is safe for concurrent use; the partition, edge index and
-// arena pool its executor carries are shared by all solves (and, for
-// SolveMany, by all frames).
+// forced. It is safe for concurrent use; the partition and arena pool its
+// executor carries are shared by all solves (and, for SolveMany, by all
+// frames).
 type TiledSolver struct {
 	t   *Terrain
 	eng *engine.Executor
@@ -122,7 +122,7 @@ func (ts *TiledSolver) SolvePath(path ViewPath, opt BatchOptions) ([]*Result, er
 
 // SolveTiled solves a grid terrain through a one-off TiledSolver; see
 // TiledSolver.Solve. Callers issuing repeated solves should keep the
-// TiledSolver so the partition, edge index and arena pool are reused.
+// TiledSolver so the partition and arena pool are reused.
 func SolveTiled(t *Terrain, topt TileOptions, opt Options) (*Result, error) {
 	ts, err := NewTiledSolver(t, topt)
 	if err != nil {
