@@ -88,7 +88,10 @@
 // timing, and the visible pieces. Pieces are streamed into the response —
 // JSON through Result.EachPiece and SVG through the library's SVGStream —
 // so even a massive scene is written without materializing a second copy
-// of it. ASCII renders through the same display backend as before.
+// of it. ASCII renders through the same display backend as before. The
+// piece wire format is fixed: see the internal/serve package comment.
+// Coordinates, mindepth and budget must be finite numbers; NaN or an
+// infinity is a 400 naming the parameter.
 //
 // /flyover parameters:
 //

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -219,5 +220,46 @@ func TestExecutorRunStreamSingleViewOnly(t *testing.T) {
 	}
 	if _, err := e.RunStream(plan, req, func(hsr.VisiblePiece) error { return nil }); err == nil {
 		t.Fatal("multi-frame stream accepted")
+	}
+}
+
+func TestPlanRejectsNonFinite(t *testing.T) {
+	resident := New(testGrid(t), Config{})
+	paged := NewPaged(&tile.PagedGrid{Rows: 8, Cols: 8, Cell: 1, Src: newArraySource(9, 9, pagedTestHeights)}, Config{}, "why")
+	eye := geom.Pt3{X: -5, Y: 4, Z: 6}
+	bad := func(c int, v float64) []geom.Pt3 {
+		xyz := [3]float64{eye.X, eye.Y, eye.Z}
+		xyz[c] = v
+		return []geom.Pt3{eye, {X: xyz[0], Y: xyz[1], Z: xyz[2]}}
+	}
+	for _, tc := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Perspective: true, Eyes: bad(0, math.NaN())}, "eye 1: coordinate x is not finite"},
+		{Request{Perspective: true, Eyes: bad(1, math.Inf(1))}, "eye 1: coordinate y is not finite"},
+		{Request{Perspective: true, Eyes: bad(2, math.Inf(-1))}, "eye 1: coordinate z is not finite"},
+		{Request{Perspective: true, Eyes: []geom.Pt3{eye}, MinDepth: math.NaN()}, "MinDepth NaN is not finite"},
+	} {
+		for name, e := range map[string]*Executor{"resident": resident, "paged": paged} {
+			if _, err := e.Plan(tc.req); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+			}
+		}
+	}
+	// A session frame is checked too, even though its plan is reused.
+	req := Request{Perspective: true, Eyes: []geom.Pt3{eye}}
+	plan, err := resident.PlanSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := resident.NewSessionState(plan, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Eyes = bad(2, math.NaN())[1:]
+	if _, err := resident.RunSessionFrame(plan, req, st, func(hsr.VisiblePiece) error { return nil }); err == nil ||
+		!strings.Contains(err.Error(), "eye 0: coordinate z is not finite") {
+		t.Fatalf("session frame err = %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -91,6 +92,23 @@ type Request struct {
 	// the plan routes to. Nil (the unsampled case) costs nothing. Tracing
 	// never affects planning or solve bytes.
 	Trace *obs.Trace
+}
+
+// checkFinite rejects eyes and a MinDepth holding NaN or an infinity: no
+// perspective transform exists for them, and the solvers would fail far
+// from the cause or answer nonsense.
+func (req Request) checkFinite() error {
+	if math.IsNaN(req.MinDepth) || math.IsInf(req.MinDepth, 0) {
+		return fmt.Errorf("terrainhsr: MinDepth %v is not finite", req.MinDepth)
+	}
+	for i, e := range req.Eyes {
+		for j, v := range [...]float64{e.X, e.Y, e.Z} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("terrainhsr: eye %d: coordinate %c is not finite", i, "xyz"[j])
+			}
+		}
+	}
+	return nil
 }
 
 // Plan is the explainable outcome of planning one Request: which pipeline
@@ -210,6 +228,9 @@ func (pl *Planner) partition() (*tile.Partition, error) {
 // pipeline (by forced override, else by grid structure and the TileCells
 // threshold), the frame schedule, and the worker-budget split.
 func (pl *Planner) Plan(req Request) (*Plan, error) {
+	if err := req.checkFinite(); err != nil {
+		return nil, err
+	}
 	if pl.oocRows > 0 {
 		return pl.planPaged(req)
 	}

@@ -74,6 +74,9 @@ func (e *Executor) RunSessionFrame(plan *Plan, req Request, st *session.State, s
 	if !plan.Perspective || len(req.Eyes) != 1 {
 		return nil, fmt.Errorf("terrainhsr: a session frame solves a single eye, got %d", len(req.Eyes))
 	}
+	if err := req.checkFinite(); err != nil {
+		return nil, err
+	}
 	solve := func(co *tile.Coherence, emit func(hsr.VisiblePiece) error) (int, int64, tile.Stats, error) {
 		oc, err := e.solveView(plan, req, frameView(req, 0), emit, co)
 		if err != nil {

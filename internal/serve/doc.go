@@ -21,6 +21,17 @@
 //	               and stream as framed JSON, or render the final frame as
 //	               SVG; see cmd/hsrserved for the parameter list.
 //
+// Piece wire format. The pieces array of every JSON answer (single-eye
+// /viewshed, each progressive pass, each /flyover frame) holds one object
+// per line with the keys in the order {"Edge":<int>,"X1":<f>,"Z1":<f>,
+// "X2":<f>,"Z2":<f>}. Every <f> follows encoding/json's float64 rule: the
+// shortest round-tripping decimal, with an exponent (and no leading zero
+// in it) only for non-zero magnitudes below 1e-6 or at least 1e21. The
+// bytes equal json.Marshal of a terrainhsr.Piece; appendPiece produces
+// them without reflection. Pieces go to the connection in fixed-size
+// chunks, and every pass or frame is flushed before the fields that follow
+// it. Float parameters must be finite; NaN and infinities are a 400.
+//
 // The package also owns the -terrain / -store spec parsing (BuildTerrain,
 // ParseStoreSpec) so the serving binary, the load generator and the tests
 // agree on one spec syntax.

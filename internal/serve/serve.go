@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -291,14 +293,16 @@ func responseFor(id string, eye terrainhsr.Point, qr *terrainhsr.QueryResult, el
 
 // writeViewshedJSON writes the response header fields followed by a
 // "pieces" array streamed piece by piece, never holding the converted
-// slice.
+// slice. A header that cannot be encoded is answered 500 before any byte
+// of the body is written.
 func (h *handler) writeViewshedJSON(w http.ResponseWriter, resp viewshedResponse, r *terrainhsr.Result) {
-	w.Header().Set("Content-Type", "application/json")
 	buf, err := json.MarshalIndent(resp, "", "  ")
 	if err != nil {
 		h.opt.Logger.Error("encode failed", slog.String("endpoint", "viewshed"), slog.Any("err", err))
+		httpErr(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
 	// MarshalIndent ends with "\n}"; splice the streamed array in before
 	// the closing brace.
 	buf = bytes.TrimSuffix(buf, []byte("\n}"))
@@ -308,22 +312,15 @@ func (h *handler) writeViewshedJSON(w http.ResponseWriter, resp viewshedResponse
 	if _, err := io.WriteString(w, ",\n  \"pieces\": ["); err != nil {
 		return
 	}
-	first := true
+	pw := newPieceWriter(w, 4)
 	var streamErr error
 	r.EachPiece(func(p terrainhsr.Piece) bool {
-		sep := ",\n    "
-		if first {
-			sep, first = "\n    ", false
-		}
-		b, err := json.Marshal(p)
-		if err == nil {
-			if _, err = io.WriteString(w, sep); err == nil {
-				_, err = w.Write(b)
-			}
-		}
-		streamErr = err
-		return err == nil
+		streamErr = pw.piece(p)
+		return streamErr == nil
 	})
+	if streamErr == nil {
+		streamErr = pw.flush()
+	}
 	if streamErr != nil {
 		// The status line is already sent; the best we can do is log that
 		// the streamed array was cut short rather than pretend it is whole.
@@ -331,7 +328,7 @@ func (h *handler) writeViewshedJSON(w http.ResponseWriter, resp viewshedResponse
 			slog.String("terrain", resp.Terrain), slog.Any("err", streamErr))
 		return
 	}
-	if first {
+	if pw.n == 0 {
 		io.WriteString(w, "]\n}\n")
 		return
 	}
@@ -346,9 +343,14 @@ func (h *handler) writeViewshedJSON(w http.ResponseWriter, resp viewshedResponse
 // precede any output — unknown terrains, bad algorithms, unreadable
 // stores — still get a proper error status instead of truncated JSON.
 func (h *handler) viewshedProgressive(w http.ResponseWriter, base terrainhsr.Query) {
-	firstPass, passOpen, pieceFirst := true, false, false
+	firstPass, passOpen := true, false
+	pw := newPieceWriter(w, 8)
 	err := h.srv.QueryProgressive(base,
 		func(p terrainhsr.ProgressivePass) error {
+			// The previous pass's pieces go out before anything else.
+			if err := pw.flush(); err != nil {
+				return err
+			}
 			h.observe(p.Result, p.Elapsed)
 			h.logQuery(base.Trace, p.Result, base.TerrainID, p.Elapsed)
 			// Per-pass timing comes from the server: the pass's own answer
@@ -370,7 +372,7 @@ func (h *handler) viewshedProgressive(w http.ResponseWriter, base terrainhsr.Que
 				firstPass, sep = false, "\n    "
 			}
 			if passOpen {
-				if err := closePass(w, pieceFirst); err != nil {
+				if err := closePass(w, pw.n == 0); err != nil {
 					return err
 				}
 			}
@@ -382,24 +384,14 @@ func (h *handler) viewshedProgressive(w http.ResponseWriter, base terrainhsr.Que
 				return err
 			}
 			_, err = io.WriteString(w, ",\n      \"pieces\": [")
-			pieceFirst = true
+			pw.open()
 			return err
 		},
-		func(p terrainhsr.Piece) error {
-			b, err := json.Marshal(p)
-			if err != nil {
-				return err
-			}
-			sep := ",\n        "
-			if pieceFirst {
-				sep, pieceFirst = "\n        ", false
-			}
-			if _, err := io.WriteString(w, sep); err != nil {
-				return err
-			}
-			_, err = w.Write(b)
-			return err
-		})
+		pw.piece)
+	// The last pass's pieces, or those streamed before a failure.
+	if flushErr := pw.flush(); err == nil {
+		err = flushErr
+	}
 	if err != nil {
 		if firstPass {
 			// Nothing was written yet: report the failure properly.
@@ -413,7 +405,7 @@ func (h *handler) viewshedProgressive(w http.ResponseWriter, base terrainhsr.Que
 		return
 	}
 	if passOpen {
-		if err := closePass(w, pieceFirst); err != nil {
+		if err := closePass(w, pw.n == 0); err != nil {
 			return
 		}
 	}
@@ -421,8 +413,8 @@ func (h *handler) viewshedProgressive(w http.ResponseWriter, base terrainhsr.Que
 }
 
 // closePass terminates one pass object in a progressive response.
-func closePass(w io.Writer, pieceFirst bool) error {
-	if pieceFirst { // no pieces were streamed: close the empty array inline
+func closePass(w io.Writer, empty bool) error {
+	if empty { // no pieces were streamed: close the empty array inline
 		_, err := io.WriteString(w, "]\n    }")
 		return err
 	}
@@ -450,21 +442,15 @@ func (h *handler) viewshed(w http.ResponseWriter, r *http.Request) {
 		id = ids[0]
 	}
 	algo := terrainhsr.Algorithm(qv.Get("algorithm"))
-	minDepth := 0.0
-	if v := qv.Get("mindepth"); v != "" {
-		var err error
-		if minDepth, err = strconv.ParseFloat(v, 64); err != nil {
-			httpErr(w, http.StatusBadRequest, "bad mindepth %q", v)
-			return
-		}
+	minDepth, err := floatParam(qv, "mindepth")
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	budget := 0.0
-	if v := qv.Get("budget"); v != "" {
-		var err error
-		if budget, err = strconv.ParseFloat(v, 64); err != nil {
-			httpErr(w, http.StatusBadRequest, "bad budget %q", v)
-			return
-		}
+	budget, err := floatParam(qv, "budget")
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	base := terrainhsr.Query{
 		TerrainID:   id,
@@ -635,21 +621,15 @@ func (h *handler) flyover(w http.ResponseWriter, r *http.Request) {
 		}
 		id = ids[0]
 	}
-	minDepth := 0.0
-	if v := qv.Get("mindepth"); v != "" {
-		var err error
-		if minDepth, err = strconv.ParseFloat(v, 64); err != nil {
-			httpErr(w, http.StatusBadRequest, "bad mindepth %q", v)
-			return
-		}
+	minDepth, err := floatParam(qv, "mindepth")
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	budget := 0.0
-	if v := qv.Get("budget"); v != "" {
-		var err error
-		if budget, err = strconv.ParseFloat(v, 64); err != nil {
-			httpErr(w, http.StatusBadRequest, "bad budget %q", v)
-			return
-		}
+	budget, err := floatParam(qv, "budget")
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	base := terrainhsr.Query{
 		TerrainID:   id,
@@ -737,7 +717,7 @@ type flyoverFrameMeta struct {
 // frame still gets a proper error status.
 func (h *handler) flyoverJSON(w http.ResponseWriter, base terrainhsr.Query, path []terrainhsr.Point) {
 	wrote := false
-	k := 0
+	pw := newPieceWriter(w, 8)
 	openFrame := func(i int, eye terrainhsr.Point) error {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/json")
@@ -760,7 +740,8 @@ func (h *handler) flyoverJSON(w http.ResponseWriter, base terrainhsr.Query, path
 	for i, eye := range path {
 		q := base
 		q.Eye = eye
-		opened, pieceFirst := false, true
+		opened := false
+		pw.open()
 		t0 := time.Now()
 		qr, err := h.srv.QuerySession(q, func(p terrainhsr.Piece) error {
 			if !opened {
@@ -769,26 +750,14 @@ func (h *handler) flyoverJSON(w http.ResponseWriter, base terrainhsr.Query, path
 				}
 				opened = true
 			}
-			b, err := json.Marshal(p)
-			if err != nil {
-				return err
-			}
-			sep := ",\n        "
-			if pieceFirst {
-				sep, pieceFirst = "\n        ", false
-			}
-			if _, err := io.WriteString(w, sep); err != nil {
-				return err
-			}
-			k++
-			_, err = w.Write(b)
-			return err
+			return pw.piece(p)
 		})
 		if err != nil {
 			if !wrote {
 				httpErr(w, queryStatus(err), "%v", err)
 				return
 			}
+			pw.flush() // the pieces streamed before the failure
 			h.opt.Logger.Warn("flyover stream truncated",
 				slog.String("terrain", base.TerrainID), slog.Any("err", err))
 			return
@@ -806,16 +775,18 @@ func (h *handler) flyoverJSON(w http.ResponseWriter, base terrainhsr.Query, path
 			Cache:        qr.Cache,
 			Tiled:        qr.Tiled,
 			Level:        qr.Level,
-			K:            k,
+			K:            pw.n,
 			ElapsedMS:    float64(frameElapsed.Microseconds()) / 1000,
 		}
-		k = 0
 		if qr.Reuse != nil {
 			meta.Replayed = qr.Reuse.Replayed
 			meta.TilesReused = qr.Reuse.TilesReused
 			meta.TilesReverified = qr.Reuse.TilesReverified
 			meta.TilesResolved = qr.Reuse.TilesResolved
 			meta.VerifyFailures = qr.Reuse.VerifyFailures
+		}
+		if err := pw.flush(); err != nil {
+			return
 		}
 		mb, err := json.MarshalIndent(meta, "    ", "  ")
 		if err != nil {
@@ -825,7 +796,7 @@ func (h *handler) flyoverJSON(w http.ResponseWriter, base terrainhsr.Query, path
 		// Close the pieces array and splice the metadata fields into the
 		// still-open frame object (MarshalIndent's closing brace ends it).
 		closer := "\n      ],"
-		if pieceFirst {
+		if pw.n == 0 {
 			closer = "],"
 		}
 		if _, err := io.WriteString(w, closer); err != nil {
@@ -891,7 +862,7 @@ func (h *handler) flyoverSVG(w http.ResponseWriter, base terrainhsr.Query, path 
 	}
 }
 
-// parseEye parses "x,y,z".
+// parseEye parses "x,y,z"; every coordinate must be finite.
 func parseEye(s string) (terrainhsr.Point, error) {
 	parts := strings.Split(strings.TrimSpace(s), ",")
 	if len(parts) != 3 {
@@ -903,10 +874,32 @@ func parseEye(s string) (terrainhsr.Point, error) {
 		if err != nil {
 			return terrainhsr.Point{}, err
 		}
+		if !finite(v) {
+			return terrainhsr.Point{}, fmt.Errorf("coordinate %c is not finite (%q)", "xyz"[i], p)
+		}
 		vals[i] = v
 	}
 	return terrainhsr.Point{X: vals[0], Y: vals[1], Z: vals[2]}, nil
 }
+
+// floatParam parses an optional finite float parameter; absent is 0.
+func floatParam(qv url.Values, name string) (float64, error) {
+	s := qv.Get(name)
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q", name, s)
+	}
+	if !finite(v) {
+		return 0, fmt.Errorf("bad %s %q: not finite", name, s)
+	}
+	return v, nil
+}
+
+// finite reports whether v is neither NaN nor an infinity.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // intParam parses an optional positive integer parameter.
 func intParam(s string, def int) int {

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -185,5 +188,46 @@ func TestFlyoverSessionLoadIdentity(t *testing.T) {
 	}
 	if st := srv.Stats(); st.SessionFrames == 0 {
 		t.Fatalf("no session frames counted: %+v", st)
+	}
+}
+
+// TestNonFiniteParameters covers NaN and infinities in every float
+// parameter: each is a 400 that names the parameter (and, for eyes, the
+// coordinate), never a 200 with an empty or truncated body.
+func TestNonFiniteParameters(t *testing.T) {
+	h := newTestHandler(t)
+	for _, tc := range []struct {
+		url  string
+		want string
+	}{
+		{"/viewshed?terrain=demo&eye=-10,Inf,5", "bad eye: coordinate y is not finite"},
+		{"/viewshed?terrain=demo&eye=NaN,1,1", "bad eye: coordinate x is not finite"},
+		{"/viewshed?terrain=demo&eye=-34,24.4,8&mindepth=NaN", "bad mindepth \"NaN\": not finite"},
+		{"/viewshed?terrain=demo&eye=-34,24.4,8&budget=NaN", "bad budget \"NaN\": not finite"},
+		{"/viewshed?terrain=demo&eye=-34,24.4,8&budget=-Inf", "bad budget \"-Inf\": not finite"},
+		{"/viewshed?terrain=demo&eye=-34,24.4,8&eye=-34,24.4,infinity", "coordinate z is not finite"},
+		{"/viewshed?terrain=demo&eye=-34,NaN,8&progressive=1", "bad eye: coordinate y is not finite"},
+		{"/flyover?terrain=demo&eye=-10,5,NaN&eye=-10,6,5", "coordinate z is not finite"},
+		{"/flyover?terrain=demo&eye=-34,24.4,8&mindepth=%2BInf", "bad mindepth \"+Inf\": not finite"},
+		{"/flyover?terrain=demo&eye=-34,24.4,8&budget=NaN", "bad budget \"NaN\": not finite"},
+	} {
+		body, code := getFlyover(t, h, tc.url)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d %q, want 400 naming %q", tc.url, code, body, tc.want)
+		}
+	}
+}
+
+// TestViewshedHeaderEncodeFailure: a response header that cannot be
+// encoded is a 500 before any body byte, not an empty 200.
+func TestViewshedHeaderEncodeFailure(t *testing.T) {
+	h := &handler{opt: Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}}
+	rec := httptest.NewRecorder()
+	h.writeViewshedJSON(rec, viewshedResponse{Eye: [3]float64{math.NaN(), 0, 0}}, nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); strings.Contains(ct, "json") {
+		t.Fatalf("error answered as %q", ct)
 	}
 }

@@ -687,6 +687,15 @@ func (s *Server) QuantizeEye(eye Point) Point {
 	return Point{X: snap(eye.X, res), Y: snap(eye.Y, res), Z: snap(eye.Z, res)}
 }
 
+// checkBudget rejects a NaN or infinite Query.ErrorBudget: no pyramid
+// level answers it. Eyes and MinDepth are checked by the planner.
+func checkBudget(budget float64) error {
+	if math.IsNaN(budget) || math.IsInf(budget, 0) {
+		return fmt.Errorf("terrainhsr: error budget %v is not finite", budget)
+	}
+	return nil
+}
+
 // snap rounds v to the nearest multiple of res, normalizing -0 to +0 so
 // equal quantized eyes always produce identical cache keys.
 func snap(v, res float64) float64 {
@@ -725,6 +734,9 @@ func (s *Server) request(q Query, eyes []geom.Pt3, workers int) engine.Request {
 // Store-backed terrains first pick the pyramid level the error budget
 // admits — a manifest-only decision — and then answer on that level.
 func (s *Server) query(q Query, workers int) (*QueryResult, error) {
+	if err := checkBudget(q.ErrorBudget); err != nil {
+		return nil, err
+	}
 	s.mu.RLock()
 	e, ok := s.terrains[q.TerrainID]
 	s.mu.RUnlock()
@@ -1010,6 +1022,9 @@ func (s *Server) session(key string, exec *engine.Executor, req engine.Request) 
 // rarely collide with point queries); sessions are capped at 64 with LRU
 // eviction, and an evicted flyover's next frame simply solves cold again.
 func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
+	if err := checkBudget(q.ErrorBudget); err != nil {
+		return nil, err
+	}
 	s.mu.RLock()
 	e, ok := s.terrains[q.TerrainID]
 	s.mu.RUnlock()
@@ -1154,6 +1169,9 @@ type ProgressivePass struct {
 // terrains (and coarse picks that resolve to the finest level) stream a
 // single final pass. An error from pass or sink aborts the query.
 func (s *Server) QueryProgressive(q Query, pass func(ProgressivePass) error, sink PieceSink) error {
+	if err := checkBudget(q.ErrorBudget); err != nil {
+		return err
+	}
 	s.mu.RLock()
 	e, ok := s.terrains[q.TerrainID]
 	s.mu.RUnlock()

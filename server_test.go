@@ -2,6 +2,7 @@ package terrainhsr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -358,6 +359,71 @@ func TestServerErrors(t *testing.T) {
 	}
 	if !s.Unregister("t") || s.Unregister("t") {
 		t.Fatal("Unregister bookkeeping wrong")
+	}
+}
+
+// TestServerRejectsNonFinite checks every library query entry point turns a
+// NaN or infinite eye coordinate, MinDepth or ErrorBudget into a located
+// error instead of a solve.
+func TestServerRejectsNonFinite(t *testing.T) {
+	tr := genTest(t, "fractal", 12, 12, 5)
+	s := NewServer(ServerOptions{TileCells: 16})
+	if err := s.Register("t", tr); err != nil {
+		t.Fatal(err)
+	}
+	good := serverEye(0, 0, 0)
+	nan, inf := math.NaN(), math.Inf(1)
+	sink := func(Piece) error { return nil }
+	// A live session: its next frame reuses the plan, so only the frame
+	// check stands between a NaN eye and the solver.
+	if _, err := s.QuerySession(Query{TerrainID: "t", Eye: good}, sink); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTiledSolver(tr, TileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"Query eye", func() error {
+			_, err := s.Query(Query{TerrainID: "t", Eye: Point{X: nan, Y: 1, Z: 1}})
+			return err
+		}, "eye 0: coordinate x is not finite"},
+		{"Query MinDepth", func() error {
+			_, err := s.Query(Query{TerrainID: "t", Eye: good, MinDepth: inf})
+			return err
+		}, "MinDepth +Inf is not finite"},
+		{"Query ErrorBudget", func() error {
+			_, err := s.Query(Query{TerrainID: "t", Eye: good, ErrorBudget: nan})
+			return err
+		}, "error budget NaN is not finite"},
+		{"QueryMany", func() error {
+			_, err := s.QueryMany(Query{TerrainID: "t"}, []Point{good, {X: -8, Y: inf, Z: 20}})
+			return err
+		}, "coordinate y is not finite"},
+		{"QuerySession", func() error {
+			_, err := s.QuerySession(Query{TerrainID: "t", Eye: Point{X: -8, Y: 6, Z: nan}}, sink)
+			return err
+		}, "eye 0: coordinate z is not finite"},
+		{"QuerySession ErrorBudget", func() error {
+			_, err := s.QuerySession(Query{TerrainID: "t", Eye: good, ErrorBudget: -inf}, sink)
+			return err
+		}, "error budget -Inf is not finite"},
+		{"QueryProgressive", func() error {
+			return s.QueryProgressive(Query{TerrainID: "t", Eye: Point{X: inf, Y: 6, Z: 20}},
+				func(ProgressivePass) error { return nil }, sink)
+		}, "eye 0: coordinate x is not finite"},
+		{"TiledSolver", func() error {
+			_, err := ts.SolveStreamFrom(Point{X: -8, Y: 6, Z: inf}, BatchOptions{}, sink)
+			return err
+		}, "eye 0: coordinate z is not finite"},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
