@@ -68,8 +68,8 @@
 //
 //	terrain      terrain ID (may be omitted when exactly one is registered)
 //	eye          "x,y,z" perspective eye point (required); repeat the
-//	             parameter (eye=...&eye=...) for a multi-eye batch query,
-//	             answered with a JSON summary only
+//	             parameter (eye=...&eye=...) for a multi-eye batch query
+//	             of at most 4096 eyes, answered with a JSON summary only
 //	algorithm    solver name (default "parallel"; see /terrains for the list)
 //	mindepth     minimum eye-to-vertex depth (default the library default)
 //	budget       resolution error budget in world units (store terrains
@@ -78,8 +78,9 @@
 //	             "passes" array whose entries carry the usual response
 //	             fields plus their own pieces
 //	format       json (default) | svg | ascii
-//	width        SVG pixel width (default 800) or ASCII columns (default 100)
-//	height       ASCII rows (default 30)
+//	width        SVG pixel width (default 800) or ASCII columns (default
+//	             100, at most 1000)
+//	height       ASCII rows (default 30, at most 1000)
 //	nocache      "1" bypasses the result cache for this query
 //
 // The JSON response reports the quantized eye actually solved, the cache
@@ -91,7 +92,8 @@
 // of it. ASCII renders through the same display backend as before. The
 // piece wire format is fixed: see the internal/serve package comment.
 // Coordinates, mindepth and budget must be finite numbers; NaN or an
-// infinity is a 400 naming the parameter.
+// infinity is a 400 naming the parameter. An unregistered terrain is a
+// 404; every other rejected query is a 400.
 //
 // /flyover parameters:
 //
@@ -99,7 +101,8 @@
 //	eye          "x,y,z" waypoint (required; repeat for a multi-leg path)
 //	frames       interpolate the waypoints to this many frames (a single
 //	             eye dwells in place — the replay fast path); omitted, the
-//	             waypoints are flown as given
+//	             waypoints are flown as given. Waypoints and frames are
+//	             each capped at 4096
 //	algorithm    solver name (default "parallel")
 //	mindepth     minimum eye-to-vertex depth (default the library default)
 //	budget       resolution error budget, as for /viewshed

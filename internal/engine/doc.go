@@ -1,11 +1,13 @@
 // Package engine is the single query-planning and execution layer behind
 // every public solve path of the terrainhsr module. The public surface —
 // Solve/Solver, BatchSolver, TiledSolver, and Server — are thin adapters
-// that all build one Request, ask the Planner for an explainable Plan
-// (monolithic, tiled, batched, or batched-tiled, with the worker-budget
-// split and tile-grid shape), and hand the plan to the Executor. There is
-// exactly one place that decides how a query runs and exactly one place
-// that runs it.
+// that all build one Request, ask the Planner for an explainable Plan, and
+// hand the plan to the Executor. A plan names one of six modes — monolithic
+// or tiled for the canonical view, batched or batched-tiled for
+// perspective frames, out-of-core for a level paged band by band, and
+// coherent for the frames of a flyover session — with the worker-budget
+// split and tile-grid shape. There is exactly one place that decides how a
+// query runs and exactly one place that runs it.
 //
 // The layer owns three responsibilities that used to be re-implemented by
 // each entry point:
@@ -13,7 +15,9 @@
 //   - Routing. Planner.Plan inspects the terrain's shape and size, the eye
 //     count, forced-engine overrides, and the tiled-routing threshold, and
 //     records every decision as a human-readable reason; Plan.Explain
-//     surfaces them to operators (ServerStats, /statsz).
+//     surfaces them to operators (ServerStats, /statsz). LevelSet.PlanLevel
+//     puts the LOD level pick in front of it; SingleLevel wraps a terrain
+//     without a pyramid, so the server plans every registration one way.
 //   - Scheduling. SplitBudget divides one worker budget between concurrent
 //     frames and intra-frame workers; Frames runs the per-frame closures
 //     with deterministic error propagation (the failure with the lowest

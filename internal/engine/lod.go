@@ -134,6 +134,16 @@ func NewLevelSet(levels []LevelDesc, residencyBudget int64, build func(level int
 	}, nil
 }
 
+// SingleLevel wraps one prebuilt executor as a one-level set: a terrain
+// without a pyramid. It takes no LevelDesc, so irregular TINs qualify; its
+// level reports cell size 0, every error budget picks it, and its plans
+// carry no level stamp, so they explain exactly as the executor's own do.
+func SingleLevel(exec *Executor) *LevelSet {
+	ls := &LevelSet{descs: make([]LevelDesc, 1), ooc: make([]bool, 1), slots: make([]levelSlot, 1)}
+	ls.slots[0].exec = exec
+	return ls
+}
+
 // NumLevels returns the level count (at least 1).
 func (ls *LevelSet) NumLevels() int { return len(ls.descs) }
 
@@ -192,17 +202,12 @@ func (ls *LevelSet) Pick(budget float64) (level int, reason string) {
 		budget, ls.descs[pick].CellSize, ls.descs[pick+1].CellSize)
 }
 
-// Plan picks the level for the request's error budget, builds that level's
-// executor if needed, and plans the request on it; the returned executor is
-// the one the plan must run on. The plan carries the level decision (and
-// its reason) for Explain.
-func (ls *LevelSet) Plan(req Request) (*Plan, *Executor, error) {
-	return ls.PlanLevel(req, -1)
-}
-
-// PlanLevel is Plan with the level forced (-1 picks from the error budget)
-// — the progressive server's coarse-then-exact passes pin their levels
-// explicitly.
+// PlanLevel picks the level for the request's error budget (forced < 0)
+// or takes the forced level — the progressive server's coarse-then-exact
+// passes pin their levels explicitly — builds that level's executor if
+// needed, and plans the request on it; the returned executor is the one the
+// plan must run on. The plan carries the level decision (and its reason)
+// for Explain, except on a SingleLevel set, which has no pyramid to explain.
 func (ls *LevelSet) PlanLevel(req Request, forced int) (*Plan, *Executor, error) {
 	var level int
 	var reason string
@@ -221,6 +226,9 @@ func (ls *LevelSet) PlanLevel(req Request, forced int) (*Plan, *Executor, error)
 	p, err := exec.Plan(req)
 	if err != nil {
 		return nil, nil, err
+	}
+	if ls.build == nil { // SingleLevel: no pyramid to stamp
+		return p, exec, nil
 	}
 	p.Level = level
 	p.LevelCount = len(ls.descs)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"terrainhsr/internal/geom"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
 )
@@ -67,7 +68,7 @@ func TestLevelSetPick(t *testing.T) {
 
 func TestLevelSetPlan(t *testing.T) {
 	ls, built := testLevelSet(t)
-	plan, exec, err := ls.Plan(Request{ErrorBudget: 2.5})
+	plan, exec, err := ls.PlanLevel(Request{ErrorBudget: 2.5}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestLevelSetPlan(t *testing.T) {
 		t.Fatalf("Explain misses the level reason: %s", ex)
 	}
 
-	plan, exec, err = ls.Plan(Request{})
+	plan, exec, err = ls.PlanLevel(Request{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestLevelSetRun(t *testing.T) {
 	// here have different edge counts, which the result's N exposes.
 	ls, _ := testLevelSet(t)
 	for budget, wantLevel := range map[float64]int{0: 0, 4: 2} {
-		plan, exec, err := ls.Plan(Request{ErrorBudget: budget})
+		plan, exec, err := ls.PlanLevel(Request{ErrorBudget: budget}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,5 +204,42 @@ func TestOutOfCoreSpec(t *testing.T) {
 	}
 	if s := OutOfCoreSpec(63, 63, 1<<40); s.TileRows != tile.AutoSize(63) {
 		t.Errorf("huge budget: got TileRows=%d, want the automatic size %d", s.TileRows, tile.AutoSize(63))
+	}
+}
+
+// TestSingleLevel pins the plain-terrain contract of a one-level set: any
+// budget or forced level 0 plans on the wrapped executor, and the plan
+// explains exactly as the executor's own plan does — no level stamp, no
+// pick reason.
+func TestSingleLevel(t *testing.T) {
+	exec := New(scaledGrid(t, 1), Config{})
+	ls := SingleLevel(exec)
+	if ls.NumLevels() != 1 || ls.CellSize(0) != 0 || ls.OutOfCore(0) {
+		t.Fatalf("single level: %d levels, cell %v, out-of-core %v", ls.NumLevels(), ls.CellSize(0), ls.OutOfCore(0))
+	}
+	req := Request{Perspective: true, Eyes: make([]geom.Pt3, 1), Workers: 2}
+	want, err := exec.Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		budget float64
+		forced int
+	}{{0, -1}, {3, -1}, {0, 0}} {
+		if l, _ := ls.Pick(c.budget); l != 0 {
+			t.Fatalf("Pick(%v) = %d, want 0", c.budget, l)
+		}
+		req.ErrorBudget = c.budget
+		plan, got, err := ls.PlanLevel(req, c.forced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != exec || plan.Explain() != want.Explain() || plan.LevelCount != 0 {
+			t.Fatalf("budget %v forced %d: plan %q (levels %d), want %q on the wrapped executor",
+				c.budget, c.forced, plan.Explain(), plan.LevelCount, want.Explain())
+		}
+	}
+	if _, _, err := ls.PlanLevel(req, 1); err == nil {
+		t.Fatal("level 1 of a single level accepted")
 	}
 }

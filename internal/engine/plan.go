@@ -138,7 +138,7 @@ type Plan struct {
 	// Level is the LOD pyramid level the plan solves (0 = finest or no
 	// pyramid), LevelCount the number of levels available (0 when the
 	// terrain has no pyramid), and LevelCellSize the solved level's sample
-	// spacing. Stamped by LevelSet.Plan.
+	// spacing. Stamped by LevelSet.PlanLevel.
 	Level, LevelCount int
 	LevelCellSize     float64
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -465,6 +466,10 @@ func (h *handler) viewshed(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "eye parameter required (x,y,z)")
 		return
 	}
+	if len(eyeParams) > maxEyes {
+		httpErr(w, http.StatusBadRequest, "%d eyes exceed the limit %d", len(eyeParams), maxEyes)
+		return
+	}
 	tr, reqTok := h.startTrace(r)
 	base.Trace = tr
 	if len(eyeParams) > 1 {
@@ -548,6 +553,10 @@ func (h *handler) viewshed(w http.ResponseWriter, r *http.Request) {
 	case "ascii":
 		width := intParam(qv.Get("width"), 100)
 		height := intParam(qv.Get("height"), 30)
+		if width > maxASCIISide || height > maxASCIISide {
+			httpErr(w, http.StatusBadRequest, "ascii %dx%d exceeds the limit %d per side", width, height, maxASCIISide)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if err := terrainhsr.RenderASCII(w, qr.Result, width, height); err != nil {
 			h.opt.Logger.Error("ascii render failed", slog.String("terrain", id), slog.Any("err", err))
@@ -599,8 +608,13 @@ func (h *handler) viewshedMany(w http.ResponseWriter, base terrainhsr.Query, eye
 	h.writeJSON(w, out)
 }
 
-// maxFlyoverFrames bounds the frames parameter of one /flyover request.
-const maxFlyoverFrames = 4096
+// maxEyes bounds the eyes one request solves: the eye list of a multi-eye
+// /viewshed, and both the waypoints and the frames of a /flyover.
+const maxEyes = 4096
+
+// maxASCIISide bounds the width and the height of an ASCII render, whose
+// character grid is allocated whole.
+const maxASCIISide = 1000
 
 // flyover answers a camera path as one frame-coherent session
 // (Server.QuerySession): each frame warm-starts from the one before —
@@ -637,6 +651,11 @@ func (h *handler) flyover(w http.ResponseWriter, r *http.Request) {
 		MinDepth:    minDepth,
 		ErrorBudget: budget,
 	}
+	frames := intParam(qv.Get("frames"), 0)
+	if n := max(len(qv["eye"]), frames); n > maxEyes {
+		httpErr(w, http.StatusBadRequest, "%d eyes exceed the limit %d", n, maxEyes)
+		return
+	}
 	var eyes []terrainhsr.Point
 	for _, part := range qv["eye"] {
 		eye, err := parseEye(part)
@@ -648,11 +667,6 @@ func (h *handler) flyover(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(eyes) == 0 {
 		httpErr(w, http.StatusBadRequest, "eye parameter required (x,y,z; repeat for waypoints)")
-		return
-	}
-	frames := intParam(qv.Get("frames"), 0)
-	if frames > maxFlyoverFrames {
-		httpErr(w, http.StatusBadRequest, "frames %d exceeds the limit %d", frames, maxFlyoverFrames)
 		return
 	}
 	path := flyoverPath(eyes, frames)
@@ -920,7 +934,7 @@ func httpErr(w http.ResponseWriter, status int, format string, args ...any) {
 // queryStatus maps a Server.Query error to an HTTP status: unknown
 // terrains are 404, everything else (bad eyes, bad algorithms) 400.
 func queryStatus(err error) int {
-	if strings.Contains(err.Error(), "no terrain") {
+	if errors.Is(err, terrainhsr.ErrUnknownTerrain) {
 		return http.StatusNotFound
 	}
 	return http.StatusBadRequest

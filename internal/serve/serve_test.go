@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -229,5 +230,67 @@ func TestViewshedHeaderEncodeFailure(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); strings.Contains(ct, "json") {
 		t.Fatalf("error answered as %q", ct)
+	}
+}
+
+// TestEyeLimit: one limit bounds the eyes a request solves, whether they
+// come as a multi-eye /viewshed list, /flyover waypoints or /flyover
+// frames; above it the request is a 400 before anything solves.
+func TestEyeLimit(t *testing.T) {
+	h := newTestHandler(t)
+	eyes := strings.Repeat("&eye=-34,24.4,8", maxEyes+1)
+	for _, url := range []string{
+		"/viewshed?terrain=demo" + eyes,
+		"/flyover?terrain=demo" + eyes,
+		fmt.Sprintf("/flyover?terrain=demo&eye=-34,24.4,8&frames=%d", maxEyes+1),
+	} {
+		body, code := getFlyover(t, h, url)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "exceed the limit") {
+			t.Errorf("%.60s...: status %d %q, want 400 naming the limit", url, code, body)
+		}
+	}
+	if _, code := getFlyover(t, h, "/viewshed?terrain=demo&eye=-34,24.4,8&eye=-30,24.4,8"); code != http.StatusOK {
+		t.Fatalf("two-eye viewshed: status %d", code)
+	}
+}
+
+// TestASCIISizeLimit: an ASCII render allocates its whole character grid,
+// so each side is capped; oversized renders are a 400, never an allocation.
+func TestASCIISizeLimit(t *testing.T) {
+	h := newTestHandler(t)
+	for _, tc := range []struct {
+		size string
+		code int
+	}{
+		{"&width=100000&height=100000", http.StatusBadRequest},
+		{fmt.Sprintf("&width=%d", maxASCIISide+1), http.StatusBadRequest},
+		{fmt.Sprintf("&height=%d", maxASCIISide+1), http.StatusBadRequest},
+		{fmt.Sprintf("&width=%d&height=3", maxASCIISide), http.StatusOK},
+	} {
+		body, code := getFlyover(t, h, "/viewshed?terrain=demo&eye=-34,24.4,8&format=ascii"+tc.size)
+		if code != tc.code {
+			t.Errorf("%s: status %d %.80q, want %d", tc.size, code, body, tc.code)
+		}
+	}
+}
+
+// TestUnknownTerrainStatus: 404 means the terrain is missing, nothing else
+// — an algorithm that merely reads like the not-found message is a 400.
+func TestUnknownTerrainStatus(t *testing.T) {
+	h := newTestHandler(t)
+	for _, tc := range []struct {
+		url  string
+		code int
+	}{
+		{"/viewshed?terrain=nope&eye=-34,24.4,8", http.StatusNotFound},
+		{"/viewshed?terrain=nope&eye=-34,24.4,8&eye=-30,24.4,8", http.StatusNotFound},
+		{"/viewshed?terrain=nope&eye=-34,24.4,8&progressive=1", http.StatusNotFound},
+		{"/viewshed?terrain=demo&eye=-34,24.4,8&algorithm=no+terrain", http.StatusBadRequest},
+		{"/viewshed?terrain=demo&eye=-34,24.4,8&eye=-30,24.4,8&algorithm=no+terrain+registered", http.StatusBadRequest},
+		{"/flyover?terrain=demo&eye=-34,24.4,8&algorithm=no+terrain", http.StatusBadRequest},
+	} {
+		if body, code := getFlyover(t, h, tc.url); code != tc.code {
+			t.Errorf("%s: status %d %q, want %d", tc.url, code, body, tc.code)
+		}
 	}
 }

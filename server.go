@@ -1,6 +1,7 @@
 package terrainhsr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -33,14 +34,16 @@ import (
 // pieces are the ones a direct FromPerspective + Solve would produce for
 // the same (quantized) eye.
 //
-// Terrains come in two flavors. Register serves an in-memory terrain
-// exactly. RegisterStore serves an on-disk LOD store (internal/store +
-// internal/lod): queries pick the coarsest pyramid level their
-// Query.ErrorBudget admits — levels page in lazily from tile files, per-
-// level traffic and store bytes surface in ServerStats — and
-// QueryProgressive streams a conservative coarse preview followed by the
-// exact finest answer over the same PieceSink machinery the streaming
-// solvers use.
+// Every registration is a level set (engine.LevelSet), and every query
+// resolves one terrain and one level and then answers through one path.
+// Register wraps an in-memory terrain as a one-level set, answered exactly.
+// RegisterStore serves an on-disk LOD store (internal/store +
+// internal/lod) whose pyramid levels page in lazily from tile files.
+// Queries solve the coarsest level their Query.ErrorBudget admits (a plain
+// terrain's only level, always); per-level traffic and store bytes surface
+// in ServerStats, and QueryProgressive streams a conservative coarse
+// preview followed by the exact finest answer over the same PieceSink
+// machinery the streaming solvers use.
 //
 // Cache semantics, in full (see also docs/API.md):
 //
@@ -55,12 +58,13 @@ import (
 //     replacing a terrain instantly orphans its cached answers; the stale
 //     entries are never served again and age out of the LRU under capacity
 //     pressure (they are not eagerly purged).
-//   - Options fingerprint. Keys embed everything that can change the
-//     answer: the algorithm, MinDepth, and the engine the query routes to
-//     (monolithic vs tiled). They deliberately omit Workers and
-//     FrameWorkers: scheduling never changes the computed pieces (asserted
-//     by the engine equivalence tests), so queries differing only in
-//     worker budget share cache entries.
+//   - Options fingerprint. Keys embed everything else that can change the
+//     answer: the algorithm, MinDepth, and the answering LOD level. The
+//     engine a level routes to (monolithic vs tiled) is fixed per
+//     registration, so the epoch already pins it. Keys deliberately omit
+//     Workers and FrameWorkers: scheduling never changes the computed
+//     pieces (asserted by the engine equivalence tests), so queries
+//     differing only in worker budget share cache entries.
 
 // ServerOptions configures NewServer. The zero value is a working
 // configuration: exact (unquantized) eye keys, a 1024-result cache over 16
@@ -90,9 +94,10 @@ type ServerOptions struct {
 	// route through the tiled pipeline, whose peak memory scales with one
 	// band of tiles instead of the whole terrain. 0 selects 262144 (a
 	// 512x512 grid); negative disables tiled routing. The decision is made
-	// by the planner (see ServerStats.Plans for the explained outcome) and
-	// is part of the cache key, since tiled answers may differ from
-	// monolithic ones in float tails at piece boundaries.
+	// by the planner (see ServerStats.Plans for the explained outcome) once
+	// per registered level, so the cache key's registration epoch and level
+	// pin it: tiled answers, which may differ from monolithic ones in float
+	// tails at piece boundaries, never share an entry with them.
 	TileCells int
 	// ResidencyBudget caps, in bytes, the estimated resident size a store
 	// level may have and still be solved in core. Levels estimated above it
@@ -153,15 +158,15 @@ type QueryResult struct {
 	Cache string
 	// Tiled reports whether the query routed through the tiled engine.
 	Tiled bool
-	// Plan is the engine planner's explanation of how the terrain's
-	// queries execute (fixed at Register time for plain terrains, per level
-	// on first use for store-backed ones; see Plan.Explain in
-	// internal/engine). Cached answers report it without re-planning.
+	// Plan is the engine planner's explanation of how the query executes
+	// (see Plan.Explain in internal/engine): the plan this query's solve
+	// ran, or for cached and coalesced answers the level's recorded plan —
+	// set at Register for plain terrains, on the level's first solve for
+	// store-backed ones — reported without re-planning.
 	Plan string
-	// Mode is the engine pipeline the terrain's queries execute
-	// ("monolithic", "tiled", "out-of-core", "coherent", ...): the plan
-	// mode recorded when the terrain (or level) first solved, also the
-	// mode label of the serve tier's latency histograms.
+	// Mode is the engine pipeline of Plan ("monolithic", "tiled",
+	// "out-of-core", "coherent", ...), also the mode label of the serve
+	// tier's latency histograms.
 	Mode string
 	// Cost itemizes this query's own time and charged work (see
 	// CostLedger); it is per answer, never shared, even when Result is.
@@ -295,44 +300,36 @@ func (s *ServerStats) Add(o ServerStats) {
 	addByID(&s.PageIns, o.PageIns)
 }
 
-// serverTerrain is one registry slot: the terrain, its invalidation epoch,
-// the engine executor its queries run on, and the planner's routing
-// outcome for the ID (fixed at Register time: it depends only on the
-// terrain's shape and the server's threshold). Store-backed slots
-// (RegisterStore) carry a level set instead of a single executor: levels
-// load lazily from the store's tile files, and the per-level plan and
-// routing are recorded the first time a query solves on that level.
+// serverTerrain is one registry slot: the invalidation epoch and the level
+// set its queries resolve through. A plain Register is a one-level set
+// whose plan is recorded at registration (it depends only on the terrain's
+// shape and the server's threshold); a store's levels load lazily from its
+// tile files, and each level's plan is recorded the first time a query
+// solves on it.
 type serverTerrain struct {
-	t     *Terrain
-	epoch uint64
-	eng   *engine.Executor
-	tiled bool
-	plan  string
-	mode  string // the registration plan's engine.Mode, for QueryResult.Mode
-
-	// Store-backed registrations only:
-	st        *store.Store
-	levels    *engine.LevelSet
-	levelTerr []*Terrain     // filled by the level constructor; read only after Executor(l) succeeds; nil for out-of-core levels
-	pagers    []*store.Pager // filled by the level constructor for out-of-core levels; guarded by mu
-	levelHits []int64        // answered queries per level, atomic
-
-	mu         sync.Mutex
-	levelPlan  []string // first solving plan's explanation, per level
-	levelTiled []bool
-	levelMode  []string
+	epoch  uint64
+	levels *engine.LevelSet
+	lv     []serverLevel // one per level, finest first
+	st     *store.Store  // the backing store; nil for plain registrations
+	mu     sync.Mutex    // guards lv's plan and pager fields
 }
 
-// isStore reports whether the slot is store-backed (multi-level).
-func (e *serverTerrain) isStore() bool { return e.levels != nil }
+// serverLevel is the per-level state of a registry slot.
+type serverLevel struct {
+	terr  *Terrain     // resident terrain, read only after Executor succeeds; nil for out-of-core levels
+	pager *store.Pager // an out-of-core store level's pager, set by its constructor
+	hits  atomic.Int64 // answered queries
 
-// recordPlan remembers a level's first solving plan for cache-hit answers.
+	plan  string // recorded plan's explanation ("" before the first solve)
+	tiled bool
+	mode  string
+}
+
+// recordPlan remembers a level's first plan for cache-hit answers.
 func (e *serverTerrain) recordPlan(level int, plan *engine.Plan) {
 	e.mu.Lock()
-	if e.levelPlan[level] == "" {
-		e.levelPlan[level] = plan.Explain()
-		e.levelTiled[level] = plan.Tiled
-		e.levelMode[level] = string(plan.Mode)
+	if l := &e.lv[level]; l.plan == "" {
+		l.plan, l.tiled, l.mode = plan.Explain(), plan.Tiled, string(plan.Mode)
 	}
 	e.mu.Unlock()
 }
@@ -342,22 +339,8 @@ func (e *serverTerrain) recordPlan(level int, plan *engine.Plan) {
 func (e *serverTerrain) planFor(level int) (string, bool, string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.levelPlan[level], e.levelTiled[level], e.levelMode[level]
-}
-
-// finestTerrain returns the finest-level terrain, loading it if needed. An
-// out-of-core finest level has no resident terrain to return.
-func (e *serverTerrain) finestTerrain() (*Terrain, error) {
-	if !e.isStore() {
-		return e.t, nil
-	}
-	if e.levels.OutOfCore(0) {
-		return nil, fmt.Errorf("terrainhsr: the finest level is out-of-core; it solves paged and is never resident")
-	}
-	if _, err := e.levels.Executor(0); err != nil {
-		return nil, err
-	}
-	return e.levelTerr[0], nil
+	l := &e.lv[level]
+	return l.plan, l.tiled, l.mode
 }
 
 // Server answers viewshed queries for a set of registered terrains through
@@ -431,9 +414,10 @@ func NewServer(opt ServerOptions) *Server {
 // terrain with that ID. Replacement bumps the ID's epoch, which instantly
 // invalidates every cached answer for the old terrain (stale entries are
 // never served; they age out of the LRU rather than being purged eagerly).
-// Registration plans the ID's routing and prepares the engine state its
-// queries will use (the tile partition, for terrains the planner routes
-// tiled), so it does that work once instead of per query.
+// Registration wraps the terrain as a one-level set, plans its routing and
+// prepares the engine state its queries will use (the tile partition, for
+// terrains the planner routes tiled), so it does that work once instead of
+// per query.
 func (s *Server) Register(id string, t *Terrain) error {
 	if id == "" {
 		return fmt.Errorf("terrainhsr: empty terrain ID")
@@ -451,7 +435,9 @@ func (s *Server) Register(id string, t *Terrain) error {
 			return fmt.Errorf("terrainhsr: register %q: %w", id, err)
 		}
 	}
-	entry := &serverTerrain{t: t, eng: eng, tiled: plan.Tiled, plan: plan.Explain(), mode: string(plan.Mode)}
+	entry := &serverTerrain{levels: engine.SingleLevel(eng), lv: make([]serverLevel, 1)}
+	entry.lv[0].terr = t
+	entry.recordPlan(0, plan)
 	s.install(id, entry)
 	return nil
 }
@@ -484,22 +470,12 @@ func (s *Server) RegisterStore(id string, dir string) error {
 		return fmt.Errorf("terrainhsr: register %q: %w", id, err)
 	}
 	n := st.NumLevels()
-	cells := make([]float64, n)
 	descs := make([]engine.LevelDesc, n)
 	for l := range descs {
 		li := st.LevelInfo(l)
-		cells[l] = li.CellSize
 		descs[l] = engine.LevelDesc{CellSize: li.CellSize, Rows: li.Rows - 1, Cols: li.Cols - 1}
 	}
-	entry := &serverTerrain{
-		st:         st,
-		levelTerr:  make([]*Terrain, n),
-		pagers:     make([]*store.Pager, n),
-		levelHits:  make([]int64, n),
-		levelPlan:  make([]string, n),
-		levelTiled: make([]bool, n),
-		levelMode:  make([]string, n),
-	}
+	entry := &serverTerrain{st: st, lv: make([]serverLevel, n)}
 	budget := s.opt.ResidencyBudget
 	entry.levels, err = engine.NewLevelSet(descs, budget, func(l int, outOfCore bool) (*engine.Executor, error) {
 		if outOfCore {
@@ -515,7 +491,7 @@ func (s *Server) RegisterStore(id string, dir string) error {
 			reason := fmt.Sprintf("level %d estimated %d MB resident exceeds residency budget %d MB",
 				l, engine.EstimateTerrainBytes(d.Rows, d.Cols)>>20, budget>>20)
 			entry.mu.Lock()
-			entry.pagers[l] = pg
+			entry.lv[l].pager = pg
 			entry.mu.Unlock()
 			return engine.NewPaged(&tile.PagedGrid{
 				Rows: d.Rows, Cols: d.Cols, Cell: d.CellSize,
@@ -539,25 +515,33 @@ func (s *Server) RegisterStore(id string, dir string) error {
 		// The terrain now owns its own vertex copy of the heights; drop the
 		// store's cached lattice so a massive level is not resident twice.
 		st.DropLevel(l)
-		entry.levelTerr[l] = &Terrain{t: tt}
+		entry.lv[l].terr = &Terrain{t: tt}
 		return engine.New(tt, engine.Config{}), nil
 	})
 	if err != nil {
 		return fmt.Errorf("terrainhsr: register %q: %w", id, err)
 	}
+	s.install(id, entry)
+	return nil
+}
+
+// storeSummary describes a store-backed slot before any level has solved:
+// the pyramid's shape and its out-of-core levels, all from the manifest.
+func (s *Server) storeSummary(e *serverTerrain) string {
+	n := e.levels.NumLevels()
+	cells := make([]float64, n)
 	var ooc []int
-	for l := 0; l < n; l++ {
-		if entry.levels.OutOfCore(l) {
+	for l := range cells {
+		cells[l] = e.levels.CellSize(l)
+		if e.levels.OutOfCore(l) {
 			ooc = append(ooc, l)
 		}
 	}
-	entry.plan = fmt.Sprintf("store %s: %d levels (cells %v), planned per level on first use",
-		dir, n, cells)
+	sum := fmt.Sprintf("store %s: %d levels (cells %v), planned per level on first use", e.st.Dir(), n, cells)
 	if len(ooc) > 0 {
-		entry.plan += fmt.Sprintf("; levels %v out-of-core (residency budget %d MB)", ooc, budget>>20)
+		sum += fmt.Sprintf("; levels %v out-of-core (residency budget %d MB)", ooc, s.opt.ResidencyBudget>>20)
 	}
-	s.install(id, entry)
-	return nil
+	return sum
 }
 
 // Unregister removes a terrain; it reports whether the ID was registered.
@@ -576,17 +560,8 @@ func (s *Server) Unregister(id string) bool {
 // registrations, the finest level, loading it from the store on first use
 // (ok is false if that load fails; use Describe for an I/O-free summary).
 func (s *Server) Terrain(id string) (*Terrain, bool) {
-	s.mu.RLock()
-	e, ok := s.terrains[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	t, err := e.finestTerrain()
-	if err != nil {
-		return nil, false
-	}
-	return t, true
+	t, err := s.LevelTerrain(id, 0)
+	return t, err == nil
 }
 
 // LevelTerrain returns the terrain of one pyramid level of a store-backed
@@ -595,17 +570,9 @@ func (s *Server) Terrain(id string) (*Terrain, bool) {
 // exists. Renderers use it to draw against the same surface a leveled
 // query actually solved — without paging any other level.
 func (s *Server) LevelTerrain(id string, level int) (*Terrain, error) {
-	s.mu.RLock()
-	e, ok := s.terrains[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("terrainhsr: no terrain %q registered", id)
-	}
-	if !e.isStore() {
-		if level != 0 {
-			return nil, fmt.Errorf("terrainhsr: terrain %q has no level %d", id, level)
-		}
-		return e.t, nil
+	e, err := s.entry(id)
+	if err != nil {
+		return nil, err
 	}
 	if level < 0 || level >= e.levels.NumLevels() {
 		return nil, fmt.Errorf("terrainhsr: terrain %q has no level %d", id, level)
@@ -616,7 +583,7 @@ func (s *Server) LevelTerrain(id string, level int) (*Terrain, error) {
 	if _, err := e.levels.Executor(level); err != nil {
 		return nil, err
 	}
-	return e.levelTerr[level], nil
+	return e.lv[level].terr, nil
 }
 
 // TerrainInfo summarizes a registered terrain without forcing any store
@@ -638,17 +605,16 @@ type TerrainInfo struct {
 // Describe summarizes a registered terrain. Unlike Terrain it never loads
 // tiles, so listing endpoints stay cheap even for massive stores.
 func (s *Server) Describe(id string) (TerrainInfo, bool) {
-	s.mu.RLock()
-	e, ok := s.terrains[id]
-	s.mu.RUnlock()
-	if !ok {
+	e, err := s.entry(id)
+	if err != nil {
 		return TerrainInfo{}, false
 	}
 	info := TerrainInfo{ID: id, Levels: 1}
-	if !e.isStore() {
-		info.Edges = e.t.NumEdges()
-		info.Vertices = e.t.NumVertices()
-		info.Triangles = e.t.NumTriangles()
+	if e.st == nil {
+		t := e.lv[0].terr
+		info.Edges = t.NumEdges()
+		info.Vertices = t.NumVertices()
+		info.Triangles = t.NumTriangles()
 		return info, true
 	}
 	li := e.st.LevelInfo(0)
@@ -711,7 +677,11 @@ func snap(v, res float64) float64 {
 // algorithm (or to the tiled engine's answer, for terrains routed tiled);
 // caching and coalescing never change pieces, only who computes them.
 func (s *Server) Query(q Query) (*QueryResult, error) {
-	return s.query(q, s.opt.Workers)
+	e, level, err := s.resolve(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.query(q, e, level, false, s.opt.Workers)
 }
 
 // request builds the engine request of one query solve; the planner — not
@@ -729,82 +699,44 @@ func (s *Server) request(q Query, eyes []geom.Pt3, workers int) engine.Request {
 	}
 }
 
-// query answers one query with an explicit per-solve worker budget (Query
-// uses the server budget; QueryMany splits it across concurrent eyes).
-// Store-backed terrains first pick the pyramid level the error budget
-// admits — a manifest-only decision — and then answer on that level.
-func (s *Server) query(q Query, workers int) (*QueryResult, error) {
-	if err := checkBudget(q.ErrorBudget); err != nil {
-		return nil, err
-	}
+// ErrUnknownTerrain is the error, wrapped with the queried ID, of every
+// query entry point and LevelTerrain when no terrain is registered under
+// that ID; test for it with errors.Is.
+var ErrUnknownTerrain = errors.New("terrainhsr: no terrain registered")
+
+// entry looks up the registry slot of an ID.
+func (s *Server) entry(id string) (*serverTerrain, error) {
 	s.mu.RLock()
-	e, ok := s.terrains[q.TerrainID]
+	e, ok := s.terrains[id]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("terrainhsr: no terrain %q registered", q.TerrainID)
+		return nil, fmt.Errorf("%w under %q", ErrUnknownTerrain, id)
 	}
-	if e.isStore() {
-		level, _ := e.levels.Pick(q.ErrorBudget)
-		return s.queryLevel(q, e, workers, level, false)
-	}
-	algo := resolveAlgo(q.Algorithm)
-	eye := s.QuantizeEye(q.Eye)
-	q.Trace.SetTerrain(q.TerrainID)
-	// The routing outcome and its explanation are fixed per terrain at
-	// Register time, so cache hits answer without touching the planner;
-	// only actual solves plan (with this query's worker budget).
-	qr := &QueryResult{Eye: eye, Tiled: e.tiled, Plan: e.plan, Mode: e.mode, Levels: 1}
-
-	cost := &CostLedger{}
-	solve := func() (any, error) {
-		req := s.request(q, []geom.Pt3{pt3(eye)}, workers)
-		tok := q.Trace.StartSpan(obs.StagePlan)
-		t0 := time.Now()
-		plan, err := e.eng.Plan(req)
-		cost.PlanUS = usOf(time.Since(t0))
-		q.Trace.EndSpan(tok)
-		if err != nil {
-			return nil, err
-		}
-		s.solves.Add(1)
-		if plan.Tiled {
-			s.tiledSolves.Add(1)
-		}
-		tok = q.Trace.StartSpan(obs.StageSolve)
-		t0 = time.Now()
-		outs, err := e.eng.Run(plan, req)
-		cost.SolveUS = usOf(time.Since(t0))
-		if err != nil {
-			q.Trace.EndSpan(tok)
-			return nil, err
-		}
-		cost.noteTile(outs[0].Tile)
-		cost.noteResult(outs[0].Res)
-		endSolveSpan(q.Trace, tok, plan, cost)
-		return newResult(outs[0].Res, algo), nil
-	}
-	return s.answer(qr, e, q, eye, algo, 0, solve, cost)
+	return e, nil
 }
 
-// endSolveSpan closes a solve span, attributing the plan mode and the
-// output size. The attribute build is guarded so unsampled queries never
-// allocate.
-func endSolveSpan(tr *obs.Trace, tok obs.SpanToken, plan *engine.Plan, cost *CostLedger) {
-	if !tr.Sampled() {
-		return
+// resolve finds the query's terrain and the level its error budget picks —
+// a manifest-only decision, with no I/O. Every query entry point starts
+// here.
+func (s *Server) resolve(q Query) (*serverTerrain, int, error) {
+	if err := checkBudget(q.ErrorBudget); err != nil {
+		return nil, 0, err
 	}
-	tr.EndSpanAttrs(tok,
-		obs.AttrStr("mode", string(plan.Mode)),
-		obs.AttrInt("k", int64(cost.K)),
-		obs.AttrInt("work", cost.Work))
+	e, err := s.entry(q.TerrainID)
+	if err != nil {
+		return nil, 0, err
+	}
+	level, _ := e.levels.Pick(q.ErrorBudget)
+	return e, level, nil
 }
 
-// queryLevel answers one query on one pyramid level of a store-backed
-// terrain. With forced false the level must equal the budget's Pick — the
-// planner re-picks it so the recorded plan explains the budget decision;
-// forced true pins the level explicitly (the progressive preview pass)
-// and the plan says so.
-func (s *Server) queryLevel(q Query, e *serverTerrain, workers, level int, forced bool) (*QueryResult, error) {
+// query answers one query on one level of its terrain with an explicit
+// per-solve worker budget (Query uses the server budget; QueryMany splits
+// it across concurrent eyes). With forced false the level must equal the
+// budget's Pick — the planner re-picks it so the recorded plan explains the
+// budget decision; forced true pins the level explicitly (the progressive
+// passes) and the plan says so.
+func (s *Server) query(q Query, e *serverTerrain, level int, forced bool, workers int) (*QueryResult, error) {
 	algo := resolveAlgo(q.Algorithm)
 	eye := s.QuantizeEye(q.Eye)
 	q.Trace.SetTerrain(q.TerrainID)
@@ -814,8 +746,6 @@ func (s *Server) queryLevel(q Query, e *serverTerrain, workers, level int, force
 	}
 
 	cost := &CostLedger{}
-	var solvedPlan, solvedMode string
-	var solvedTiled bool
 	solve := func() (any, error) {
 		req := s.request(q, []geom.Pt3{pt3(eye)}, workers)
 		pin := level
@@ -830,7 +760,9 @@ func (s *Server) queryLevel(q Query, e *serverTerrain, workers, level int, force
 		if err != nil {
 			return nil, err
 		}
-		solvedPlan, solvedTiled, solvedMode = plan.Explain(), plan.Tiled, string(plan.Mode)
+		// This query runs the solve: it reports the plan that executes,
+		// worker split and budget reason included.
+		qr.Plan, qr.Tiled, qr.Mode = plan.Explain(), plan.Tiled, string(plan.Mode)
 		e.recordPlan(level, plan)
 		s.solves.Add(1)
 		if plan.Tiled {
@@ -849,36 +781,46 @@ func (s *Server) queryLevel(q Query, e *serverTerrain, workers, level int, force
 		endSolveSpan(q.Trace, tok, plan, cost)
 		return newResult(outs[0].Res, algo), nil
 	}
-	qr, err := s.answer(qr, e, q, eye, algo, level, solve, cost)
-	if err != nil {
+	if err := s.answer(qr, e, q, eye, algo, level, solve, cost); err != nil {
 		return nil, err
 	}
-	if solvedPlan != "" {
-		// This query ran the solve: report the plan that actually executed,
-		// budget reason and all.
-		qr.Plan, qr.Tiled, qr.Mode = solvedPlan, solvedTiled, solvedMode
-	} else {
+	if qr.Plan == "" {
 		// A cached or coalesced answer implies a prior solve of this level
-		// under the same epoch, so a recorded plan exists; its reason tail
-		// may phrase the level pick differently than this query's budget.
+		// under the same epoch (or, for a plain terrain, its registration),
+		// so a recorded plan exists; its reason tail may phrase the level
+		// pick differently than this query's budget.
 		qr.Plan, qr.Tiled, qr.Mode = e.planFor(level)
 	}
-	atomic.AddInt64(&e.levelHits[level], 1)
+	e.lv[level].hits.Add(1)
 	return qr, nil
+}
+
+// endSolveSpan closes a solve span, attributing the plan mode and the
+// output size. The attribute build is guarded so unsampled queries never
+// allocate.
+func endSolveSpan(tr *obs.Trace, tok obs.SpanToken, plan *engine.Plan, cost *CostLedger) {
+	if !tr.Sampled() {
+		return
+	}
+	tr.EndSpanAttrs(tok,
+		obs.AttrStr("mode", string(plan.Mode)),
+		obs.AttrInt("k", int64(cost.K)),
+		obs.AttrInt("work", cost.Work))
 }
 
 // answer runs the cache protocol around one solve: bypass for NoCache
 // queries and cache-disabled servers, GetOrCompute otherwise. It also
 // finishes the query's cost ledger — cache overhead, size terms for shared
 // answers — and attaches it to the result and the trace.
-func (s *Server) answer(qr *QueryResult, e *serverTerrain, q Query, eye Point, algo Algorithm, level int, solve func() (any, error), cost *CostLedger) (*QueryResult, error) {
+func (s *Server) answer(qr *QueryResult, e *serverTerrain, q Query, eye Point, algo Algorithm, level int, solve func() (any, error), cost *CostLedger) error {
 	if s.cache == nil || q.NoCache {
 		v, err := solve()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		qr.Result, qr.Cache = v.(*Result), "bypass"
-		return s.finishAnswer(qr, q.Trace, cost), nil
+		s.finishAnswer(qr, q.Trace, cost)
+		return nil
 	}
 	// The cache span covers the whole GetOrCompute — on a miss the nested
 	// plan and solve spans sit inside its time range — while the ledger's
@@ -889,7 +831,7 @@ func (s *Server) answer(qr *QueryResult, e *serverTerrain, q Query, eye Point, a
 	v, outcome, err := s.cache.GetOrCompute(s.key(q.TerrainID, e, eye, algo, q.MinDepth, level), solve)
 	if err != nil {
 		q.Trace.EndSpan(tok)
-		return nil, err
+		return err
 	}
 	qr.Result, qr.Cache = v.(*Result), outcome.String()
 	if cu := usOf(time.Since(t0)) - cost.PlanUS - cost.SolveUS; cu > 0 {
@@ -898,24 +840,24 @@ func (s *Server) answer(qr *QueryResult, e *serverTerrain, q Query, eye Point, a
 	if q.Trace.Sampled() {
 		q.Trace.EndSpanAttrs(tok, obs.AttrStr("outcome", qr.Cache))
 	}
-	return s.finishAnswer(qr, q.Trace, cost), nil
+	s.finishAnswer(qr, q.Trace, cost)
+	return nil
 }
 
 // finishAnswer seals the ledger of an answered query: shared (hit or
 // coalesced) answers still report their size terms, and the ledger lands
 // on the result and the sampled trace.
-func (s *Server) finishAnswer(qr *QueryResult, tr *obs.Trace, cost *CostLedger) *QueryResult {
+func (s *Server) finishAnswer(qr *QueryResult, tr *obs.Trace, cost *CostLedger) {
 	cost.noteShared(qr.Result)
 	qr.Cost = cost
 	tr.SetCost(cost)
-	return qr
 }
 
-// key builds the cache key: terrain identity and epoch, the quantized eye
-// (exact float bits), and the options fingerprint — algorithm, MinDepth,
-// routed engine, and the answering LOD level (error budgets that pick the
-// same level share entries); never worker counts (scheduling cannot change
-// pieces).
+// key builds the cache key: terrain identity and registration epoch, the
+// quantized eye (exact float bits), and the options fingerprint —
+// algorithm, MinDepth and the answering LOD level (error budgets that pick
+// the same level share entries; the level's routed engine is fixed under
+// the epoch); never worker counts (scheduling cannot change pieces).
 func (s *Server) key(id string, e *serverTerrain, eye Point, algo Algorithm, minDepth float64, level int) string {
 	var b strings.Builder
 	b.Grow(len(id) + 88)
@@ -928,13 +870,8 @@ func (s *Server) key(id string, e *serverTerrain, eye Point, algo Algorithm, min
 	}
 	b.WriteByte('|')
 	b.WriteString(string(algo))
-	if e.tiled {
-		b.WriteString("|tiled")
-	}
-	if e.isStore() {
-		b.WriteString("|L")
-		b.WriteString(strconv.Itoa(level))
-	}
+	b.WriteString("|L")
+	b.WriteString(strconv.Itoa(level))
 	return b.String()
 }
 
@@ -955,10 +892,8 @@ func (s *Server) sessionKey(id string, e *serverTerrain, algo Algorithm, minDept
 	b.WriteString(strconv.FormatUint(math.Float64bits(minDepth), 16))
 	b.WriteByte('|')
 	b.WriteString(string(algo))
-	if e.isStore() {
-		b.WriteString("|L")
-		b.WriteString(strconv.Itoa(level))
-	}
+	b.WriteString("|L")
+	b.WriteString(strconv.Itoa(level))
 	return b.String()
 }
 
@@ -1022,25 +957,13 @@ func (s *Server) session(key string, exec *engine.Executor, req engine.Request) 
 // rarely collide with point queries); sessions are capped at 64 with LRU
 // eviction, and an evicted flyover's next frame simply solves cold again.
 func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
-	if err := checkBudget(q.ErrorBudget); err != nil {
+	e, level, err := s.resolve(q)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	e, ok := s.terrains[q.TerrainID]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("terrainhsr: no terrain %q registered", q.TerrainID)
-	}
-	exec := e.eng
-	level, levels, cell := 0, 1, 0.0
-	if e.isStore() {
-		level, _ = e.levels.Pick(q.ErrorBudget)
-		levels, cell = e.levels.NumLevels(), e.levels.CellSize(level)
-		var err error
-		exec, err = e.levels.Executor(level)
-		if err != nil {
-			return nil, err
-		}
+	exec, err := e.levels.Executor(level)
+	if err != nil {
+		return nil, err
 	}
 	algo := resolveAlgo(q.Algorithm)
 	eye := s.QuantizeEye(q.Eye)
@@ -1075,9 +998,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 	s.tilesReverified.Add(int64(fi.Reuse.TilesReverified))
 	s.tilesResolved.Add(int64(fi.Reuse.TilesResolved))
 	s.verifyFailures.Add(int64(fi.Reuse.VerifyFailures))
-	if e.isStore() {
-		atomic.AddInt64(&e.levelHits[level], 1)
-	}
+	e.lv[level].hits.Add(1)
 	// The frame's ledger: production time counts as solve time even for
 	// replays (a replay's "solve" is re-emitting the recording); the work
 	// breakdown stays zero because session frames stream without keeping an
@@ -1099,7 +1020,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 	return &QueryResult{
 		Eye: eye, Cache: "session", Tiled: ss.plan.Tiled, Plan: ss.plan.Explain(),
 		Mode: string(ss.plan.Mode), Cost: cost,
-		Level: level, Levels: levels, LevelCellSize: cell,
+		Level: level, Levels: e.levels.NumLevels(), LevelCellSize: e.levels.CellSize(level),
 		Reuse: &ReuseStats{
 			Replayed:        fi.Replayed,
 			TilesReused:     fi.Reuse.TilesReused,
@@ -1122,12 +1043,16 @@ func (s *Server) QueryMany(q Query, eyes []Point) ([]*QueryResult, error) {
 	if n == 0 {
 		return nil, nil
 	}
+	e, level, err := s.resolve(q)
+	if err != nil {
+		return nil, err
+	}
 	concurrent, perEye := engine.SplitBudget(s.opt.Workers, 0, n)
 	results := make([]*QueryResult, n)
 	if err := engine.Frames(concurrent, pts3(eyes), "query", func(i int) error {
 		qi := q
 		qi.Eye = eyes[i]
-		r, err := s.query(qi, perEye)
+		r, err := s.query(qi, e, level, false, perEye)
 		if err != nil {
 			return err
 		}
@@ -1169,36 +1094,20 @@ type ProgressivePass struct {
 // terrains (and coarse picks that resolve to the finest level) stream a
 // single final pass. An error from pass or sink aborts the query.
 func (s *Server) QueryProgressive(q Query, pass func(ProgressivePass) error, sink PieceSink) error {
-	if err := checkBudget(q.ErrorBudget); err != nil {
+	e, coarse, err := s.resolve(q)
+	if err != nil {
 		return err
 	}
-	s.mu.RLock()
-	e, ok := s.terrains[q.TerrainID]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("terrainhsr: no terrain %q registered", q.TerrainID)
-	}
-	coarse := 0
-	if e.isStore() {
-		if q.ErrorBudget > 0 {
-			coarse, _ = e.levels.Pick(q.ErrorBudget)
-		} else {
-			coarse = e.levels.NumLevels() - 1
-		}
+	if q.ErrorBudget <= 0 {
+		coarse = e.levels.NumLevels() - 1
 	}
 	passes := []int{0}
 	if coarse != 0 {
 		passes = []int{coarse, 0} // preview, then the exact answer
 	}
 	for _, level := range passes {
-		var qr *QueryResult
-		var err error
 		t0 := time.Now()
-		if e.isStore() {
-			qr, err = s.queryLevel(q, e, s.opt.Workers, level, true)
-		} else {
-			qr, err = s.query(q, s.opt.Workers)
-		}
+		qr, err := s.query(q, e, level, true, s.opt.Workers)
 		if err != nil {
 			return err
 		}
@@ -1231,25 +1140,23 @@ func (s *Server) Stats() ServerStats {
 	residentBytes := make(map[string]int64)
 	pageIns := make(map[string]int64)
 	for id, e := range s.terrains {
-		if !e.isStore() {
-			plans[id] = e.plan
+		if e.st == nil {
+			plans[id], _, _ = e.planFor(0)
 			continue
 		}
-		hits := make([]int64, len(e.levelHits))
-		for l := range hits {
-			hits[l] = atomic.LoadInt64(&e.levelHits[l])
-		}
-		levelQueries[id] = hits
-		storeBytes[id] = e.st.BytesLoaded()
-		residentBytes[id] = e.st.ResidentBytes()
+		hits := make([]int64, len(e.lv))
 		var ins int64
 		e.mu.Lock()
-		for _, pg := range e.pagers {
-			if pg != nil {
+		for l := range e.lv {
+			hits[l] = e.lv[l].hits.Load()
+			if pg := e.lv[l].pager; pg != nil {
 				ins += pg.PageIns()
 			}
 		}
 		e.mu.Unlock()
+		levelQueries[id] = hits
+		storeBytes[id] = e.st.BytesLoaded()
+		residentBytes[id] = e.st.ResidentBytes()
 		pageIns[id] = ins
 		// Report the per-level plans solved so far; levels never queried
 		// stay described by the registration summary.
@@ -1260,7 +1167,7 @@ func (s *Server) Stats() ServerStats {
 			}
 		}
 		if len(parts) == 0 {
-			plans[id] = e.plan
+			plans[id] = s.storeSummary(e)
 		} else {
 			plans[id] = strings.Join(parts, " || ")
 		}

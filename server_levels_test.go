@@ -1,0 +1,125 @@
+package terrainhsr
+
+import (
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestStoreSessionFramesMatchQuery runs flyover sessions on store-backed
+// terrains — resident and out-of-core, finest and coarse levels — and holds
+// every frame to the point-query contract: the streamed pieces are
+// byte-identical to Query's answer for the same eye and budget, and the
+// frame reports the same answering level.
+func TestStoreSessionFramesMatchQuery(t *testing.T) {
+	demPath := writeRidgeASC(t, 64, 64)
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := BuildStore(demPath, dir, StoreOptions{TileSamples: 16}); err != nil {
+		t.Fatal(err)
+	}
+	base := LinePath(Point{X: -12, Y: 20, Z: 64}, Point{X: -9, Y: 26, Z: 70}, 3).Viewpoints()
+	path := append(base, base[2]) // a dwell: the last frame replays
+
+	for _, tc := range []struct {
+		name      string
+		opt       ServerOptions
+		budget    float64
+		wantLevel int
+		planHas   string // the session plan's underlying pipeline
+	}{
+		{"in-core finest", ServerOptions{}, 0, 0, "over batched frames"},
+		{"in-core tiled finest", ServerOptions{TileCells: 1}, 0, 0, "over batched-tiled frames"},
+		{"in-core coarse", ServerOptions{}, 2, 1, "over batched frames"},
+		{"out-of-core finest", ServerOptions{ResidencyBudget: oocBudget(t)}, 0, 0, "over out-of-core frames"},
+		{"out-of-core server, coarse level", ServerOptions{ResidencyBudget: oocBudget(t)}, 2, 1, "over batched frames"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(tc.opt)
+			if err := s.RegisterStore("dem", dir); err != nil {
+				t.Fatal(err)
+			}
+			replays := 0
+			for f, eye := range path {
+				q := Query{TerrainID: "dem", Eye: eye, ErrorBudget: tc.budget, MinDepth: 1}
+				var got []Piece
+				fr, err := s.QuerySession(q, func(p Piece) error { got = append(got, p); return nil })
+				if err != nil {
+					t.Fatalf("frame %d: %v", f, err)
+				}
+				want, err := s.Query(q)
+				if err != nil {
+					t.Fatalf("frame %d: %v", f, err)
+				}
+				label := fmt.Sprintf("frame %d", f)
+				piecesEqual(t, label, want.Result.Pieces(), got)
+				if fr.Level != tc.wantLevel || fr.Level != want.Level || fr.Levels != want.Levels ||
+					fr.LevelCellSize != want.LevelCellSize {
+					t.Fatalf("%s: session level %d/%d cell %v, query level %d/%d cell %v, want level %d",
+						label, fr.Level, fr.Levels, fr.LevelCellSize,
+						want.Level, want.Levels, want.LevelCellSize, tc.wantLevel)
+				}
+				if len(got) == 0 {
+					t.Fatalf("%s: the eye sees nothing; the path proves nothing", label)
+				}
+				if fr.Mode != "coherent" || !strings.Contains(fr.Plan, tc.planHas) {
+					t.Fatalf("%s: session mode %q plan %q, want a coherent plan %s", label, fr.Mode, fr.Plan, tc.planHas)
+				}
+				if fr.Reuse.Replayed {
+					replays++
+				}
+			}
+			if replays != 1 {
+				t.Fatalf("%d replays over a path with one dwell frame, want 1", replays)
+			}
+			st := s.Stats()
+			if got := st.LevelQueries["dem"][tc.wantLevel]; got != 2*int64(len(path)) {
+				t.Fatalf("level %d counted %d answers, want %d (sessions and queries)", tc.wantLevel, got, 2*len(path))
+			}
+		})
+	}
+}
+
+// TestQueryManyMissReportsSolvedPlan: a plain terrain's QueryMany miss
+// reports the worker split its solve actually ran with — the server budget
+// shared between the concurrent eyes — while cache hits and single queries
+// report the plan recorded at registration.
+func TestQueryManyMissReportsSolvedPlan(t *testing.T) {
+	s := NewServer(ServerOptions{Workers: 4})
+	if err := s.Register("t", genTest(t, "fractal", 10, 10, 3)); err != nil {
+		t.Fatal(err)
+	}
+	registered := s.Stats().Plans["t"]
+	if !strings.Contains(registered, "(1 concurrent x 4 workers each)") {
+		t.Fatalf("registration plan %q, want the full budget on one frame", registered)
+	}
+	eyes := []Point{serverEye(0, 0, 0), serverEye(-1, 1, -2)}
+	rs, err := s.QueryMany(Query{TerrainID: "t"}, eyes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if r.Cache != "miss" || !strings.Contains(r.Plan, "workers=2 frames=1 (1 concurrent x 2 workers each)") {
+			t.Fatalf("eye %d: %s answer with plan %q, want a miss solved on half the budget", i, r.Cache, r.Plan)
+		}
+	}
+	rs, err = s.QueryMany(Query{TerrainID: "t"}, eyes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if r.Cache != "hit" || r.Plan != registered {
+			t.Fatalf("eye %d: %s answer with plan %q, want a hit reporting %q", i, r.Cache, r.Plan, registered)
+		}
+	}
+	r, err := s.Query(Query{TerrainID: "t", Eye: serverEye(1, 0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cache != "miss" || r.Plan != registered {
+		t.Fatalf("single query: %s answer with plan %q, want %q", r.Cache, r.Plan, registered)
+	}
+	if got := s.Stats().Plans["t"]; got != registered {
+		t.Fatalf("Stats plan changed to %q after QueryMany, want %q", got, registered)
+	}
+}
