@@ -70,7 +70,9 @@
 //	eye          "x,y,z" perspective eye point (required); repeat the
 //	             parameter (eye=...&eye=...) for a multi-eye batch query
 //	             of at most 4096 eyes, answered with a JSON summary only
-//	algorithm    solver name (default "parallel"; see /terrains for the list)
+//	algorithm    solver name (default "parallel"; see /terrains for the
+//	             served list — the quadratic baselines brute-force and
+//	             all-pairs get a 400)
 //	mindepth     minimum eye-to-vertex depth (default the library default)
 //	budget       resolution error budget in world units (store terrains
 //	             solve the coarsest pyramid level within it; default exact)
@@ -103,7 +105,7 @@
 //	             eye dwells in place — the replay fast path); omitted, the
 //	             waypoints are flown as given. Waypoints and frames are
 //	             each capped at 4096
-//	algorithm    solver name (default "parallel")
+//	algorithm    solver name, as for /viewshed
 //	mindepth     minimum eye-to-vertex depth (default the library default)
 //	budget       resolution error budget, as for /viewshed
 //	format       json (default) streams every frame: eye, pieces, then the

@@ -7,12 +7,9 @@ import (
 )
 
 // Relation is one maximal x-interval with a constant visibility relation.
-type Relation struct {
-	X1, X2 float64
-	// Above is true where the segment is strictly above the profile or the
-	// profile is absent (a gap).
-	Above bool
-}
+// It is declared beside profiletree.Scratch, which holds the relations of
+// a worker's queries.
+type Relation = profiletree.Relation
 
 // Stats counts the charged operations of a query.
 type Stats struct {
@@ -31,16 +28,24 @@ type Stats struct {
 // QueryRelations computes the ordered relations of segment s against the
 // profile tree over s's span. The segment must not be vertical in the
 // image; callers handle vertical segments via profiletree.Eval.
+//
+// The relations are written into o.Scratch rather than fresh slices, so a
+// worker's steady-state queries allocate nothing. The returned slice is
+// valid until the next QueryRelations call through o; a caller that keeps
+// relations across queries copies them.
 func QueryRelations(o *profiletree.Ops, t profiletree.Tree, s geom.Seg2) ([]Relation, Stats) {
 	s = s.Canon()
 	var st Stats
 	if s.IsVerticalImage() {
 		return nil, st
 	}
-	q := &query{o: o, s: s, sp: envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z}}
+	sc := &o.Scratch
+	q := query{o: o, s: s, sp: envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z}, rels: sc.Raw[:0]}
 	q.visit(t.Root, 1)
+	sc.Raw = q.rels
 	st = q.st
-	rels := stitch(q.rels, s.A.X, s.B.X)
+	rels := stitch(sc.Rels[:0], q.rels, s.A.X, s.B.X)
+	sc.Rels = rels
 	// Every flip between consecutive relations is one vertex event of the
 	// image: a proper crossing or a T-vertex at a jump/gap boundary.
 	for i := 1; i < len(rels); i++ {
@@ -91,7 +96,7 @@ func (q *query) visit(n *profiletree.Node, depth int) {
 func (q *query) resolve(n *profiletree.Node, qlo, qhi float64) (bool, bool, bool) {
 	m := q.s.Slope()
 	c0 := q.s.A.Z - m*q.s.A.X
-	if q.o.WithHulls && n.Agg.Upper.T != nil {
+	if q.o.WithHulls && n.Agg.Hulls != nil {
 		q.st.HullQueries += 2
 		maxH := n.Agg.Upper.ExtremeValue(m) - c0 // max of P - s over vertices
 		minH := n.Agg.Lower.ExtremeValue(m) - c0
@@ -145,9 +150,9 @@ func (q *query) ownPiece(pc envelope.Piece) {
 }
 
 // stitch fills coverage holes (profile gaps, where the segment is visible),
-// clips to [lo, hi] and merges adjacent relations with equal flags.
-func stitch(rels []Relation, lo, hi float64) []Relation {
-	out := make([]Relation, 0, len(rels)+2)
+// clips to [lo, hi] and merges adjacent relations with equal flags,
+// appending the result to out.
+func stitch(out, rels []Relation, lo, hi float64) []Relation {
 	x := lo
 	push := func(r Relation) {
 		if r.X2-r.X1 <= geom.Eps {
@@ -189,20 +194,48 @@ func VisibleSpans(rels []Relation, s geom.Seg2) []envelope.Span {
 	return out
 }
 
-// VisibleRuns converts the relations into splice runs carrying the visible
-// fragments of s attributed to edge id.
-func VisibleRuns(rels []Relation, s geom.Seg2, edge int32) []profiletree.Run {
+// VisibleRuns appends to runs the splice runs carrying the visible
+// fragments of s, attributed to edge id, and returns the extended slice. A
+// run that starts within 1e-9 of the previous run's end extends that run
+// instead: the visible material of consecutive profile pieces often
+// continues across piece boundaries.
+//
+// The runs' pieces are carved from o.Scratch.Pieces, not allocated. Passing
+// an empty runs slice starts a new batch and recycles the pieces of the
+// previous one, so the pieces stay valid until VisibleRuns is next called
+// through o with an empty runs slice.
+func VisibleRuns(o *profiletree.Ops, runs []profiletree.Run, rels []Relation, s geom.Seg2, edge int32) []profiletree.Run {
+	sc := &o.Scratch
+	if len(runs) == 0 {
+		sc.Pieces = sc.Pieces[:0]
+	}
 	s = s.Canon()
 	sp := envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z}
-	var out []profiletree.Run
 	for _, r := range rels {
 		if !r.Above {
 			continue
 		}
-		out = append(out, profiletree.Run{
-			X1: r.X1, X2: r.X2,
-			Pieces: []envelope.Piece{{X1: r.X1, Z1: sp.ZAt(r.X1), X2: r.X2, Z2: sp.ZAt(r.X2), Edge: edge}},
-		})
+		pc := envelope.Piece{X1: r.X1, Z1: sp.ZAt(r.X1), X2: r.X2, Z2: sp.ZAt(r.X2), Edge: edge}
+		n := len(runs)
+		if n == 0 || r.X1 > runs[n-1].X2+1e-9 {
+			sc.Pieces = append(sc.Pieces, pc)
+			end := len(sc.Pieces)
+			// Capacity-capped, so no append through a run can overwrite
+			// the pieces of the next one.
+			runs = append(runs, profiletree.Run{X1: r.X1, X2: r.X2, Pieces: sc.Pieces[end-1 : end : end]})
+			continue
+		}
+		last := &runs[n-1]
+		last.X2 = r.X2
+		if k := len(last.Pieces); k > 0 && len(sc.Pieces) > 0 && &last.Pieces[k-1] == &sc.Pieces[len(sc.Pieces)-1] {
+			// The last run's pieces are the scratch's tail: extend them in
+			// place.
+			sc.Pieces = append(sc.Pieces, pc)
+			end := len(sc.Pieces)
+			last.Pieces = sc.Pieces[end-k-1 : end : end]
+		} else {
+			last.Pieces = append(last.Pieces[:k:k], pc)
+		}
 	}
-	return out
+	return runs
 }

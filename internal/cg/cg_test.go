@@ -157,7 +157,7 @@ func TestVisibleRunsAttribution(t *testing.T) {
 	tr := o.FromProfile(p)
 	s := geom.S2(2, 0, 8, 12)
 	rels, _ := QueryRelations(o, tr, s)
-	runs := VisibleRuns(rels, s, 42)
+	runs := VisibleRuns(o, nil, rels, s, 42)
 	if len(runs) != 1 {
 		t.Fatalf("runs: %+v", runs)
 	}

@@ -114,7 +114,7 @@ func TestFleetIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algorithms := []string{"", "sequential", "brute-force"}
+	algorithms := []string{"", "sequential", "sequential-tree"}
 	for _, algo := range algorithms {
 		for i, req := range reqs {
 			pathQuery := strings.TrimPrefix(req.URL, router.URL)

@@ -128,7 +128,7 @@ func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 				l, r := 2*node, 2*node+1
 				prefix[l] = P
 				allocBefore := o.Arena.Allocs
-				var runs []profiletree.Run
+				runs := o.Scratch.Runs[:0]
 				for _, pc := range tree.Inter[l] {
 					rels, st := cg.QueryRelations(o, P, pc.Seg())
 					ctr.QuerySteps += st.Steps
@@ -141,9 +141,9 @@ func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 					if qCost+1 > maxTaskCost {
 						maxTaskCost = qCost + 1
 					}
-					runs = append(runs, cg.VisibleRuns(rels, pc.Seg(), pc.Edge)...)
+					runs = cg.VisibleRuns(o, runs, rels, pc.Seg(), pc.Edge)
 				}
-				runs = coalesceRuns(runs)
+				o.Scratch.Runs = runs
 				newT := o.Splice(P, runs)
 				prefix[r] = newT
 				delta := o.Arena.Allocs - allocBefore
@@ -232,23 +232,4 @@ func clipLeafOS(o *profiletree.Ops, P profiletree.Tree, tree *pct.Tree, pos int,
 	lv.Spans = cg.VisibleSpans(rels, s)
 	lv.Crossings = int(st.Crossings)
 	return lv
-}
-
-// coalesceRuns merges runs that abut (the visible material of consecutive
-// intermediate-profile pieces often continues across piece boundaries).
-func coalesceRuns(runs []profiletree.Run) []profiletree.Run {
-	if len(runs) <= 1 {
-		return runs
-	}
-	out := runs[:1]
-	for _, r := range runs[1:] {
-		last := &out[len(out)-1]
-		if r.X1 <= last.X2+1e-9 {
-			last.X2 = r.X2
-			last.Pieces = append(last.Pieces, r.Pieces...)
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }

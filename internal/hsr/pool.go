@@ -7,13 +7,15 @@ import (
 	"terrainhsr/internal/profiletree"
 )
 
-// OpsPool recycles per-worker profile-tree operations (treap arenas and node
-// slabs) across solves. A fresh ParallelOS run allocates every persistent
-// tree node individually and drops them all when it returns; for a batch of
-// solves over the same terrain that garbage dominates the running time. An
-// OpsPool instead hands each solve previously used Ops whose slabs are
-// rewound (profiletree.Ops.Reset), so steady-state solves allocate almost
-// nothing.
+// OpsPool recycles per-worker profile-tree operations (treap arenas, node
+// slabs and crossing-query scratch) across solves. A fresh ParallelOS run
+// allocates its tree nodes and query buffers anew and drops them all when
+// it returns; for a stream of solves that garbage dominates the running
+// time. An OpsPool instead hands each solve previously used Ops whose slabs
+// are rewound (profiletree.Ops.Reset) and whose scratch keeps its capacity,
+// so steady-state Phase 2 work allocates almost nothing. What a pooled Ops
+// retains — slabs and scratch alike — is bounded by the largest solve, and
+// the largest query, it has served.
 //
 // Pooled Ops are keyed by the WithHulls mode, since hull aggregation is
 // baked into an Ops at construction. The pool is safe for concurrent use;

@@ -1,14 +1,12 @@
 package hsr
 
 import (
-	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"terrainhsr/internal/workload"
 )
-
-var errMismatch = errors.New("piece count mismatch across pooled solves")
 
 func TestPhase2Name(t *testing.T) {
 	cases := map[int]string{
@@ -100,36 +98,79 @@ func TestOpsPoolRecyclesOps(t *testing.T) {
 	p.release(hullOps)
 }
 
+// TestOpsPoolConcurrentSolves runs 8 goroutines over one pool, each
+// cycling through every pooled solver, and compares each answer byte for
+// byte with an unpooled solve: recycled Ops and their query scratch must
+// never leak one solve's state into another.
 func TestOpsPoolConcurrentSolves(t *testing.T) {
-	tr := genT(t, workload.Rough, 8, 8, 2)
+	tr := genT(t, workload.Fractal, 14, 14, 3)
 	prep, err := Prepare(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := prep.ParallelOS(OSOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	type variant struct {
+		name  string
+		solve func(pool *OpsPool) (*Result, error)
+	}
+	parallelOS := func(workers int, hulls bool) func(*OpsPool) (*Result, error) {
+		return func(pool *OpsPool) (*Result, error) {
+			return prep.ParallelOS(OSOptions{Workers: workers, WithHulls: hulls, Pool: pool})
+		}
+	}
+	variants := []variant{
+		{"parallel workers=1", parallelOS(1, false)},
+		{"parallel workers=2", parallelOS(2, false)},
+		{"parallel-hulls", parallelOS(2, true)},
+		{"sequential-tree", func(pool *OpsPool) (*Result, error) {
+			if pool == nil {
+				return prep.SequentialTree(false)
+			}
+			return prep.SequentialTreePooled(false, pool)
+		}},
+	}
+	want := make([]*Result, len(variants))
+	for i, v := range variants {
+		if want[i], err = v.solve(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pool := NewOpsPool()
+	const goroutines, rounds = 8, 2
 	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, goroutines*rounds*len(variants))
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			r, err := prep.ParallelOS(OSOptions{Workers: 2, Pool: pool})
-			if err != nil {
-				errs <- err
-				return
+			for j := 0; j < rounds*len(variants); j++ {
+				i := (g + j) % len(variants)
+				r, err := variants[i].solve(pool)
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if err := samePieces(want[i].Pieces, r.Pieces); err != nil {
+					errs <- fmt.Errorf("%s: %w", variants[i].name, err)
+				}
 			}
-			if len(r.Pieces) != len(want.Pieces) {
-				errs <- errMismatch
-			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		t.Error(err)
 	}
+}
+
+// samePieces reports the first difference between two piece lists.
+func samePieces(want, got []VisiblePiece) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("%d pieces, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Errorf("piece %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	return nil
 }

@@ -90,7 +90,8 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 			for _, sp := range cg.VisibleSpans(rels, s) {
 				res.Pieces = append(res.Pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos], Span: sp})
 			}
-			runs := cg.VisibleRuns(rels, s, int32(pos))
+			runs := cg.VisibleRuns(o, o.Scratch.Runs[:0], rels, s, int32(pos))
+			o.Scratch.Runs = runs
 			allocBefore := o.Arena.Allocs
 			profile = o.Splice(profile, runs)
 			delta := o.Arena.Allocs - allocBefore

@@ -109,7 +109,9 @@ func (o *Ops[T, A]) NewNode(v T, l, r *Node[T, A]) *Node[T, A] {
 // must guarantee that no tree from before the Reset is referenced afterwards.
 // Rewound slabs are not zeroed, so memory referenced by stale nodes stays
 // reachable until overwritten; the retained footprint is bounded by the
-// largest solve the Ops has served.
+// largest solve the Ops has served. Per-worker scratch kept beside an Ops
+// (profiletree.Scratch, the crossing queries' buffers) is retained on the
+// same terms: bounded by the largest query it has served.
 func (o *Ops[T, A]) Reset() {
 	o.cur, o.used = 0, 0
 }

@@ -17,8 +17,14 @@ type Agg struct {
 	ZMin, ZMax float64
 	// HasGap reports an uncovered interval strictly inside [X1, X2].
 	HasGap bool
-	// Lower and Upper are the convex chains over all piece endpoints
-	// (empty when the tree operates in summary-only mode).
+	// Hulls holds the subtree's convex chains; it is nil when the tree
+	// operates in summary-only mode, which keeps the default node small.
+	*Hulls
+}
+
+// Hulls is the pair of convex chains over all piece endpoints of a
+// subtree, the exact pruning structure of the paper's ACG.
+type Hulls struct {
 	Lower, Upper hull.Chain
 }
 
@@ -34,12 +40,42 @@ type Tree struct {
 // Size returns the number of pieces.
 func (t Tree) Size() int { return persist.Size(t.Root) }
 
-// Ops bundles the arena-bound operations. One Ops per worker goroutine.
+// Ops bundles the arena-bound operations and a worker's reusable working
+// memory. One Ops per worker goroutine.
 type Ops struct {
 	P         *persist.Ops[envelope.Piece, Agg]
 	H         *hull.Ops
 	WithHulls bool
 	Arena     *persist.Arena
+	// Scratch is the worker's crossing-query memory; see Scratch.
+	Scratch Scratch
+
+	hulls  [][]Hulls // chain-pair slab chunks, carved by newHulls
+	nHulls int       // chain pairs handed out since the last Reset
+}
+
+// Relation is one maximal x-interval of a query segment with a constant
+// relation to the profile (package cg computes them).
+type Relation struct {
+	X1, X2 float64
+	// Above is true where the segment is strictly above the profile or the
+	// profile is absent (a gap).
+	Above bool
+}
+
+// Scratch is a worker's reusable crossing-query memory. It lives in the
+// worker's Ops, so whatever recycles the Ops (hsr.OpsPool) keeps its
+// capacity too, and steady-state queries allocate nothing. Package cg owns
+// the contents and documents how long the results it hands out stay valid.
+// Like the node slabs, the retained capacity is bounded by the largest
+// query (and run batch) the Ops has served.
+type Scratch struct {
+	// Raw and Rels hold a query's unstitched and stitched relations.
+	Raw, Rels []Relation
+	// Pieces backs the pieces of the runs in the current run batch.
+	Pieces []envelope.Piece
+	// Runs is the caller's reusable run batch.
+	Runs []Run
 }
 
 // NewOps creates profile-tree operations allocating from arena. withHulls
@@ -52,14 +88,33 @@ func NewOps(arena *persist.Arena, withHulls bool) *Ops {
 }
 
 // Reset rewinds the ops for reuse by another solve: the arena restarts its
-// priority stream and counters, and the node slabs (profile and hull) are
-// carved from scratch. Every tree previously built through o is invalidated;
+// priority stream and counters, and the node slabs (profile and hull) and
+// the chain-pair slab are carved again from the start. Every tree previously built through o is invalidated;
 // callers must drop all references to such trees first. This is what lets a
-// worker pool amortize tree allocation across a batch of solves.
+// worker pool amortize tree allocation across a batch of solves. The query
+// Scratch keeps its capacity: each query overwrites it anyway.
 func (o *Ops) Reset() {
 	o.Arena.Reset()
 	o.P.Reset()
 	o.H.P.Reset()
+	o.nHulls = 0
+}
+
+// hullChunk is the chunk size of the chain-pair slab.
+const hullChunk = 1024
+
+// newHulls carves a chain pair out of o's slab: hull mode pays one
+// allocation per hullChunk nodes instead of one per node, and Reset
+// recycles the pairs with the node slabs.
+func (o *Ops) newHulls(lower, upper hull.Chain) *Hulls {
+	c, i := o.nHulls/hullChunk, o.nHulls%hullChunk
+	if c == len(o.hulls) {
+		o.hulls = append(o.hulls, make([]Hulls, hullChunk))
+	}
+	o.nHulls++
+	h := &o.hulls[c][i]
+	*h = Hulls{Lower: lower, Upper: upper}
+	return h
 }
 
 func (o *Ops) agg(pc envelope.Piece, l, r *Node) Agg {
@@ -84,16 +139,17 @@ func (o *Ops) agg(pc envelope.Piece, l, r *Node) Agg {
 	if o.WithHulls {
 		p1 := geom.Pt2{X: pc.X1, Z: pc.Z1}
 		p2 := geom.Pt2{X: pc.X2, Z: pc.Z2}
-		a.Lower = hull.Build2(o.H, p1, p2, true)
-		a.Upper = hull.Build2(o.H, p1, p2, false)
+		lower := hull.Build2(o.H, p1, p2, true)
+		upper := hull.Build2(o.H, p1, p2, false)
 		if l != nil {
-			a.Lower = o.H.MergeDisjoint(l.Agg.Lower, a.Lower)
-			a.Upper = o.H.MergeDisjoint(l.Agg.Upper, a.Upper)
+			lower = o.H.MergeDisjoint(l.Agg.Lower, lower)
+			upper = o.H.MergeDisjoint(l.Agg.Upper, upper)
 		}
 		if r != nil {
-			a.Lower = o.H.MergeDisjoint(a.Lower, r.Agg.Lower)
-			a.Upper = o.H.MergeDisjoint(a.Upper, r.Agg.Upper)
+			lower = o.H.MergeDisjoint(lower, r.Agg.Lower)
+			upper = o.H.MergeDisjoint(upper, r.Agg.Upper)
 		}
+		a.Hulls = o.newHulls(lower, upper)
 	}
 	return a
 }
@@ -112,17 +168,17 @@ func ToProfile(t Tree) envelope.Profile {
 // (right piece wins at shared breakpoints).
 func Eval(t Tree, x float64) (float64, bool) {
 	n := t.Root
-	var best *envelope.Piece
+	var best envelope.Piece
+	found := false
 	for n != nil {
 		if n.Val.X1 <= x {
-			pc := n.Val
-			best = &pc
+			best, found = n.Val, true
 			n = n.R
 		} else {
 			n = n.L
 		}
 	}
-	if best == nil || x > best.X2 {
+	if !found || x > best.X2 {
 		return 0, false
 	}
 	return best.ZAt(x), true

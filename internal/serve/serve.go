@@ -243,7 +243,7 @@ func (h *handler) terrains(w http.ResponseWriter, _ *http.Request) {
 			})
 		}
 	}
-	for _, a := range terrainhsr.Algorithms() {
+	for _, a := range terrainhsr.ServedAlgorithms() {
 		out.Algorithms = append(out.Algorithms, string(a))
 	}
 	h.writeJSON(w, out)

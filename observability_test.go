@@ -20,7 +20,7 @@ func TestTracedQueryByteIdentical(t *testing.T) {
 		}
 	}
 	tracer := obs.NewTracer(1, 16)
-	for _, algo := range []Algorithm{Parallel, ParallelHulls, Sequential, SequentialTree, BruteForce} {
+	for _, algo := range []Algorithm{Parallel, ParallelHulls, Sequential, SequentialTree, ParallelCopying} {
 		q := Query{TerrainID: "hill", Eye: serverEye(0.07, -0.04, 0.11), Algorithm: algo, MinDepth: 0.5}
 		want, err := plain.Query(q)
 		if err != nil {

@@ -122,7 +122,8 @@ type Query struct {
 	// The server snaps it to the quantization grid before solving; the
 	// snapped eye is reported in QueryResult.Eye.
 	Eye Point
-	// Algorithm selects the solver (default Parallel), as in Options.
+	// Algorithm selects the solver (default Parallel), as in Options, out
+	// of ServedAlgorithms: the quadratic baselines are refused.
 	Algorithm Algorithm
 	// MinDepth is the minimum eye-to-vertex x-distance, as in
 	// Terrain.FromPerspective; <= 0 selects the same default.
@@ -716,14 +717,18 @@ func (s *Server) entry(id string) (*serverTerrain, error) {
 }
 
 // resolve finds the query's terrain and the level its error budget picks —
-// a manifest-only decision, with no I/O. Every query entry point starts
-// here.
+// a manifest-only decision, with no I/O — and refuses an algorithm the
+// server does not answer with before anything is solved. Every query entry
+// point starts here.
 func (s *Server) resolve(q Query) (*serverTerrain, int, error) {
 	if err := checkBudget(q.ErrorBudget); err != nil {
 		return nil, 0, err
 	}
 	e, err := s.entry(q.TerrainID)
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := checkServed(q.Algorithm); err != nil {
 		return nil, 0, err
 	}
 	level, _ := e.levels.Pick(q.ErrorBudget)

@@ -570,3 +570,37 @@ func TestServerQuerySession(t *testing.T) {
 		t.Fatal("epoch bump did not orphan the session: stale recording replayed")
 	}
 }
+
+// TestServerRefusesBaselines: every Server query method refuses the
+// quadratic baselines with an error naming the served set, before any
+// cache lookup or solve.
+func TestServerRefusesBaselines(t *testing.T) {
+	s := NewServer(ServerOptions{})
+	if err := s.Register("t", genTest(t, "fractal", 6, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sink := func(Piece) error { return nil }
+	before := s.Stats()
+	for _, algo := range []Algorithm{BruteForce, AllPairs} {
+		q := Query{TerrainID: "t", Eye: serverEye(0, 0, 0), Algorithm: algo}
+		calls := map[string]error{}
+		_, calls["Query"] = s.Query(q)
+		_, calls["QueryMany"] = s.QueryMany(q, []Point{serverEye(0, 0, 0), serverEye(1, 0, 0)})
+		calls["QueryProgressive"] = s.QueryProgressive(q, func(ProgressivePass) error { return nil }, sink)
+		_, calls["QuerySession"] = s.QuerySession(q, sink)
+		for name, err := range calls {
+			if err == nil || !strings.Contains(err.Error(), "not served (served: parallel, parallel-hulls, parallel-copying, sequential, sequential-tree)") {
+				t.Errorf("%s(%s): err = %v, want the served set", name, algo, err)
+			}
+		}
+	}
+	after := s.Stats()
+	if after.Misses != before.Misses || after.Solves != before.Solves || after.SessionFrames != before.SessionFrames {
+		t.Fatalf("refused queries moved the counters: misses %d→%d solves %d→%d frames %d→%d",
+			before.Misses, after.Misses, before.Solves, after.Solves, before.SessionFrames, after.SessionFrames)
+	}
+	// Library Solve keeps every algorithm.
+	if _, err := Solve(genTest(t, "fractal", 4, 4, 1), Options{Algorithm: BruteForce}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,8 @@ package terrainhsr
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"terrainhsr/internal/engine"
@@ -169,6 +171,32 @@ const (
 // Algorithms lists all selectable solvers.
 func Algorithms() []Algorithm {
 	return []Algorithm{Parallel, ParallelHulls, ParallelCopying, Sequential, SequentialTree, BruteForce, AllPairs}
+}
+
+// servedAlgorithms is the set ServedAlgorithms returns copies of.
+var servedAlgorithms = []Algorithm{Parallel, ParallelHulls, ParallelCopying, Sequential, SequentialTree}
+
+// ServedAlgorithms lists the solvers a Server answers with: every algorithm
+// but the quadratic baselines BruteForce and AllPairs. One baseline query on
+// a large terrain can pin a worker for hours, so they are ground truth and
+// ablation tools for Solve only.
+func ServedAlgorithms() []Algorithm {
+	return slices.Clone(servedAlgorithms)
+}
+
+// checkServed reports a located error naming the served set when a query
+// asks for an algorithm a Server does not answer with. It runs on every
+// query, cache hits included, so the accepting path allocates nothing.
+func checkServed(a Algorithm) error {
+	a = resolveAlgo(a)
+	if slices.Contains(servedAlgorithms, a) {
+		return nil
+	}
+	names := make([]string, len(servedAlgorithms))
+	for i, s := range servedAlgorithms {
+		names[i] = string(s)
+	}
+	return fmt.Errorf("terrainhsr: algorithm %q is not served (served: %s)", a, strings.Join(names, ", "))
 }
 
 // Options configures Solve.
