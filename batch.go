@@ -25,8 +25,8 @@ import (
 //
 // The engine never changes answers: every frame runs the same algorithm a
 // per-viewpoint FromPerspective + Solve would run, and produces
-// byte-identical Pieces (asserted by the batch determinism tests and the
-// hsrbench B1 experiment).
+// byte-identical Pieces (asserted by TestSolveBatchByteIdenticalToSolve
+// across algorithms and worker splits).
 
 // ViewPath is a camera path: a finite sequence of perspective eye points.
 // Construct one with LinePath, OrbitPath or WaypointPath, or build the

@@ -1,7 +1,9 @@
-// Benchmarks regenerating the reproduction's experiments (DESIGN.md
-// section 4, EXPERIMENTS.md). Each benchmark mirrors one hsrbench
-// experiment; custom metrics report the quantities the paper's claims are
-// about (PRAM depth, charged work, output size k) alongside wall-clock.
+// Benchmarks mirroring the paper tables of cmd/hsrbench (ALGORITHM.md's
+// experiment index lists them). The names predate the table ids: T1–T5
+// are TH1–TH5, L1/L6 are LM1/LM6 and F1–F3 are FG1–FG3. Custom metrics
+// report the quantities the paper's claims are about (PRAM depth, charged
+// work, output size k) alongside wall-clock; internal/hsr's TestClaim*
+// tests assert their shapes.
 //
 // Run:
 //

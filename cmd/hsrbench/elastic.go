@@ -107,7 +107,7 @@ func expElastic(quick bool) {
 	// One unmeasured warming pass, then the three measured legs. Identity
 	// is asserted by unmeasured checking passes before and after the churn
 	// — the hashing client costs CPU on the serving machine, so the timed
-	// legs skip it (same protocol as F1/S1).
+	// legs skip it (same protocol as F1).
 	loadgen.Run(loadgen.Options{Workers: clientWorkers, Timeout: 5 * time.Minute}, reqs)
 	checkBefore := loadgen.Run(loadgen.Options{
 		Workers: clientWorkers, CheckBodies: true, Timeout: 5 * time.Minute,
@@ -184,18 +184,4 @@ func expElastic(quick bool) {
 		dip, addRes.Warmup.Keys, addRes.Warmup.Requests, addRes.Warmup.Verified, removeRes.WaitedMS, removeRes.Drained)
 	fmt.Printf("cross-churn identity diffs %d over %d keys; %s group of %d serving from %d members %v; churn errors %d\n",
 		identityDiffs, len(checkBefore.Hashes), hot, len(hotGroup), groupServing, hotSplit, churnErrors)
-
-	recBefore := before.Record("E1", "before", clientWorkers)
-	record(recBefore)
-	recDuring := during.Record("E1", "during-churn", clientWorkers)
-	recDuring.Extra["qps_vs_steady"] = dip
-	recDuring.Extra["churn_errors"] = float64(churnErrors)
-	recDuring.Extra["warmup_requests"] = float64(addRes.Warmup.Requests)
-	recDuring.Extra["drain_waited_ms"] = removeRes.WaitedMS
-	record(recDuring)
-	recAfter := after.Record("E1", "after", clientWorkers)
-	recAfter.Extra["identity_diffs"] = float64(identityDiffs)
-	recAfter.Extra["hot_group_size"] = float64(len(hotGroup))
-	recAfter.Extra["hot_group_serving"] = float64(groupServing)
-	record(recAfter)
 }

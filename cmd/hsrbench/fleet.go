@@ -153,7 +153,7 @@ func expFleet(quick bool) {
 		}
 		return reqs
 	}
-	// Like S1, both legs measure steady-state serving: one unmeasured
+	// Both legs measure steady-state serving: one unmeasured
 	// warming pass lets each leg cache what its capacity can hold, then the
 	// timed repeats replay the stream. The single replica keeps missing in
 	// steady state — its cache cannot hold the working set — which is the
@@ -198,15 +198,6 @@ func expFleet(quick bool) {
 	tb.Render(os.Stdout)
 	fmt.Printf("fleet qps gain %.2fx (capacity advantage %.2fx); cross-leg identity diffs %d over %d keys\n",
 		gain, float64(totalEyes)/float64(cacheCap), identityDiffs, len(singleCheck.Hashes))
-
-	recSingle := single.Record("F1", "single-1", clientWorkers)
-	record(recSingle)
-	recFleet := fleetRep.Record("F1", "fleet-3", clientWorkers)
-	recFleet.Extra["qps_gain"] = gain
-	recFleet.Extra["identity_diffs"] = float64(identityDiffs)
-	recFleet.Extra["cache_capacity"] = float64(cacheCap)
-	recFleet.Extra["distinct_queries"] = float64(totalEyes)
-	record(recFleet)
 }
 
 // shardCounts renders the per-replica shard sizes in replica order.

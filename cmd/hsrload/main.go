@@ -2,7 +2,7 @@
 // tier: it replays synthetic viewshed traffic — observer-grid query
 // streams, flyover sessions, zipf-skewed terrain popularity — against a
 // replica or a fleet router and reports throughput, latency percentiles
-// and error rate, optionally as hsrbench-style JSON records.
+// and error rate, optionally as a JSON measurement record.
 //
 //	hsrload -target http://127.0.0.1:8100 \
 //	    -terrain id=alps,kind=ridge,rows=96,cols=96,seed=7 \
@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"terrainhsr/internal/benchfmt"
 	"terrainhsr/internal/fleet"
 	"terrainhsr/internal/loadgen"
 	"terrainhsr/internal/workload"
@@ -121,7 +120,7 @@ func main() {
 	flag.Var(&churn, "churn", "membership churn step add:URL@N or remove:URL@N (repeatable; N = completed requests)")
 	adminToken := flag.String("admin-token", "", "router admin token for -churn steps")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request timeout")
-	jsonPath := flag.String("json", "", "write the report as a benchfmt record array to this file")
+	jsonPath := flag.String("json", "", "write the report as a JSON record array to this file")
 	experiment := flag.String("experiment", "LOAD", "experiment id stamped on the JSON record")
 	variant := flag.String("variant", "run", "variant stamped on the JSON record")
 	flag.Parse()
@@ -226,7 +225,7 @@ func main() {
 	}
 	if *jsonPath != "" {
 		rec := rep.Record(*experiment, *variant, *workers)
-		if err := benchfmt.Write(*jsonPath, []benchfmt.Record{rec}); err != nil {
+		if err := loadgen.WriteRecords(*jsonPath, []loadgen.Record{rec}); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote 1 record to %s", *jsonPath)

@@ -60,6 +60,6 @@
 //
 // ALGORITHM.md maps the paper's phases, lemmas and data structures to the
 // internal packages; docs/API.md is the task-oriented API guide with the
-// engine and planner overview; cmd/hsrbench regenerates the
-// reproduction's experiment tables.
+// engine and planner overview; cmd/hsrbench prints the reproduction's
+// paper tables, and internal/hsr's TestClaim* tests assert their shapes.
 package terrainhsr

@@ -21,8 +21,8 @@ import (
 
 func main() {
 	// A "massive" terrain: fractal relief plus long occluding mountain
-	// ranges. Production sizes are 512x512 and beyond (see hsrbench -exp
-	// T1); this example stays small enough for a CI smoke run.
+	// ranges. Production sizes are 512x512 and beyond; this example stays
+	// small enough for a CI smoke run.
 	tr, err := terrainhsr.Generate(terrainhsr.GenParams{
 		Kind: "massive", Rows: 160, Cols: 160, Seed: 21,
 	})

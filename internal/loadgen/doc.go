@@ -20,8 +20,6 @@
 // routing, hedging and failover may change who answers, never what is
 // answered.
 //
-// Reports convert to internal/benchfmt records, so hsrload's -json
-// output and hsrbench's BENCH_*.json artifacts share one shape — the
-// roadmap's "millions of users as a measured number" lands in the same
-// file the other experiments do.
+// Reports convert to Record rows, which WriteRecords saves as the JSON
+// array hsrload -json writes.
 package loadgen

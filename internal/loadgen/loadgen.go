@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"terrainhsr/internal/benchfmt"
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/workload"
@@ -375,29 +374,4 @@ func Run(o Options, reqs []Request) Report {
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	i := int(p * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-// Record converts the report to one benchfmt measurement row.
-func (r Report) Record(experiment, variant string, workers int) benchfmt.Record {
-	errRate := 0.0
-	if r.Requests > 0 {
-		errRate = float64(r.Errors) / float64(r.Requests)
-	}
-	return benchfmt.Record{
-		Experiment: experiment,
-		Variant:    variant,
-		WallMS:     float64(r.Wall.Microseconds()) / 1000,
-		Workers:    workers,
-		Extra: map[string]float64{
-			"queries_per_sec": r.QPS,
-			"requests":        float64(r.Requests),
-			"errors":          float64(r.Errors),
-			"error_rate":      errRate,
-			"p50_ms":          float64(r.P50.Microseconds()) / 1000,
-			"p90_ms":          float64(r.P90.Microseconds()) / 1000,
-			"p99_ms":          float64(r.P99.Microseconds()) / 1000,
-			"max_ms":          float64(r.Max.Microseconds()) / 1000,
-			"mismatches":      float64(r.Mismatches),
-		},
-	}.WithDefaults()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -8,12 +9,21 @@ import (
 	"time"
 
 	terrainhsr "terrainhsr"
+	"terrainhsr/internal/loadgen"
 	"terrainhsr/internal/obs"
 )
 
 // newObsHandler builds a handler with the full observability stack: a
 // tracer (sampling rate sampleEvery) and a metrics registry.
 func newObsHandler(t *testing.T, sampleEvery int) (http.Handler, *obs.Tracer, *obs.Registry) {
+	t.Helper()
+	tracer := obs.NewTracer(sampleEvery, 16)
+	reg := obs.NewRegistry()
+	return New(newObsServer(t), Options{Tracer: tracer, Metrics: reg}), tracer, reg
+}
+
+// newObsServer registers the observability tests' terrain as "demo".
+func newObsServer(t *testing.T) *terrainhsr.Server {
 	t.Helper()
 	tr, err := terrainhsr.Generate(terrainhsr.GenParams{Kind: "fractal", Rows: 16, Cols: 16, Seed: 7})
 	if err != nil {
@@ -23,9 +33,7 @@ func newObsHandler(t *testing.T, sampleEvery int) (http.Handler, *obs.Tracer, *o
 	if err := srv.Register("demo", tr); err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(sampleEvery, 16)
-	reg := obs.NewRegistry()
-	return New(srv, Options{Tracer: tracer, Metrics: reg}), tracer, reg
+	return srv
 }
 
 const obsEye = "/viewshed?terrain=demo&eye=-8,6,20"
@@ -72,6 +80,42 @@ func TestTracePropagation(t *testing.T) {
 	// The cost ledger rides on the trace.
 	if !strings.Contains(rec.Body.String(), `"cost"`) {
 		t.Fatal("/tracez trace carries no cost ledger")
+	}
+}
+
+// TestTracedBodyMatchesUnobserved checks that observation never changes an
+// answer: the body served under a propagated trace (always sampled) and
+// under rate-1 sampling equals, after zeroing the volatile timing and
+// ledger fields, the body of a handler with no tracer or registry — for a
+// solving miss and for a cache hit.
+func TestTracedBodyMatchesUnobserved(t *testing.T) {
+	plain := New(newObsServer(t), Options{})
+	propagated, _, _ := newObsHandler(t, 0)
+	sampled, tracer, _ := newObsHandler(t, 1)
+	body := func(h http.Handler, traceID string) []byte {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, obsEye, nil)
+		if traceID != "" {
+			req.Header.Set(obs.TraceHeader, traceID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		return loadgen.NormalizeBody(rec.Body.Bytes())
+	}
+	for _, pass := range []string{"miss", "hit"} {
+		want := body(plain, "")
+		if got := body(propagated, "router-"+pass); !bytes.Equal(got, want) {
+			t.Fatalf("%s under a propagated trace:\n got %s\nwant %s", pass, got, want)
+		}
+		if got := body(sampled, ""); !bytes.Equal(got, want) {
+			t.Fatalf("%s under rate-1 sampling:\n got %s\nwant %s", pass, got, want)
+		}
+	}
+	if n := tracer.TotalFinished(); n != 2 {
+		t.Fatalf("rate-1 tracer finished %d traces, want 2", n)
 	}
 }
 

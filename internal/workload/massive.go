@@ -13,8 +13,7 @@ import (
 // at the terrain scale, not just per-cell noise: fractal relief plus a few
 // sinuous ranges running across the viewing direction. The ranges make
 // whole regions of the far terrain invisible, which is exactly what the
-// tiled engine's silhouette culling exploits (and what the hsrbench T1
-// experiment measures).
+// tiled engine's silhouette culling exploits.
 
 // massiveHeight builds the height function for Kind Massive: diamond-square
 // relief (amplitude Params.Amplitude) with meandering mountain ranges
@@ -47,13 +46,4 @@ func massiveHeight(p Params, r *rand.Rand) terrain.HeightFn {
 		}
 		return z
 	}
-}
-
-// MassiveTerrain builds the default massive-terrain scenario at the given
-// size: Kind Massive with the standard relief and range heights. It is the
-// input of the tiled-vs-monolithic experiment (hsrbench T1); sizes of
-// 512x512 and up are the intended regime, but any size works (the range
-// count scales with the grid).
-func MassiveTerrain(rows, cols int, seed int64) (*terrain.Terrain, error) {
-	return Generate(Params{Kind: Massive, Rows: rows, Cols: cols, Seed: seed})
 }

@@ -17,8 +17,7 @@ import (
 // within the band), so a massive solve never holds a second copy of the
 // visible scene — nor, when tiled, even one full copy. Collecting a stream
 // and sorting it canonically yields exactly the pieces the materializing
-// path returns, bit for bit; the stream determinism tests and the hsrbench
-// ST1 experiment assert it.
+// path returns, bit for bit; the stream determinism tests assert it.
 
 // PieceSink consumes streamed visible pieces; returning an error aborts the
 // solve and propagates the error to the caller.

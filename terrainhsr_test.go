@@ -39,19 +39,27 @@ func TestSolveDefaultAlgorithm(t *testing.T) {
 }
 
 func TestAllAlgorithmsAgree(t *testing.T) {
-	tr := genTest(t, "sinusoid", 8, 8, 3)
-	var lengths []float64
-	for _, algo := range Algorithms() {
-		res, err := Solve(tr, Options{Algorithm: algo, Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		lengths = append(lengths, res.VisibleLength())
+	// The ridge is the occluded output-sensitivity scene of the paper's
+	// claims (internal/hsr's TestClaimTH3*): a tall wall hiding most of
+	// the terrain behind it.
+	ridge, err := Generate(GenParams{Kind: "ridge", Rows: 24, Cols: 24, Seed: 3, Amplitude: 4, RidgeHeight: 32})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(lengths); i++ {
-		if math.Abs(lengths[i]-lengths[0]) > 1e-6*lengths[0] {
-			t.Fatalf("algorithm %s visible length %v differs from %v",
-				Algorithms()[i], lengths[i], lengths[0])
+	for _, tr := range []*Terrain{genTest(t, "sinusoid", 8, 8, 3), ridge} {
+		var lengths []float64
+		for _, algo := range Algorithms() {
+			res, err := Solve(tr, Options{Algorithm: algo, Workers: 4})
+			if err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+			lengths = append(lengths, res.VisibleLength())
+		}
+		for i := 1; i < len(lengths); i++ {
+			if math.Abs(lengths[i]-lengths[0]) > 1e-6*lengths[0] {
+				t.Fatalf("n=%d: algorithm %s visible length %v differs from %v",
+					tr.NumEdges(), Algorithms()[i], lengths[i], lengths[0])
+			}
 		}
 	}
 }
