@@ -102,9 +102,8 @@ type BatchOptions struct {
 
 // BatchSolver solves one terrain from many viewpoints, amortizing topology,
 // validation and tree-arena storage across frames. It is a thin adapter
-// over the internal/engine planner and executor, planned with the
-// monolithic engine forced per frame (its contract is byte-identity with
-// the per-viewpoint pipeline). It is safe for concurrent use and may be
+// over the internal/engine planner and executor, planned never to tile a
+// frame (its contract is byte-identity with the per-viewpoint pipeline). It is safe for concurrent use and may be
 // reused for any number of batches; the executor's arena pool keeps the
 // amortization across calls.
 type BatchSolver struct {
@@ -130,7 +129,7 @@ func (b *BatchSolver) Terrain() *Terrain { return b.t }
 // frame index is reported, deterministically: frames beyond the failure are
 // skipped, frames before it still run.
 func (b *BatchSolver) Solve(eyes []Point, opt BatchOptions) ([]*Result, error) {
-	return runMany(b.eng, batchRequest(opt, eyes, engine.ForceMonolithic), opt.Algorithm)
+	return runMany(b.eng, batchRequest(opt, eyes, neverTile), opt.Algorithm)
 }
 
 // SolvePath solves every viewpoint of a camera path.

@@ -1,23 +1,25 @@
 // Package engine is the single query-planning and execution layer behind
 // every public solve path of the terrainhsr module. The public surface —
 // Solve/Solver, BatchSolver, TiledSolver, and Server — are thin adapters
-// that all build one Request, ask the Planner for an explainable Plan, and
-// hand the plan to the Executor. A plan names one of six modes — monolithic
-// or tiled for the canonical view, batched or batched-tiled for
-// perspective frames, out-of-core for a level paged band by band, and
-// coherent for the frames of a flyover session — with the worker-budget
-// split and tile-grid shape. There is exactly one place that decides how a
-// query runs and exactly one place that runs it.
+// that all build one Request, ask Executor.Plan for an explainable Plan,
+// and hand the plan back to the Executor. A plan records three choices —
+// Tiled (banded, or one piece), Paged (heights page in from a store) and
+// Session (frames of a flyover, warm-started) — with the worker-budget
+// split and tile-grid shape; Plan.Mode names the combination in the wire
+// vocabulary (monolithic, tiled, batched, batched-tiled, out-of-core,
+// coherent). There is exactly one place that decides how a query runs and
+// exactly one place that runs it.
 //
 // The layer owns three responsibilities that used to be re-implemented by
 // each entry point:
 //
-//   - Routing. Planner.Plan inspects the terrain's shape and size, the eye
-//     count, forced-engine overrides, and the tiled-routing threshold, and
-//     records every decision as a human-readable reason; Plan.Explain
-//     surfaces them to operators (ServerStats, /statsz). LevelSet.PlanLevel
-//     puts the LOD level pick in front of it; SingleLevel wraps a terrain
-//     without a pyramid, so the server plans every registration one way.
+//   - Routing. Executor.Plan inspects the terrain's shape and size, the
+//     eye count and the tiled-routing threshold (the adapters pin theirs:
+//     -1 never tiles, 1 always tiles a grid), and records every decision
+//     as a human-readable reason; Plan.Explain surfaces them to operators
+//     (ServerStats, /statsz). LevelSet.PlanLevel puts the LOD level pick
+//     in front of it; SingleLevel wraps a terrain without a pyramid, so the
+//     server plans every registration one way.
 //   - Scheduling. SplitBudget divides one worker budget between concurrent
 //     frames and intra-frame workers; Frames runs the per-frame closures
 //     with deterministic error propagation (the failure with the lowest

@@ -53,64 +53,63 @@ func TestPlannerRouting(t *testing.T) {
 	grid := testGrid(t)
 	alt := testAltGrid(t)
 	tin := testTIN(t)
+	defaultSized, err := terrain.Grid{Rows: 512, Cols: 512, Dx: 1, Dy: 1,
+		H: func(i, j int) float64 { return 0 }}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := defaultSized.GridRows * defaultSized.GridCols; n != DefaultTileCells {
+		t.Fatalf("default-sized grid has %d cells, want %d", n, DefaultTileCells)
+	}
 	eyes := func(n int) []geom.Pt3 { return make([]geom.Pt3, n) }
 
 	cases := []struct {
 		name     string
 		t        *terrain.Terrain
 		req      Request
-		wantMode Mode
+		wantMode string
 		wantTile bool
-		wantErr  bool
 	}{
 		{"small grid defaults to monolithic", grid,
-			Request{}, ModeMonolithic, false, false},
+			Request{}, "monolithic", false},
 		{"grid over threshold tiles", grid,
-			Request{TileCells: 32}, ModeTiled, true, false},
+			Request{TileCells: 32}, "tiled", true},
 		{"grid exactly at threshold tiles", grid,
-			Request{TileCells: 64}, ModeTiled, true, false},
+			Request{TileCells: 64}, "tiled", true},
 		{"grid under threshold stays monolithic", grid,
-			Request{TileCells: 65}, ModeMonolithic, false, false},
+			Request{TileCells: 65}, "monolithic", false},
 		{"negative threshold disables tiling", grid,
-			Request{TileCells: -1}, ModeMonolithic, false, false},
+			Request{TileCells: -1}, "monolithic", false},
 		{"TIN never tiles automatically", tin,
-			Request{TileCells: 1}, ModeMonolithic, false, false},
-		{"forced monolithic beats the threshold", grid,
-			Request{TileCells: 1, Force: ForceMonolithic}, ModeMonolithic, false, false},
-		{"forced tiled on a small grid", grid,
-			Request{Force: ForceTiled}, ModeTiled, true, false},
-		{"forced tiled on a TIN fails", tin,
-			Request{Force: ForceTiled}, "", false, true},
+			Request{TileCells: 1}, "monolithic", false},
+		// The monolithic adapters' route: a negative threshold keeps even a
+		// grid at the default threshold off the tiled pipeline.
+		{"forced monolithic beats the threshold", defaultSized,
+			Request{TileCells: -1}, "monolithic", false},
+		{"threshold 1 tiles a small grid", grid,
+			Request{TileCells: 1}, "tiled", true},
 		{"alternate-diagonal grid never tiles automatically", alt,
-			Request{TileCells: 1}, ModeMonolithic, false, false},
-		{"forced tiled on an alternate-diagonal grid fails", alt,
-			Request{Force: ForceTiled}, "", false, true},
+			Request{TileCells: 1}, "monolithic", false},
 		{"one eye, monolithic route", grid,
-			Request{Perspective: true, Eyes: eyes(1)}, ModeBatched, false, false},
+			Request{Perspective: true, Eyes: eyes(1)}, "batched", false},
 		{"one eye, tiled route", grid,
-			Request{Perspective: true, Eyes: eyes(1), TileCells: 32}, ModeBatchedTiled, true, false},
+			Request{Perspective: true, Eyes: eyes(1), TileCells: 32}, "batched-tiled", true},
 		{"many eyes, monolithic route", grid,
-			Request{Perspective: true, Eyes: eyes(9), Force: ForceMonolithic}, ModeBatched, false, false},
+			Request{Perspective: true, Eyes: eyes(9), TileCells: -1}, "batched", false},
 		{"many eyes, tiled route", grid,
-			Request{Perspective: true, Eyes: eyes(9), TileCells: 32}, ModeBatchedTiled, true, false},
+			Request{Perspective: true, Eyes: eyes(9), TileCells: 32}, "batched-tiled", true},
 		{"empty batch plans without frames", grid,
-			Request{Perspective: true}, ModeBatched, false, false},
+			Request{Perspective: true}, "batched", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := NewPlanner(tc.t, tile.Spec{}).Plan(tc.req)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("want error, got plan %+v", plan)
-				}
-				return
-			}
+			plan, err := New(tc.t, Config{}).Plan(tc.req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.Mode != tc.wantMode || plan.Tiled != tc.wantTile {
+			if plan.Mode() != tc.wantMode || plan.Tiled != tc.wantTile {
 				t.Fatalf("plan = %s tiled=%v, want %s tiled=%v (%s)",
-					plan.Mode, plan.Tiled, tc.wantMode, tc.wantTile, plan.Explain())
+					plan.Mode(), plan.Tiled, tc.wantMode, tc.wantTile, plan.Explain())
 			}
 			if plan.Frames != len(tc.req.Eyes) {
 				t.Fatalf("frames = %d, want %d", plan.Frames, len(tc.req.Eyes))
@@ -118,8 +117,21 @@ func TestPlannerRouting(t *testing.T) {
 			if plan.Tiled && (plan.Bands < 1 || plan.TileCols < 1) {
 				t.Fatalf("tiled plan missing tile grid: %+v", plan)
 			}
-			if plan.Explain() == "" || !strings.Contains(plan.Explain(), string(plan.Mode)) {
+			if plan.Explain() == "" || !strings.Contains(plan.Explain(), plan.Mode()) {
 				t.Fatalf("Explain() = %q does not name the mode", plan.Explain())
+			}
+		})
+	}
+}
+
+// TestEnsureTilesRejectsNonGrid: terrains without the canonical grid
+// triangulation have no tile partition, so the tiled pipeline refuses them
+// up front (TiledSolver's constructor surfaces this error).
+func TestEnsureTilesRejectsNonGrid(t *testing.T) {
+	for name, tt := range map[string]*terrain.Terrain{"TIN": testTIN(t), "alternate-diagonal grid": testAltGrid(t)} {
+		t.Run(name, func(t *testing.T) {
+			if err := New(tt, Config{}).EnsureTiles(); err == nil || !strings.Contains(err.Error(), "needs a grid terrain") {
+				t.Fatalf("EnsureTiles err = %v, want a grid-terrain error", err)
 			}
 		})
 	}
@@ -143,7 +155,7 @@ func TestPlannerWorkerSplit(t *testing.T) {
 			t.Errorf("SplitBudget(%d, %d, %d) = (%d, %d), want (%d, %d)",
 				tc.workers, tc.frameWorkers, tc.frames, c, p, tc.wantConcurrent, tc.wantPerFrame)
 		}
-		plan, err := NewPlanner(grid, tile.Spec{}).Plan(Request{
+		plan, err := New(grid, Config{}).Plan(Request{
 			Workers: tc.workers, FrameWorkers: tc.frameWorkers,
 			Perspective: true, Eyes: make([]geom.Pt3, tc.frames),
 		})
@@ -249,7 +261,7 @@ func TestPlanRejectsNonFinite(t *testing.T) {
 	}
 	// A session frame is checked too, even though its plan is reused.
 	req := Request{Perspective: true, Eyes: []geom.Pt3{eye}}
-	plan, err := resident.PlanSession(req)
+	plan, err := resident.Plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}

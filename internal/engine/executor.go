@@ -28,11 +28,13 @@ type Config struct {
 // partition, and the profile-tree arena pool. An Executor is safe for
 // concurrent use.
 type Executor struct {
-	t       *terrain.Terrain
-	paged   *tile.PagedGrid // out-of-core backing; exactly one of t/paged is set
-	planner *Planner
-	cfg     Config
-	pool    *hsr.OpsPool
+	t     *terrain.Terrain
+	paged *tile.PagedGrid // out-of-core backing; exactly one of t/paged is set
+	cfg   Config
+	pool  *hsr.OpsPool
+
+	// pagedReason explains why the terrain is paged; every plan carries it.
+	pagedReason string
 
 	prepOnce sync.Once
 	prep     *hsr.Prepared
@@ -47,26 +49,18 @@ type Executor struct {
 	boundsErr  error
 }
 
-// New builds an executor (and its planner) for a terrain.
+// New builds an executor for a terrain.
 func New(t *terrain.Terrain, cfg Config) *Executor {
-	return &Executor{t: t, planner: NewPlanner(t, cfg.TileSpec), cfg: cfg, pool: hsr.NewOpsPool()}
+	return &Executor{t: t, cfg: cfg, pool: hsr.NewOpsPool()}
 }
 
 // NewPaged builds an out-of-core executor over a paged grid whose View field
-// is left for the executor to set per frame. Every plan it runs is
-// ModeOutOfCore; reason explains the routing in Plan.Explain (see
-// NewPagedPlanner).
+// is left for the executor to set per frame. Every plan it makes is paged
+// and tiled; reason — typically "estimated N MB resident exceeds budget
+// M MB" — explains the routing in Plan.Explain.
 func NewPaged(g *tile.PagedGrid, cfg Config, reason string) *Executor {
-	return &Executor{
-		paged:   g,
-		planner: NewPagedPlanner(g.Rows, g.Cols, cfg.TileSpec, reason),
-		cfg:     cfg,
-		pool:    hsr.NewOpsPool(),
-	}
+	return &Executor{paged: g, cfg: cfg, pool: hsr.NewOpsPool(), pagedReason: reason}
 }
-
-// Plan asks the executor's planner for the plan of a request.
-func (e *Executor) Plan(req Request) (*Plan, error) { return e.planner.Plan(req) }
 
 // EnsurePrepared computes (once) the canonical-view depth order, surfacing
 // preparation errors eagerly for callers that want them at construction.
@@ -82,11 +76,20 @@ func (e *Executor) EnsurePrepared() error {
 }
 
 // EnsureTiles builds (once) the tile partition, surfacing tiling errors —
-// such as terrains without grid structure — eagerly. The partition comes
-// from the planner, so the executor runs exactly the tile grid plans
-// explain.
+// such as terrains without grid structure — eagerly. Plans report its
+// shape and tiled solves run on it, so the explained tile grid is by
+// construction the one that runs.
 func (e *Executor) EnsureTiles() error {
-	e.tileOnce.Do(func() { e.part, e.tileErr = e.planner.partition() })
+	e.tileOnce.Do(func() {
+		switch {
+		case e.paged != nil:
+			e.part, e.tileErr = tile.NewPartition(e.paged.Rows, e.paged.Cols, e.cfg.TileSpec)
+		case e.t == nil || !e.t.IsGrid():
+			e.tileErr = fmt.Errorf("terrainhsr: tiled solving needs a grid terrain (NewGridTerrain or Generate)")
+		default:
+			e.part, e.tileErr = tile.NewPartition(e.t.GridRows, e.t.GridCols, e.cfg.TileSpec)
+		}
+	})
 	return e.tileErr
 }
 
@@ -120,7 +123,7 @@ func (e *Executor) Run(plan *Plan, req Request) ([]Outcome, error) {
 	outs := make([]Outcome, plan.Frames)
 	label := "batch frame"
 	switch {
-	case plan.Mode == ModeOutOfCore:
+	case plan.Paged:
 		label = "out-of-core frame"
 	case plan.Tiled:
 		label = "tiled frame"

@@ -85,7 +85,7 @@ func TestPagedExecutorMatchesResident(t *testing.T) {
 
 	algos := []string{AlgoSequential, AlgoSequentialTree, AlgoParallel, AlgoParallelCopying}
 	for _, algo := range algos {
-		req := Request{Algorithm: algo, Workers: 4, Force: ForceTiled}
+		req := Request{Algorithm: algo, Workers: 4, TileCells: 1}
 		wantPlan, err := resident.Plan(req)
 		if err != nil {
 			t.Fatal(err)
@@ -98,8 +98,8 @@ func TestPagedExecutorMatchesResident(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotPlan.Mode != ModeOutOfCore || !gotPlan.Tiled {
-			t.Fatalf("%s: paged plan mode %q tiled=%v", algo, gotPlan.Mode, gotPlan.Tiled)
+		if gotPlan.Mode() != "out-of-core" || !gotPlan.Tiled {
+			t.Fatalf("%s: paged plan mode %q tiled=%v", algo, gotPlan.Mode(), gotPlan.Tiled)
 		}
 		got, err := paged.Run(gotPlan, req)
 		if err != nil {
@@ -138,7 +138,7 @@ func TestPagedExecutorPerspective(t *testing.T) {
 		t.Fatal(err)
 	}
 	eyes := []geom.Pt3{{X: -5, Y: 20, Z: 30}, {X: -2, Y: 40, Z: 25}}
-	req := Request{Perspective: true, Eyes: eyes, Workers: 2, Force: ForceTiled}
+	req := Request{Perspective: true, Eyes: eyes, Workers: 2, TileCells: 1}
 	resident := New(tt, Config{})
 	wantPlan, err := resident.Plan(req)
 	if err != nil {
@@ -182,12 +182,13 @@ func TestPagedExecutorPerspective(t *testing.T) {
 }
 
 // TestPagedPlannerRejectsMonolithic pins the contract that out-of-core
-// terrains cannot run the monolithic pipeline.
+// terrains cannot run the monolithic pipeline: a paged executor tiles even
+// when the threshold says never, and has no resident terrain to prepare.
 func TestPagedPlannerRejectsMonolithic(t *testing.T) {
 	src := newArraySource(9, 9, pagedTestHeights)
 	paged := NewPaged(&tile.PagedGrid{Rows: 8, Cols: 8, Cell: 1, Src: src}, Config{}, "why")
-	if _, err := paged.Plan(Request{Force: ForceMonolithic}); err == nil {
-		t.Fatal("monolithic plan accepted on an out-of-core executor")
+	if plan, err := paged.Plan(Request{TileCells: -1}); err != nil || !plan.Tiled || plan.Mode() != "out-of-core" {
+		t.Fatalf("paged plan under a never-tile threshold: %v, err %v", plan, err)
 	}
 	if err := paged.EnsurePrepared(); err == nil {
 		t.Fatal("EnsurePrepared succeeded without a resident terrain")

@@ -4,59 +4,15 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/obs"
 	"terrainhsr/internal/parallel"
-	"terrainhsr/internal/terrain"
-	"terrainhsr/internal/tile"
-)
-
-// Mode identifies the execution pipeline a plan selected.
-type Mode string
-
-const (
-	// ModeMonolithic solves the canonical view in one piece.
-	ModeMonolithic Mode = "monolithic"
-	// ModeTiled solves the canonical view band by band through the tiled
-	// pipeline.
-	ModeTiled Mode = "tiled"
-	// ModeBatched solves one or more perspective frames, each in one piece.
-	ModeBatched Mode = "batched"
-	// ModeBatchedTiled solves one or more perspective frames, each through
-	// the tiled pipeline.
-	ModeBatchedTiled Mode = "batched-tiled"
-	// ModeOutOfCore solves band by band against paged heights: the terrain
-	// is never resident, tiles page in on demand, and envelope-culled tiles
-	// are never read. Chosen when a level's estimated resident bytes exceed
-	// the configured residency budget (see NewLevelSet).
-	ModeOutOfCore Mode = "out-of-core"
-	// ModeCoherent runs frames of a flyover session through one of the
-	// pipelines above, warm-started from the previous frame: a bitwise
-	// identical eye replays the recorded stream, and tiled frames verify
-	// and reuse the prior frame's tile verdicts (see PlanSession).
-	ModeCoherent Mode = "coherent"
-)
-
-// Force restricts the planner's engine choice. The zero value plans
-// automatically.
-type Force string
-
-const (
-	// Auto lets the planner route by terrain shape, size and threshold.
-	Auto Force = ""
-	// ForceMonolithic never tiles (the contract of Solve and BatchSolver:
-	// byte-identical to the per-viewpoint monolithic pipeline).
-	ForceMonolithic Force = "monolithic"
-	// ForceTiled always tiles and fails on terrains without grid structure
-	// (the contract of TiledSolver).
-	ForceTiled Force = "tiled"
 )
 
 // DefaultTileCells is the automatic tiled-routing threshold: grid terrains
 // with at least this many cells (512x512) route through the tiled pipeline
-// when planning is not forced.
+// when a request leaves TileCells at 0.
 const DefaultTileCells = 262144
 
 // Request describes one solve as every public entry point expresses it.
@@ -77,10 +33,10 @@ type Request struct {
 	// MinDepth is the minimum eye-to-vertex x-distance for perspective
 	// frames; <= 0 selects the transform's default.
 	MinDepth float64
-	// Force restricts the engine choice; Auto routes by size.
-	Force Force
-	// TileCells is the automatic tiled-routing threshold in grid cells
-	// (0 = DefaultTileCells; negative disables automatic tiling).
+	// TileCells is the tiled-routing threshold in grid cells: grid terrains
+	// with at least this many cells tile (0 = DefaultTileCells; negative
+	// never tiles, 1 always tiles a grid). Paged executors always tile and
+	// ignore it.
 	TileCells int
 	// ErrorBudget is the caller's resolution tolerance in world units, for
 	// terrains with an LOD pyramid: the plan solves the coarsest level whose
@@ -114,10 +70,14 @@ func (req Request) checkFinite() error {
 // Plan is the explainable outcome of planning one Request: which pipeline
 // runs, with what worker split and tile shape, and why.
 type Plan struct {
-	// Mode is the selected pipeline.
-	Mode Mode
 	// Tiled reports whether the pipeline partitions the terrain into tiles.
 	Tiled bool
+	// Paged reports a plan of a paged executor: the terrain is never
+	// resident, and tiles page in band by band (always Tiled).
+	Paged bool
+	// Session reports a plan that runs the frames of a flyover session,
+	// warm-started from the previous frame (see NewSessionState).
+	Session bool
 	// Perspective and Frames mirror the request: Frames perspective
 	// viewpoints (0 with Perspective set is an empty batch), or the
 	// canonical view when Perspective is false.
@@ -145,12 +105,32 @@ type Plan struct {
 	reasons []string
 }
 
+// Mode names the plan's pipeline: "monolithic" or "tiled" for the
+// canonical view, "batched" or "batched-tiled" for perspective frames,
+// "out-of-core" for a paged executor and "coherent" for a session. The
+// strings are wire vocabulary (the JSON mode field, /metricsz labels).
+func (p *Plan) Mode() string {
+	switch {
+	case p.Session:
+		return "coherent"
+	case p.Paged:
+		return "out-of-core"
+	case p.Perspective && p.Tiled:
+		return "batched-tiled"
+	case p.Perspective:
+		return "batched"
+	case p.Tiled:
+		return "tiled"
+	}
+	return "monolithic"
+}
+
 // Explain renders the plan and every routing decision behind it as one
 // human-readable line — the operator-facing answer to "which engine did my
 // query actually take, and why".
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s workers=%d", p.Mode, p.TotalWorkers)
+	fmt.Fprintf(&b, "engine=%s workers=%d", p.Mode(), p.TotalWorkers)
 	if p.Perspective {
 		fmt.Fprintf(&b, " frames=%d (%d concurrent x %d workers each)", p.Frames, p.FrameWorkers, p.WorkersPerFrame)
 	}
@@ -172,162 +152,48 @@ func (p *Plan) addReason(format string, args ...any) {
 	p.reasons = append(p.reasons, fmt.Sprintf(format, args...))
 }
 
-// Planner decides how a Request runs on one terrain. The terrain and tile
-// sizing are immutable, so the tile partition is computed once — it is
-// the single source of truth for the tile grid, shared with the Executor
-// — and planning is cheap enough to run per query.
-type Planner struct {
-	t    *terrain.Terrain
-	spec tile.Spec
-
-	// oocRows/oocCols (cells) replace t for out-of-core planning: the grid
-	// shape is known but no resident terrain exists. oocReason is the
-	// routing explanation stamped into every plan.
-	oocRows, oocCols int
-	oocReason        string
-
-	partOnce sync.Once
-	part     *tile.Partition
-	partErr  error
-}
-
-// NewPlanner builds a planner for a terrain; spec selects the tile sizing
-// used whenever a plan tiles (zero values pick the automatic size).
-func NewPlanner(t *terrain.Terrain, spec tile.Spec) *Planner {
-	return &Planner{t: t, spec: spec}
-}
-
-// NewPagedPlanner builds a planner for an out-of-core grid of rows x cols
-// cells. Every plan it produces is tiled (ModeOutOfCore) and carries reason
-// — typically "estimated N MB resident exceeds budget M MB" — in its
-// explanation.
-func NewPagedPlanner(rows, cols int, spec tile.Spec, reason string) *Planner {
-	return &Planner{oocRows: rows, oocCols: cols, spec: spec, oocReason: reason}
-}
-
-// partition returns the tile partition of the planner's spec, computed
-// once. Plans report its shape and Executor.EnsureTiles executes against
-// the same object, so the explained tile grid is by construction the one
-// that runs.
-func (pl *Planner) partition() (*tile.Partition, error) {
-	pl.partOnce.Do(func() {
-		if pl.oocRows > 0 {
-			pl.part, pl.partErr = tile.NewPartition(pl.oocRows, pl.oocCols, pl.spec)
-			return
-		}
-		if pl.t == nil || !pl.t.IsGrid() {
-			pl.partErr = fmt.Errorf("terrainhsr: tiled solving needs a grid terrain (NewGridTerrain or Generate)")
-			return
-		}
-		pl.part, pl.partErr = tile.NewPartition(pl.t.GridRows, pl.t.GridCols, pl.spec)
-	})
-	return pl.part, pl.partErr
-}
-
-// Plan inspects the request against the terrain and produces the plan: the
-// pipeline (by forced override, else by grid structure and the TileCells
-// threshold), the frame schedule, and the worker-budget split.
-func (pl *Planner) Plan(req Request) (*Plan, error) {
+// Plan inspects the request against the executor's terrain and produces
+// the plan: the pipeline (paged executors always tile; resident grids tile
+// at or above the TileCells threshold), the frame schedule, and the
+// worker-budget split. It is the one place a query's route is decided.
+func (e *Executor) Plan(req Request) (*Plan, error) {
 	if err := req.checkFinite(); err != nil {
 		return nil, err
 	}
-	if pl.oocRows > 0 {
-		return pl.planPaged(req)
-	}
-	if pl.t == nil {
-		return nil, fmt.Errorf("terrainhsr: nil terrain")
-	}
-	p := &Plan{Perspective: req.Perspective}
-	grid := pl.t.IsGrid()
-	if grid {
-		p.GridCells = pl.t.GridRows * pl.t.GridCols
-	}
-
-	switch req.Force {
-	case ForceTiled:
-		if !grid {
-			return nil, fmt.Errorf("terrainhsr: tiled solving needs a grid terrain (NewGridTerrain or Generate)")
-		}
+	p := &Plan{Perspective: req.Perspective, Paged: e.paged != nil}
+	switch {
+	case p.Paged:
 		p.Tiled = true
-		p.addReason("tiled forced by caller")
-	case ForceMonolithic:
-		p.addReason("monolithic forced by caller")
-	case Auto:
+		p.GridCells = e.paged.Rows * e.paged.Cols
+		p.addReason("out-of-core: %s", e.pagedReason)
+	case e.t == nil:
+		return nil, fmt.Errorf("terrainhsr: nil terrain")
+	case !e.t.IsGrid():
+		p.addReason("irregular TIN has no grid structure to tile")
+	default:
+		rows, cols := e.t.GridRows, e.t.GridCols
+		p.GridCells = rows * cols
 		threshold := req.TileCells
 		if threshold == 0 {
 			threshold = DefaultTileCells
 		}
 		switch {
-		case !grid:
-			p.addReason("irregular TIN has no grid structure to tile")
 		case threshold < 0:
 			p.addReason("automatic tiled routing disabled (TileCells < 0)")
 		case p.GridCells >= threshold:
 			p.Tiled = true
-			p.addReason("grid %dx%d: %d cells >= tiled threshold %d",
-				pl.t.GridRows, pl.t.GridCols, p.GridCells, threshold)
+			p.addReason("grid %dx%d: %d cells >= tiled threshold %d", rows, cols, p.GridCells, threshold)
 		default:
-			p.addReason("grid %dx%d: %d cells < tiled threshold %d",
-				pl.t.GridRows, pl.t.GridCols, p.GridCells, threshold)
+			p.addReason("grid %dx%d: %d cells < tiled threshold %d", rows, cols, p.GridCells, threshold)
 		}
-	default:
-		return nil, fmt.Errorf("terrainhsr: unknown engine override %q", req.Force)
 	}
 	if p.Tiled {
-		part, err := pl.partition()
-		if err != nil {
+		if err := e.EnsureTiles(); err != nil {
 			return nil, err
 		}
-		p.Bands, p.TileCols = part.NumBands, part.NumCols
+		p.Bands, p.TileCols = e.part.NumBands, e.part.NumCols
 	}
 
-	p.TotalWorkers = req.Workers
-	if p.TotalWorkers <= 0 {
-		p.TotalWorkers = parallel.DefaultWorkers()
-	}
-	if req.Perspective {
-		p.Frames = len(req.Eyes)
-		p.FrameWorkers, p.WorkersPerFrame = SplitBudget(req.Workers, req.FrameWorkers, p.Frames)
-		if p.Tiled {
-			p.Mode = ModeBatchedTiled
-		} else {
-			p.Mode = ModeBatched
-		}
-	} else {
-		p.FrameWorkers, p.WorkersPerFrame = 1, p.TotalWorkers
-		if p.Tiled {
-			p.Mode = ModeTiled
-		} else {
-			p.Mode = ModeMonolithic
-		}
-	}
-	return p, nil
-}
-
-// planPaged plans a request for an out-of-core grid. There is only one
-// pipeline: the banded tiled solve over paged heights. Monolithic execution
-// is impossible (it needs the whole terrain resident — exactly what
-// out-of-core routing decided against), and perspective frames run one at a
-// time so residency stays bounded by a band, not a band per frame.
-func (pl *Planner) planPaged(req Request) (*Plan, error) {
-	switch req.Force {
-	case Auto, ForceTiled:
-	case ForceMonolithic:
-		return nil, fmt.Errorf("terrainhsr: monolithic solving needs a resident terrain; this level is out-of-core (%s)", pl.oocReason)
-	default:
-		return nil, fmt.Errorf("terrainhsr: unknown engine override %q", req.Force)
-	}
-	p := &Plan{
-		Mode: ModeOutOfCore, Tiled: true,
-		Perspective: req.Perspective,
-		GridCells:   pl.oocRows * pl.oocCols,
-	}
-	p.addReason("out-of-core: %s", pl.oocReason)
-	part, err := pl.partition()
-	if err != nil {
-		return nil, err
-	}
-	p.Bands, p.TileCols = part.NumBands, part.NumCols
 	p.TotalWorkers = req.Workers
 	if p.TotalWorkers <= 0 {
 		p.TotalWorkers = parallel.DefaultWorkers()
@@ -335,7 +201,10 @@ func (pl *Planner) planPaged(req Request) (*Plan, error) {
 	p.FrameWorkers, p.WorkersPerFrame = 1, p.TotalWorkers
 	if req.Perspective {
 		p.Frames = len(req.Eyes)
-		if p.Frames > 1 {
+		switch {
+		case !p.Paged:
+			p.FrameWorkers, p.WorkersPerFrame = SplitBudget(req.Workers, req.FrameWorkers, p.Frames)
+		case p.Frames > 1:
 			p.addReason("frames serialized to keep residency at one band")
 		}
 	}

@@ -9,30 +9,9 @@ import (
 )
 
 // This file wires flyover sessions (internal/session) into the executor:
-// planning a session's frames, building the frame-invariant per-tile world
-// bounds once, and running each frame through the pipeline the plan chose
-// with the session's coherence state attached.
-
-// PlanSession plans the frames of a flyover session. The request must
-// describe a single perspective frame (any eye — the plan depends only on
-// shape); the returned plan routes every frame of the session and is stamped
-// ModeCoherent over the underlying pipeline it explains.
-func (pl *Planner) PlanSession(req Request) (*Plan, error) {
-	if !req.Perspective || len(req.Eyes) != 1 {
-		return nil, fmt.Errorf("terrainhsr: a session plans one perspective frame at a time, got %d eyes", len(req.Eyes))
-	}
-	p, err := pl.Plan(req)
-	if err != nil {
-		return nil, err
-	}
-	base := p.Mode
-	p.Mode = ModeCoherent
-	p.addReason("flyover session over %s frames: identical eyes replay the recorded stream, moving eyes verify-then-reuse the prior frame's tile verdicts", base)
-	return p, nil
-}
-
-// PlanSession asks the executor's planner for a session plan.
-func (e *Executor) PlanSession(req Request) (*Plan, error) { return e.planner.PlanSession(req) }
+// marking a plan as a session's, building the frame-invariant per-tile
+// world bounds once, and running each frame through the pipeline the plan
+// chose with the session's coherence state attached.
 
 // tileBounds builds (once) the frame-invariant world bounding box of every
 // tile from the canonical lattice, the input to the session cone checks.
@@ -49,10 +28,18 @@ func (e *Executor) tileBounds() ([]tile.WorldBox, error) {
 	return e.bounds, e.boundsErr
 }
 
-// NewSessionState builds the warm state for a flyover session under plan.
+// NewSessionState builds the warm state for a flyover session and marks
+// plan — the plan of req, a single perspective frame (any eye: the plan
+// depends only on shape) — as the session's: its mode becomes "coherent"
+// over the pipeline it explains, and it routes every frame of the session.
 // Tiled plans get per-tile bounds and verdict reuse; monolithic plans get a
 // replay-only session (identical eyes still skip the solve entirely).
 func (e *Executor) NewSessionState(plan *Plan, req Request) (*session.State, error) {
+	if !plan.Perspective || len(req.Eyes) != 1 {
+		return nil, fmt.Errorf("terrainhsr: a session plans one perspective frame at a time, got %d eyes", len(req.Eyes))
+	}
+	plan.addReason("flyover session over %s frames: identical eyes replay the recorded stream, moving eyes verify-then-reuse the prior frame's tile verdicts", plan.Mode())
+	plan.Session = true
 	if !plan.Tiled {
 		return session.New(0, nil, req.MinDepth), nil
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -173,6 +175,87 @@ func TestMetricszEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"hists"`) {
 		t.Fatalf("/metricsz JSON: status %d body %.200s", rec.Code, rec.Body.String())
 	}
+}
+
+// TestModeVocabulary pins the plan-mode strings operators and dashboards
+// see, one serving route at a time: QueryResult.Mode, the engine=<mode>
+// prefix of QueryResult.Plan, the /viewshed JSON "mode" field on the solving
+// miss and on the cache hit that reports the recorded plan, and the
+// mode="..." label /metricsz files the request under.
+func TestModeVocabulary(t *testing.T) {
+	checkMode := func(t *testing.T, what, mode, plan, want string) {
+		t.Helper()
+		if mode != want || !strings.HasPrefix(plan, "engine="+want+" ") {
+			t.Fatalf("%s: mode %q plan %q, want mode %q", what, mode, plan, want)
+		}
+	}
+	metricsHasMode := func(t *testing.T, h http.Handler, want string) {
+		t.Helper()
+		body := string(serveBody(t, h, "/metricsz"))
+		if !strings.Contains(body, `mode="`+want+`"`) {
+			t.Fatalf("/metricsz has no mode=%q series:\n%.600s", want, body)
+		}
+	}
+	for _, tc := range []struct {
+		name, mode string
+		opt        terrainhsr.ServerOptions
+		store      bool
+		eye        terrainhsr.Point
+	}{
+		{"plain grid under the threshold", "batched", terrainhsr.ServerOptions{}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}},
+		{"TileCells 1", "batched-tiled", terrainhsr.ServerOptions{TileCells: 1}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}},
+		{"store level over the residency budget", "out-of-core",
+			terrainhsr.ServerOptions{ResidencyBudget: 100_000}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}},
+		{"out-of-core level with tiled routing disabled", "out-of-core",
+			terrainhsr.ServerOptions{ResidencyBudget: 100_000, TileCells: -1}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := terrainhsr.NewServer(tc.opt)
+			var err error
+			if tc.store {
+				err = srv.RegisterStore("demo", writeDemoStore(t))
+			} else {
+				var tr *terrainhsr.Terrain
+				if tr, err = terrainhsr.Generate(terrainhsr.GenParams{Kind: "fractal", Rows: 16, Cols: 16, Seed: 7}); err == nil {
+					err = srv.Register("demo", tr)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			qr, err := srv.Query(terrainhsr.Query{TerrainID: "demo", Eye: tc.eye, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMode(t, "Query", qr.Mode, qr.Plan, tc.mode)
+
+			h := New(srv, Options{Metrics: obs.NewRegistry()})
+			url := fmt.Sprintf("/viewshed?terrain=demo&eye=%g,%g,%g", tc.eye.X, tc.eye.Y, tc.eye.Z)
+			for _, pass := range []string{"miss", "hit"} {
+				var resp viewshedResponse
+				if err := json.Unmarshal(serveBody(t, h, url), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Cache != pass {
+					t.Fatalf("/viewshed answered %q, want %q", resp.Cache, pass)
+				}
+				checkMode(t, "/viewshed "+pass, resp.Mode, resp.Plan, tc.mode)
+			}
+			metricsHasMode(t, h, tc.mode)
+		})
+	}
+	t.Run("flyover session", func(t *testing.T) {
+		srv := newObsServer(t)
+		qr, err := srv.QuerySession(terrainhsr.Query{TerrainID: "demo", Eye: terrainhsr.Point{X: -8, Y: 6, Z: 20}},
+			func(terrainhsr.Piece) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMode(t, "QuerySession", qr.Mode, qr.Plan, "coherent")
+		h := New(srv, Options{Metrics: obs.NewRegistry()})
+		serveBody(t, h, "/flyover?terrain=demo&eye=-8,6,20&eye=-9,6,21")
+		metricsHasMode(t, h, "coherent")
+	})
 }
 
 // TestObsDisabledEndpoints404 checks the zero-value Options contract:

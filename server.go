@@ -27,9 +27,11 @@ import (
 // sharded LRU result cache with singleflight coalescing — the serving tier
 // of the roadmap's "heavy traffic" north star. The server carries no
 // routing logic of its own: every query builds one internal/engine Request
-// and the planner decides the pipeline (monolithic per frame, or tiled for
-// grids above the TileCells threshold); the chosen plan is explainable per
-// query (QueryResult.Plan) and per terrain (ServerStats.Plans, /statsz).
+// and the planner decides the pipeline — batched (one piece per frame),
+// batched-tiled for grids at or above the TileCells threshold, out-of-core
+// for store levels over the residency budget, coherent for flyover
+// frames; the chosen plan is explainable per query (QueryResult.Plan) and
+// per terrain (ServerStats.Plans, /statsz).
 // The engines underneath never change the answer: cached or not, the
 // pieces are the ones a direct FromPerspective + Solve would produce for
 // the same (quantized) eye.
@@ -93,7 +95,8 @@ type ServerOptions struct {
 	// grid terrains with at least this many cells (GridRows x GridCols)
 	// route through the tiled pipeline, whose peak memory scales with one
 	// band of tiles instead of the whole terrain. 0 selects 262144 (a
-	// 512x512 grid); negative disables tiled routing. The decision is made
+	// 512x512 grid); negative disables tiled routing. Out-of-core store
+	// levels (see ResidencyBudget) always tile. The decision is made
 	// by the planner (see ServerStats.Plans for the explained outcome) once
 	// per registered level, so the cache key's registration epoch and level
 	// pin it: tiled answers, which may differ from monolithic ones in float
@@ -165,9 +168,9 @@ type QueryResult struct {
 	// set at Register for plain terrains, on the level's first solve for
 	// store-backed ones — reported without re-planning.
 	Plan string
-	// Mode is the engine pipeline of Plan ("monolithic", "tiled",
-	// "out-of-core", "coherent", ...), also the mode label of the serve
-	// tier's latency histograms.
+	// Mode is the engine pipeline of Plan — "batched", "batched-tiled",
+	// "out-of-core" or "coherent" (session frames) — also the mode label of
+	// the serve tier's latency histograms.
 	Mode string
 	// Cost itemizes this query's own time and charged work (see
 	// CostLedger); it is per answer, never shared, even when Result is.
@@ -330,7 +333,7 @@ type serverLevel struct {
 func (e *serverTerrain) recordPlan(level int, plan *engine.Plan) {
 	e.mu.Lock()
 	if l := &e.lv[level]; l.plan == "" {
-		l.plan, l.tiled, l.mode = plan.Explain(), plan.Tiled, string(plan.Mode)
+		l.plan, l.tiled, l.mode = plan.Explain(), plan.Tiled, plan.Mode()
 	}
 	e.mu.Unlock()
 }
@@ -430,11 +433,6 @@ func (s *Server) Register(id string, t *Terrain) error {
 	plan, err := eng.Plan(s.request(Query{}, make([]geom.Pt3, 1), s.opt.Workers))
 	if err != nil {
 		return fmt.Errorf("terrainhsr: register %q: %w", id, err)
-	}
-	if plan.Tiled {
-		if err := eng.EnsureTiles(); err != nil {
-			return fmt.Errorf("terrainhsr: register %q: %w", id, err)
-		}
 	}
 	entry := &serverTerrain{levels: engine.SingleLevel(eng), lv: make([]serverLevel, 1)}
 	entry.lv[0].terr = t
@@ -767,7 +765,7 @@ func (s *Server) query(q Query, e *serverTerrain, level int, forced bool, worker
 		}
 		// This query runs the solve: it reports the plan that executes,
 		// worker split and budget reason included.
-		qr.Plan, qr.Tiled, qr.Mode = plan.Explain(), plan.Tiled, string(plan.Mode)
+		qr.Plan, qr.Tiled, qr.Mode = plan.Explain(), plan.Tiled, plan.Mode()
 		e.recordPlan(level, plan)
 		s.solves.Add(1)
 		if plan.Tiled {
@@ -808,7 +806,7 @@ func endSolveSpan(tr *obs.Trace, tok obs.SpanToken, plan *engine.Plan, cost *Cos
 		return
 	}
 	tr.EndSpanAttrs(tok,
-		obs.AttrStr("mode", string(plan.Mode)),
+		obs.AttrStr("mode", plan.Mode()),
 		obs.AttrInt("k", int64(cost.K)),
 		obs.AttrInt("work", cost.Work))
 }
@@ -903,9 +901,12 @@ func (s *Server) sessionKey(id string, e *serverTerrain, algo Algorithm, minDept
 }
 
 // session returns the live session under key, creating (and capping) it if
-// needed. Planning and bounds construction run outside the registry lock;
-// when two first frames race, one session wins and both frames use it.
-func (s *Server) session(key string, exec *engine.Executor, req engine.Request) (*serverSession, error) {
+// needed. A new session plans through the level planner like Query does,
+// and records the level's plan before stamping it coherent, so later cache
+// hits report the level's own pipeline. Planning and bounds construction
+// run outside the registry lock; when two first frames race, one session
+// wins and both frames use it.
+func (s *Server) session(key string, e *serverTerrain, level int, req engine.Request) (*serverSession, error) {
 	s.sessMu.Lock()
 	if ss, ok := s.sessions[key]; ok {
 		s.sessSeq++
@@ -915,10 +916,11 @@ func (s *Server) session(key string, exec *engine.Executor, req engine.Request) 
 	}
 	s.sessMu.Unlock()
 
-	plan, err := exec.PlanSession(req)
+	plan, exec, err := e.levels.PlanLevel(req, -1)
 	if err != nil {
 		return nil, err
 	}
+	e.recordPlan(level, plan)
 	state, err := exec.NewSessionState(plan, req)
 	if err != nil {
 		return nil, err
@@ -966,15 +968,11 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec, err := e.levels.Executor(level)
-	if err != nil {
-		return nil, err
-	}
 	algo := resolveAlgo(q.Algorithm)
 	eye := s.QuantizeEye(q.Eye)
 	q.Trace.SetTerrain(q.TerrainID)
 	req := s.request(q, []geom.Pt3{pt3(eye)}, s.opt.Workers)
-	ss, err := s.session(s.sessionKey(q.TerrainID, e, algo, q.MinDepth, level), exec, req)
+	ss, err := s.session(s.sessionKey(q.TerrainID, e, algo, q.MinDepth, level), e, level, req)
 	if err != nil {
 		return nil, err
 	}
@@ -1024,7 +1022,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 	q.Trace.SetCost(cost)
 	return &QueryResult{
 		Eye: eye, Cache: "session", Tiled: ss.plan.Tiled, Plan: ss.plan.Explain(),
-		Mode: string(ss.plan.Mode), Cost: cost,
+		Mode: ss.plan.Mode(), Cost: cost,
 		Level: level, Levels: e.levels.NumLevels(), LevelCellSize: e.levels.CellSize(level),
 		Reuse: &ReuseStats{
 			Replayed:        fi.Replayed,

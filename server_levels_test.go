@@ -47,6 +47,14 @@ func TestStoreSessionFramesMatchQuery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("frame %d: %v", f, err)
 				}
+				if f == 0 {
+					// The first frame recorded the level's plan, not coherent.
+					plans := s.Stats().Plans["dem"]
+					if !strings.Contains(plans, fmt.Sprintf("level %d: engine=", tc.wantLevel)) ||
+						strings.Contains(plans, "engine=coherent") {
+						t.Fatalf("after one session frame Stats().Plans reads %q", plans)
+					}
+				}
 				want, err := s.Query(q)
 				if err != nil {
 					t.Fatalf("frame %d: %v", f, err)
@@ -64,6 +72,16 @@ func TestStoreSessionFramesMatchQuery(t *testing.T) {
 				}
 				if fr.Mode != "coherent" || !strings.Contains(fr.Plan, tc.planHas) {
 					t.Fatalf("%s: session mode %q plan %q, want a coherent plan %s", label, fr.Mode, fr.Plan, tc.planHas)
+				}
+				// Sessions plan through the level planner, as queries do: the
+				// level stamp and the budget reason are in the plan.
+				stamp := fmt.Sprintf("level=%d/%d (cell %g)", tc.wantLevel, fr.Levels, fr.LevelCellSize)
+				if !strings.Contains(fr.Plan, stamp) || !strings.Contains(fr.Plan, "error budget") {
+					t.Fatalf("%s: session plan %q lacks %q or the budget reason", label, fr.Plan, stamp)
+				}
+				// Queries, cache hits included, report the level's own pipeline.
+				if !strings.Contains(tc.planHas, "over "+want.Mode+" frames") {
+					t.Fatalf("%s: %s query mode %q, want the pipeline %s", label, want.Cache, want.Mode, tc.planHas)
 				}
 				if fr.Reuse.Replayed {
 					replays++

@@ -40,12 +40,12 @@ func (s *Solver) Terrain() *Terrain { return s.t }
 // BruteForce and AllPairs are supported for completeness; they read the
 // terrain directly and need no order.
 func (s *Solver) Solve(opt Options) (*Result, error) {
-	return runSingle(s.eng, singleRequest(opt, engine.ForceMonolithic), opt.Algorithm)
+	return runSingle(s.eng, singleRequest(opt, neverTile), opt.Algorithm)
 }
 
 // SolveMany solves the solver's terrain from many perspective eye points
 // through the batch pipeline (see SolveBatch), sharing the solver's engine
 // executor so repeated batches reuse the same arena pools.
 func (s *Solver) SolveMany(eyes []Point, opt BatchOptions) ([]*Result, error) {
-	return runMany(s.eng, batchRequest(opt, eyes, engine.ForceMonolithic), opt.Algorithm)
+	return runMany(s.eng, batchRequest(opt, eyes, neverTile), opt.Algorithm)
 }

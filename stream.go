@@ -91,21 +91,21 @@ func SolveStream(t *Terrain, opt Options, sink PieceSink) (*StreamInfo, error) {
 	if t == nil || t.t == nil {
 		return nil, fmt.Errorf("terrainhsr: nil terrain")
 	}
-	return runStream(engine.New(t.t, engine.Config{}), singleRequest(opt, engine.Auto), opt.Algorithm, sink)
+	return runStream(engine.New(t.t, engine.Config{}), singleRequest(opt, routeBySize), opt.Algorithm, sink)
 }
 
 // SolveStream is the streaming form of Solver.Solve: pieces go to sink as
 // they are produced. The engine is planned automatically exactly as for the
 // package-level SolveStream, reusing the solver's cached state.
 func (s *Solver) SolveStream(opt Options, sink PieceSink) (*StreamInfo, error) {
-	return runStream(s.eng, singleRequest(opt, engine.Auto), opt.Algorithm, sink)
+	return runStream(s.eng, singleRequest(opt, routeBySize), opt.Algorithm, sink)
 }
 
 // SolveStream is the streaming form of TiledSolver.Solve: every depth
 // band's pieces are flushed to sink as soon as the band completes, so the
 // full visible scene is never materialized.
 func (ts *TiledSolver) SolveStream(opt Options, sink PieceSink) (*StreamInfo, error) {
-	return runStream(ts.eng, singleRequest(opt, engine.ForceTiled), opt.Algorithm, sink)
+	return runStream(ts.eng, singleRequest(opt, alwaysTile), opt.Algorithm, sink)
 }
 
 // SolveStreamFrom streams the visible scene from one perspective eye point:
@@ -116,13 +116,13 @@ func (ts *TiledSolver) SolveStream(opt Options, sink PieceSink) (*StreamInfo, er
 // every frame at once. FrameWorkers is ignored (there is one frame); the
 // whole Workers budget solves it.
 func (s *Solver) SolveStreamFrom(eye Point, opt BatchOptions, sink PieceSink) (*StreamInfo, error) {
-	return runStream(s.eng, batchRequest(opt, []Point{eye}, engine.Auto), opt.Algorithm, sink)
+	return runStream(s.eng, batchRequest(opt, []Point{eye}, routeBySize), opt.Algorithm, sink)
 }
 
 // SolveStreamFrom streams one perspective frame through the tiled
 // pipeline; see Solver.SolveStreamFrom.
 func (ts *TiledSolver) SolveStreamFrom(eye Point, opt BatchOptions, sink PieceSink) (*StreamInfo, error) {
-	return runStream(ts.eng, batchRequest(opt, []Point{eye}, engine.ForceTiled), opt.Algorithm, sink)
+	return runStream(ts.eng, batchRequest(opt, []Point{eye}, alwaysTile), opt.Algorithm, sink)
 }
 
 // Session streams the frames of one flyover coherently: each frame is
@@ -143,14 +143,14 @@ type Session struct {
 	plan  *engine.Plan
 	state *session.State
 	opt   BatchOptions
-	force engine.Force
 }
 
 // newSession plans a session and builds its warm state. The plan depends
-// only on the terrain's shape, so it is made once with a placeholder eye.
-func newSession(eng *engine.Executor, opt BatchOptions, force engine.Force) (*Session, error) {
-	req := batchRequest(opt, []Point{{}}, force)
-	plan, err := eng.PlanSession(req)
+// only on the terrain's shape, so it is made once with a placeholder eye
+// and routes every frame.
+func newSession(eng *engine.Executor, opt BatchOptions, tileCells int) (*Session, error) {
+	req := batchRequest(opt, []Point{{}}, tileCells)
+	plan, err := eng.Plan(req)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func newSession(eng *engine.Executor, opt BatchOptions, force engine.Force) (*Se
 	if err != nil {
 		return nil, err
 	}
-	return &Session{eng: eng, plan: plan, state: state, opt: opt, force: force}, nil
+	return &Session{eng: eng, plan: plan, state: state, opt: opt}, nil
 }
 
 // SolveSession opens a flyover session over a terrain with automatic engine
@@ -169,20 +169,20 @@ func SolveSession(t *Terrain, opt BatchOptions) (*Session, error) {
 	if t == nil || t.t == nil {
 		return nil, fmt.Errorf("terrainhsr: nil terrain")
 	}
-	return newSession(engine.New(t.t, engine.Config{}), opt, engine.Auto)
+	return newSession(engine.New(t.t, engine.Config{}), opt, routeBySize)
 }
 
 // NewSession opens a flyover session with automatic engine planning,
 // reusing the solver's cached per-terrain state.
 func (s *Solver) NewSession(opt BatchOptions) (*Session, error) {
-	return newSession(s.eng, opt, engine.Auto)
+	return newSession(s.eng, opt, routeBySize)
 }
 
 // NewSession opens a flyover session through the tiled pipeline, reusing
 // the solver's partition and tile bounds. Tiled sessions get the full
 // verify-then-reuse machinery; monolithic ones replay identical eyes only.
 func (ts *TiledSolver) NewSession(opt BatchOptions) (*Session, error) {
-	return newSession(ts.eng, opt, engine.ForceTiled)
+	return newSession(ts.eng, opt, alwaysTile)
 }
 
 // NextFrame produces the session's next frame at eye, streaming its pieces
@@ -191,7 +191,7 @@ func (ts *TiledSolver) NewSession(opt BatchOptions) (*Session, error) {
 func (sn *Session) NextFrame(eye Point, sink PieceSink) (*StreamInfo, error) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	req := batchRequest(sn.opt, []Point{eye}, sn.force)
+	req := batchRequest(sn.opt, []Point{eye}, routeBySize) // the session plan routes; the threshold is unread
 	fi, err := sn.eng.RunSessionFrame(sn.plan, req, sn.state, func(p hsr.VisiblePiece) error {
 		return sink(toPiece(p))
 	})

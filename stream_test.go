@@ -3,6 +3,7 @@ package terrainhsr
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestSolveStreamByteIdenticalToSolve(t *testing.T) {
 		if info.K != want.K() || info.N != want.N() {
 			t.Fatalf("%s: stream info N=%d K=%d, want N=%d K=%d", algo, info.N, info.K, want.N(), want.K())
 		}
-		if info.Tiled {
+		if info.Tiled || !strings.HasPrefix(info.Plan, "engine=monolithic ") {
 			t.Fatalf("%s: small terrain streamed tiled: %s", algo, info.Plan)
 		}
 		if info.Algorithm != resolveAlgo(algo) {
@@ -91,7 +92,7 @@ func TestTiledSolveStreamByteIdenticalToTiledSolve(t *testing.T) {
 		got, info := collectStream(t, func(sink PieceSink) (*StreamInfo, error) {
 			return ts.SolveStream(opt, sink)
 		})
-		if !info.Tiled {
+		if !info.Tiled || !strings.HasPrefix(info.Plan, "engine=tiled ") {
 			t.Fatalf("%s: tiled stream not tiled: %s", algo, info.Plan)
 		}
 		if info.K != want.K() {

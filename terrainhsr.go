@@ -227,14 +227,14 @@ type Result struct {
 }
 
 // Solve computes the visible scene. It is a thin adapter over the
-// internal/engine planner and executor, planned with the monolithic engine
-// forced (the documented contract of Solve); use a Server or SolveStream
-// for size-based automatic routing.
+// internal/engine planner and executor, planned never to tile (the
+// documented contract of Solve); use a Server or SolveStream for
+// size-based automatic routing.
 func Solve(t *Terrain, opt Options) (*Result, error) {
 	if t == nil || t.t == nil {
 		return nil, fmt.Errorf("terrainhsr: nil terrain")
 	}
-	return runSingle(engine.New(t.t, engine.Config{}), singleRequest(opt, engine.ForceMonolithic), opt.Algorithm)
+	return runSingle(engine.New(t.t, engine.Config{}), singleRequest(opt, neverTile), opt.Algorithm)
 }
 
 // resolveAlgo applies the default algorithm.
@@ -250,17 +250,25 @@ func newResult(r *hsr.Result, algo Algorithm) *Result {
 	return &Result{res: r, algo: resolveAlgo(algo)}
 }
 
+// The tiled-routing thresholds (engine.Request.TileCells) the adapters
+// plan with.
+const (
+	neverTile   = -1 // Solve, Solver and BatchSolver: the monolithic contract
+	alwaysTile  = 1  // TiledSolver: every grid tiles
+	routeBySize = 0  // the streaming paths: engine.DefaultTileCells
+)
+
 // singleRequest builds the engine request of a canonical-view solve.
-func singleRequest(opt Options, force engine.Force) engine.Request {
+func singleRequest(opt Options, tileCells int) engine.Request {
 	return engine.Request{
 		Algorithm: string(opt.Algorithm),
 		Workers:   opt.Workers,
-		Force:     force,
+		TileCells: tileCells,
 	}
 }
 
 // batchRequest builds the engine request of a multi-viewpoint solve.
-func batchRequest(opt BatchOptions, eyes []Point, force engine.Force) engine.Request {
+func batchRequest(opt BatchOptions, eyes []Point, tileCells int) engine.Request {
 	return engine.Request{
 		Algorithm:    string(opt.Algorithm),
 		Workers:      opt.Workers,
@@ -268,7 +276,7 @@ func batchRequest(opt BatchOptions, eyes []Point, force engine.Force) engine.Req
 		Perspective:  true,
 		Eyes:         pts3(eyes),
 		MinDepth:     opt.MinDepth,
-		Force:        force,
+		TileCells:    tileCells,
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // while peak memory scales with one band of tiles instead of the whole
 // terrain, and tiles that are entirely hidden behind nearer terrain are
 // culled without being solved at all. Routing, frame scheduling and
-// execution all live in internal/engine (the adapter plans with the tiled
-// engine forced). TestTiledMatchesMonolithicAcrossAlgorithms asserts the
+// execution all live in internal/engine (the adapter plans with a tiled
+// threshold of one cell, so every grid tiles).
+// TestTiledMatchesMonolithicAcrossAlgorithms asserts the
 // equivalence; hsrperf's viewshed-cold workload measures the memory.
 
 // TileOptions configures a TiledSolver's partition.
@@ -56,8 +57,8 @@ func publicTileStats(st tile.Stats) TileStats {
 }
 
 // TiledSolver solves a grid terrain tile by tile. It is a thin adapter over
-// the internal/engine planner and executor, planned with the tiled engine
-// forced. It is safe for concurrent use; the partition and arena pool its
+// the internal/engine planner and executor, planned with a tiled threshold
+// of one cell, so every grid tiles. It is safe for concurrent use; the partition and arena pool its
 // executor carries are shared by all solves (and, for SolveMany, by all
 // frames).
 type TiledSolver struct {
@@ -99,7 +100,7 @@ func (ts *TiledSolver) Solve(opt Options) (*Result, error) {
 
 // SolveWithStats is Solve plus the tiling effort report.
 func (ts *TiledSolver) SolveWithStats(opt Options) (*Result, TileStats, error) {
-	outs, _, err := runPlanned(ts.eng, singleRequest(opt, engine.ForceTiled))
+	outs, _, err := runPlanned(ts.eng, singleRequest(opt, alwaysTile))
 	if err != nil {
 		return nil, TileStats{}, err
 	}
@@ -113,7 +114,7 @@ func (ts *TiledSolver) SolveWithStats(opt Options) (*Result, TileStats, error) {
 // every tile of every frame. Results are in eye order and each equivalent
 // to FromPerspective + Solve with the same Options.
 func (ts *TiledSolver) SolveMany(eyes []Point, opt BatchOptions) ([]*Result, error) {
-	return runMany(ts.eng, batchRequest(opt, eyes, engine.ForceTiled), opt.Algorithm)
+	return runMany(ts.eng, batchRequest(opt, eyes, alwaysTile), opt.Algorithm)
 }
 
 // SolvePath solves every viewpoint of a camera path, tiled.
