@@ -188,7 +188,7 @@ func BenchmarkL6_IntersectionQuery(b *testing.B) {
 		x1 := r.Float64() * 1000
 		segs[i] = geom.S2(x1, r.Float64()*100, x1+1+r.Float64()*80, r.Float64()*100)
 	}
-	prof := envelope.BuildUpperEnvelope(segs, 0)
+	prof := envelope.Edges(nil).BuildUpperEnvelope(segs, 0)
 	lo, hi, _ := prof.XRange()
 	queries := make([]geom.Seg2, 512)
 	for i := range queries {
@@ -205,7 +205,7 @@ func BenchmarkL6_IntersectionQuery(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				_, st := cg.QueryRelations(o, tr, queries[i%len(queries)])
+				_, st := cg.QueryRelations(o, tr, queries[i%len(queries)], envelope.NoEdge)
 				steps += st.Steps
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/query")
@@ -243,7 +243,7 @@ func BenchmarkF2_CGStructure(b *testing.B) {
 			x1 := r.Float64() * 1000
 			segs[i] = geom.S2(x1, r.Float64()*100, x1+1+r.Float64()*80, r.Float64()*100)
 		}
-		prof := envelope.BuildUpperEnvelope(segs, 0)
+		prof := envelope.Edges(nil).BuildUpperEnvelope(segs, 0)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			var allocs int64
 			for i := 0; i < b.N; i++ {

@@ -234,10 +234,11 @@ func expLM6(quick bool) {
 			x1 := r.Float64() * 1000
 			segs[i] = geom.S2(x1, r.Float64()*100, x1+1+r.Float64()*80, r.Float64()*100)
 		}
-		prof := envelope.BuildUpperEnvelope(segs, 0)
+		prof := envelope.Edges(segs).BuildUpperEnvelope(segs, 0)
 		lo, hi, _ := prof.XRange()
 		for _, hulls := range []bool{false, true} {
 			o := profiletree.NewOps(persist.NewArena(1), hulls)
+			o.Edges = segs
 			tr := o.FromProfile(prof)
 			// Above-everything queries: k_s = 0.
 			var cleanSteps int64
@@ -245,7 +246,7 @@ func expLM6(quick bool) {
 			for q := 0; q < cleanQ; q++ {
 				x := lo + r.Float64()*(hi-lo)*0.9
 				s := geom.S2(x, 1e4, x+(hi-lo)*0.1, 1e4)
-				_, st := cg.QueryRelations(o, tr, s)
+				_, st := cg.QueryRelations(o, tr, s, envelope.NoEdge)
 				cleanSteps += st.Steps
 			}
 			// Crossing-heavy queries.
@@ -253,7 +254,7 @@ func expLM6(quick bool) {
 			for q := 0; q < cleanQ; q++ {
 				x := lo + r.Float64()*(hi-lo)*0.5
 				s := geom.S2(x, r.Float64()*100, x+(hi-lo)*0.5, r.Float64()*100)
-				_, st := cg.QueryRelations(o, tr, s)
+				_, st := cg.QueryRelations(o, tr, s, envelope.NoEdge)
 				crossSteps += st.Steps
 				crosses += st.Crossings
 			}
@@ -314,8 +315,9 @@ func expFG2(quick bool) {
 			x1 := r.Float64() * 1000
 			segs[i] = geom.S2(x1, r.Float64()*100, x1+1+r.Float64()*80, r.Float64()*100)
 		}
-		prof := envelope.BuildUpperEnvelope(segs, 0)
+		prof := envelope.Edges(segs).BuildUpperEnvelope(segs, 0)
 		o := profiletree.NewOps(persist.NewArena(2), true)
+		o.Edges = segs
 		tr := o.FromProfile(prof)
 		lo, hi, _ := prof.XRange()
 		maxDepth, totalSteps := 0, int64(0)
@@ -323,7 +325,7 @@ func expFG2(quick bool) {
 		for q := 0; q < nq; q++ {
 			x := lo + r.Float64()*(hi-lo)*0.9
 			s := geom.S2(x, r.Float64()*120-10, x+0.02*(hi-lo), r.Float64()*120-10)
-			_, st := cg.QueryRelations(o, tr, s)
+			_, st := cg.QueryRelations(o, tr, s, envelope.NoEdge)
 			if st.MaxDepth > maxDepth {
 				maxDepth = st.MaxDepth
 			}

@@ -26,21 +26,25 @@ type Stats struct {
 }
 
 // QueryRelations computes the ordered relations of segment s against the
-// profile tree over s's span. The segment must not be vertical in the
-// image; callers handle vertical segments via profiletree.Eval.
+// profile tree over s's span. The segment is a piece of edge edge: heights
+// and crossings are taken on the original segments in o.Edges, so a
+// clipped s and its whole edge find the same crossings. The segment must
+// not be vertical in the image; callers handle vertical segments via
+// profiletree.Ops.Eval.
 //
 // The relations are written into o.Scratch rather than fresh slices, so a
 // worker's steady-state queries allocate nothing. The returned slice is
 // valid until the next QueryRelations call through o; a caller that keeps
 // relations across queries copies them.
-func QueryRelations(o *profiletree.Ops, t profiletree.Tree, s geom.Seg2) ([]Relation, Stats) {
+func QueryRelations(o *profiletree.Ops, t profiletree.Tree, s geom.Seg2, edge int32) ([]Relation, Stats) {
 	s = s.Canon()
 	var st Stats
 	if s.IsVerticalImage() {
 		return nil, st
 	}
 	sc := &o.Scratch
-	q := query{o: o, s: s, sp: envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z}, rels: sc.Raw[:0]}
+	sp := edgePiece(s, edge)
+	q := query{o: o, s: s, sp: sp, line: o.Edges.Line(sp), rels: sc.Raw[:0]}
 	q.visit(t.Root, 1)
 	sc.Raw = q.rels
 	st = q.st
@@ -57,9 +61,12 @@ func QueryRelations(o *profiletree.Ops, t profiletree.Tree, s geom.Seg2) ([]Rela
 }
 
 type query struct {
-	o            *profiletree.Ops
-	s            geom.Seg2
-	sp           envelope.Piece
+	o  *profiletree.Ops
+	s  geom.Seg2
+	sp envelope.Piece
+	// line is the query edge's original segment, on which every height of
+	// the query is taken.
+	line         geom.Seg2
 	rels         []Relation
 	st           Stats
 	properSplits int64
@@ -94,8 +101,8 @@ func (q *query) visit(n *profiletree.Node, depth int) {
 // resolve attempts to classify the whole subtree against the segment.
 // Returns (above, below, decidable).
 func (q *query) resolve(n *profiletree.Node, qlo, qhi float64) (bool, bool, bool) {
-	m := q.s.Slope()
-	c0 := q.s.A.Z - m*q.s.A.X
+	m := q.line.Slope()
+	c0 := q.line.A.Z - m*q.line.A.X
 	if q.o.WithHulls && n.Agg.Hulls != nil {
 		q.st.HullQueries += 2
 		maxH := n.Agg.Upper.ExtremeValue(m) - c0 // max of P - s over vertices
@@ -113,7 +120,7 @@ func (q *query) resolve(n *profiletree.Node, qlo, qhi float64) (bool, bool, bool
 		return false, false, false
 	}
 	// Summary-only mode: z-interval tests.
-	sLo, sHi := q.sp.ZAt(qlo), q.sp.ZAt(qhi)
+	sLo, sHi := q.line.ZAt(qlo), q.line.ZAt(qhi)
 	sMin, sMax := geom.Min(sLo, sHi), geom.Max(sLo, sHi)
 	if sMin > n.Agg.ZMax+geom.Eps {
 		return true, false, true
@@ -133,14 +140,15 @@ func (q *query) ownPiece(pc envelope.Piece) {
 		return
 	}
 	q.st.Steps++
-	da := q.sp.ZAt(lo) - pc.ZAt(lo)
-	db := q.sp.ZAt(hi) - pc.ZAt(hi)
+	pl := q.o.Edges.Line(pc)
+	da := q.line.ZAt(lo) - pl.ZAt(lo)
+	db := q.line.ZAt(hi) - pl.ZAt(hi)
 	above, aboveEnd := da > geom.Eps, db > geom.Eps
 	if above == aboveEnd {
 		q.rels = append(q.rels, Relation{X1: lo, X2: hi, Above: above})
 		return
 	}
-	xs, ok := geom.LineIntersectX(q.sp.Seg(), pc.Seg())
+	xs, ok := q.o.Edges.CrossX(q.sp, pc)
 	if !ok {
 		xs = (lo + hi) / 2
 	}
@@ -180,22 +188,23 @@ func stitch(out, rels []Relation, lo, hi float64) []Relation {
 }
 
 // VisibleSpans converts the relations of segment s into the visible spans
-// (the ClipAbove analogue over the persistent tree).
+// (the ClipAbove analogue over the persistent tree). s is a whole edge, so
+// its own heights are its edge's.
 func VisibleSpans(rels []Relation, s geom.Seg2) []envelope.Span {
 	s = s.Canon()
-	sp := envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z}
 	var out []envelope.Span
 	for _, r := range rels {
 		if !r.Above {
 			continue
 		}
-		out = append(out, envelope.Span{X1: r.X1, Z1: sp.ZAt(r.X1), X2: r.X2, Z2: sp.ZAt(r.X2)})
+		out = append(out, envelope.Span{X1: r.X1, Z1: s.ZAt(r.X1), X2: r.X2, Z2: s.ZAt(r.X2)})
 	}
 	return out
 }
 
 // VisibleRuns appends to runs the splice runs carrying the visible
-// fragments of s, attributed to edge id, and returns the extended slice. A
+// fragments of s, a piece of edge edge, and returns the extended slice. The
+// fragments' heights are taken on the edge's segment in o.Edges. A
 // run that starts within 1e-9 of the previous run's end extends that run
 // instead: the visible material of consecutive profile pieces often
 // continues across piece boundaries.
@@ -209,13 +218,12 @@ func VisibleRuns(o *profiletree.Ops, runs []profiletree.Run, rels []Relation, s 
 	if len(runs) == 0 {
 		sc.Pieces = sc.Pieces[:0]
 	}
-	s = s.Canon()
-	sp := envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z}
+	line := o.Edges.Line(edgePiece(s, edge))
 	for _, r := range rels {
 		if !r.Above {
 			continue
 		}
-		pc := envelope.Piece{X1: r.X1, Z1: sp.ZAt(r.X1), X2: r.X2, Z2: sp.ZAt(r.X2), Edge: edge}
+		pc := envelope.Piece{X1: r.X1, Z1: line.ZAt(r.X1), X2: r.X2, Z2: line.ZAt(r.X2), Edge: edge}
 		n := len(runs)
 		if n == 0 || r.X1 > runs[n-1].X2+1e-9 {
 			sc.Pieces = append(sc.Pieces, pc)
@@ -238,4 +246,10 @@ func VisibleRuns(o *profiletree.Ops, runs []profiletree.Run, rels []Relation, s 
 		}
 	}
 	return runs
+}
+
+// edgePiece is segment s as a piece of edge edge.
+func edgePiece(s geom.Seg2, edge int32) envelope.Piece {
+	s = s.Canon()
+	return envelope.Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z, Edge: edge}
 }

@@ -17,13 +17,13 @@ func randProfile(r *rand.Rand, n int) envelope.Profile {
 		x1 := r.Float64() * 80
 		segs[i] = geom.S2(x1, r.Float64()*40, x1+1+r.Float64()*20, r.Float64()*40)
 	}
-	return envelope.BuildUpperEnvelope(segs, 0)
+	return envelope.Edges(nil).BuildUpperEnvelope(segs, 0)
 }
 
 // relationsAgree checks that the queried relations match ClipAbove's spans.
 func relationsAgree(t *testing.T, label string, rels []Relation, s geom.Seg2, p envelope.Profile) {
 	t.Helper()
-	want := envelope.ClipAbove(s, p)
+	want := envelope.Edges(nil).ClipAbove(s, envelope.NoEdge, p)
 	got := VisibleSpans(rels, s)
 	if len(want.Spans) != len(got) {
 		t.Fatalf("%s: %d vs %d visible spans\nwant %+v\ngot %+v", label, len(want.Spans), len(got), want.Spans, got)
@@ -45,7 +45,7 @@ func TestQueryMatchesClipAboveRandom(t *testing.T) {
 			for q := 0; q < 10; q++ {
 				x1 := r.Float64() * 100
 				s := geom.S2(x1, r.Float64()*60-10, x1+1+r.Float64()*40, r.Float64()*60-10)
-				rels, _ := QueryRelations(o, tr, s)
+				rels, _ := QueryRelations(o, tr, s, envelope.NoEdge)
 				relationsAgree(t, "random", rels, s, p)
 			}
 		}
@@ -55,7 +55,7 @@ func TestQueryMatchesClipAboveRandom(t *testing.T) {
 func TestQueryEmptyProfile(t *testing.T) {
 	o := profiletree.NewOps(persist.NewArena(6), false)
 	s := geom.S2(0, 1, 5, 2)
-	rels, _ := QueryRelations(o, profiletree.Tree{}, s)
+	rels, _ := QueryRelations(o, profiletree.Tree{}, s, envelope.NoEdge)
 	if len(rels) != 1 || !rels[0].Above || rels[0].X1 != 0 || rels[0].X2 != 5 {
 		t.Fatalf("empty profile relations: %+v", rels)
 	}
@@ -63,7 +63,7 @@ func TestQueryEmptyProfile(t *testing.T) {
 
 func TestQueryVerticalSegmentIgnored(t *testing.T) {
 	o := profiletree.NewOps(persist.NewArena(7), false)
-	rels, _ := QueryRelations(o, profiletree.Tree{}, geom.S2(1, 0, 1, 5))
+	rels, _ := QueryRelations(o, profiletree.Tree{}, geom.S2(1, 0, 1, 5), envelope.NoEdge)
 	if rels != nil {
 		t.Fatalf("vertical segment should yield nil relations, got %+v", rels)
 	}
@@ -75,7 +75,7 @@ func TestQueryCrossingCount(t *testing.T) {
 	p := envelope.Profile{{X1: 0, Z1: 10, X2: 10, Z2: 0, Edge: 0}}
 	tr := o.FromProfile(p)
 	s := geom.S2(0, 0, 10, 10)
-	rels, st := QueryRelations(o, tr, s)
+	rels, st := QueryRelations(o, tr, s, envelope.NoEdge)
 	if st.Crossings != 1 {
 		t.Fatalf("crossings %d want 1 (rels %+v)", st.Crossings, rels)
 	}
@@ -89,7 +89,7 @@ func TestQueryGapBoundaryEvents(t *testing.T) {
 	}
 	tr := o.FromProfile(p)
 	s := geom.S2(1, 5, 8, 5) // below pieces, visible over the gap
-	rels, st := QueryRelations(o, tr, s)
+	rels, st := QueryRelations(o, tr, s, envelope.NoEdge)
 	spans := VisibleSpans(rels, s)
 	if len(spans) != 1 || math.Abs(spans[0].X1-3) > 1e-9 || math.Abs(spans[0].X2-6) > 1e-9 {
 		t.Fatalf("gap visibility wrong: %+v", spans)
@@ -108,13 +108,13 @@ func TestPruningActuallyPrunes(t *testing.T) {
 		tr := o.FromProfile(p)
 		lo, hi, _ := p.XRange()
 		s := geom.S2(lo, 1e5, hi, 1e5)
-		_, st := QueryRelations(o, tr, s)
+		_, st := QueryRelations(o, tr, s, envelope.NoEdge)
 		if st.Steps > 8 {
 			t.Fatalf("hulls=%v: query above everything visited %d nodes", hulls, st.Steps)
 		}
 		// Far below a gap-free region: also cheap with hulls.
 		s2 := geom.S2(lo, -1e5, hi, -1e5)
-		_, st2 := QueryRelations(o, tr, s2)
+		_, st2 := QueryRelations(o, tr, s2, envelope.NoEdge)
 		if st2.Steps > int64(8+tr.Size()) {
 			t.Fatalf("hulls=%v: below-query visited %d nodes", hulls, st2.Steps)
 		}
@@ -135,8 +135,8 @@ func TestHullPruningBeatsSummaryOnSlopedProfile(t *testing.T) {
 	tSum := oSum.FromProfile(p)
 	tHull := oHull.FromProfile(p)
 	s := geom.S2(0, 1, 256, 257) // parallel, one unit above
-	_, stSum := QueryRelations(oSum, tSum, s)
-	_, stHull := QueryRelations(oHull, tHull, s)
+	_, stSum := QueryRelations(oSum, tSum, s, envelope.NoEdge)
+	_, stHull := QueryRelations(oHull, tHull, s, envelope.NoEdge)
 	if stHull.Steps > 8 {
 		t.Fatalf("hull pruning should resolve at the root, visited %d", stHull.Steps)
 	}
@@ -144,8 +144,8 @@ func TestHullPruningBeatsSummaryOnSlopedProfile(t *testing.T) {
 		t.Fatalf("expected summary mode to visit more nodes (%d vs %d)", stSum.Steps, stHull.Steps)
 	}
 	// And both give the same (fully visible) answer.
-	relsS, _ := QueryRelations(oSum, tSum, s)
-	relsH, _ := QueryRelations(oHull, tHull, s)
+	relsS, _ := QueryRelations(oSum, tSum, s, envelope.NoEdge)
+	relsH, _ := QueryRelations(oHull, tHull, s, envelope.NoEdge)
 	if len(relsS) != 1 || !relsS[0].Above || len(relsH) != 1 || !relsH[0].Above {
 		t.Fatalf("answers differ: %+v vs %+v", relsS, relsH)
 	}
@@ -156,7 +156,7 @@ func TestVisibleRunsAttribution(t *testing.T) {
 	p := envelope.Profile{{X1: 0, Z1: 5, X2: 4, Z2: 5, Edge: 0}}
 	tr := o.FromProfile(p)
 	s := geom.S2(2, 0, 8, 12)
-	rels, _ := QueryRelations(o, tr, s)
+	rels, _ := QueryRelations(o, tr, s, envelope.NoEdge)
 	runs := VisibleRuns(o, nil, rels, s, 42)
 	if len(runs) != 1 {
 		t.Fatalf("runs: %+v", runs)
@@ -181,7 +181,7 @@ func TestQueryStepsLogarithmicOnPrunable(t *testing.T) {
 	for q := 0; q < queries; q++ {
 		x := lo + r.Float64()*(hi-lo)*0.95
 		s := geom.S2(x, r.Float64()*40, x+0.5, r.Float64()*40)
-		_, st := QueryRelations(o, tr, s)
+		_, st := QueryRelations(o, tr, s, envelope.NoEdge)
 		totalSteps += st.Steps
 	}
 	avg := float64(totalSteps) / queries
@@ -195,7 +195,7 @@ func TestFirstCrossing(t *testing.T) {
 	p := envelope.Profile{{X1: 0, Z1: 10, X2: 10, Z2: 0, Edge: 0}}
 	tr := o.FromProfile(p)
 	s := geom.S2(0, 0, 10, 10)
-	c, ok := FirstCrossing(o, tr, s, 0)
+	c, ok := FirstCrossing(o, tr, s, envelope.NoEdge, 0)
 	if !ok {
 		t.Fatal("crossing not found")
 	}
@@ -203,11 +203,11 @@ func TestFirstCrossing(t *testing.T) {
 		t.Fatalf("first crossing wrong: %+v", c)
 	}
 	// From beyond the crossing: none left.
-	if _, ok := FirstCrossing(o, tr, s, 6); ok {
+	if _, ok := FirstCrossing(o, tr, s, envelope.NoEdge, 6); ok {
 		t.Fatal("phantom crossing after fromX")
 	}
 	// Segment entirely above: no crossing at all.
-	if _, ok := FirstCrossing(o, tr, geom.S2(0, 50, 10, 60), 0); ok {
+	if _, ok := FirstCrossing(o, tr, geom.S2(0, 50, 10, 60), envelope.NoEdge, 0); ok {
 		t.Fatal("crossing reported for clear segment")
 	}
 }
@@ -223,7 +223,7 @@ func TestAllCrossingsAlternate(t *testing.T) {
 	}
 	tr := o.FromProfile(p)
 	s := geom.S2(0, 4, 8, 4)
-	cs := AllCrossings(o, tr, s)
+	cs := AllCrossings(o, tr, s, envelope.NoEdge)
 	if len(cs) != 4 {
 		t.Fatalf("expected 4 crossings, got %d: %+v", len(cs), cs)
 	}

@@ -29,8 +29,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			s := geom.S2(x, r.Float64()*50-5, x+w, r.Float64()*50-5)
 
 			fresh := profiletree.NewOps(persist.NewArena(5), hulls)
-			want, wantSt := QueryRelations(fresh, tr, s)
-			got, gotSt := QueryRelations(reused, tr, s)
+			want, wantSt := QueryRelations(fresh, tr, s, envelope.NoEdge)
+			got, gotSt := QueryRelations(reused, tr, s, envelope.NoEdge)
 			if !slices.Equal(want, got) || wantSt != gotSt {
 				t.Fatalf("hulls=%v query %d: reused scratch gave %+v %+v, fresh %+v %+v", hulls, q, got, gotSt, want, wantSt)
 			}
@@ -59,7 +59,7 @@ func TestVisibleRunsBatchMergesAbuttingRuns(t *testing.T) {
 	empty := profiletree.Tree{}
 	var runs []profiletree.Run
 	for i, s := range []geom.Seg2{geom.S2(0, 1, 2, 1), geom.S2(2, 1, 3, 2), geom.S2(5, 0, 6, 0), geom.S2(6, 0, 7, 1)} {
-		rels, _ := QueryRelations(o, empty, s)
+		rels, _ := QueryRelations(o, empty, s, envelope.NoEdge)
 		runs = VisibleRuns(o, runs, rels, s, int32(i))
 	}
 	if len(runs) != 2 {

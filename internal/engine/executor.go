@@ -186,7 +186,7 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 			return Outcome{}, err
 		}
 		solve := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
-			return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, req.Algorithm, w, e.pool)
+			return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, plan.Kernel, w, e.pool)
 		}
 		res, st, err := tile.Solve(lat, e.part, solve, tile.Options{
 			Workers: plan.WorkersPerFrame, NoCull: e.cfg.NoCull, Emit: emit, Coherence: co, Trace: req.Trace,
@@ -209,7 +209,7 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 			return e.prep, nil
 		}
 	}
-	res, err := Dispatch(tt, prepare, req.Algorithm, plan.WorkersPerFrame, e.pool)
+	res, err := Dispatch(tt, prepare, plan.Kernel, plan.WorkersPerFrame, e.pool)
 	if err != nil {
 		return Outcome{}, err
 	}

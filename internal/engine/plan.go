@@ -95,6 +95,12 @@ type Plan struct {
 	GridCells int
 	// Bands and TileCols are the tile-grid dimensions when Tiled.
 	Bands, TileCols int
+	// Kernel is the algorithm every solve of the plan runs: the requested
+	// one, except that a tiled plan of a parallel request runs
+	// sequential-tree in its tiles. All exact algorithms emit the same
+	// bytes, so for them the request's algorithm names a result contract
+	// and Kernel the code path that meets it.
+	Kernel string
 	// Level is the LOD pyramid level the plan solves (0 = finest or no
 	// pyramid), LevelCount the number of levels available (0 when the
 	// terrain has no pyramid), and LevelCellSize the solved level's sample
@@ -130,6 +136,7 @@ func (p *Plan) Mode() string {
 // query actually take, and why".
 func (p *Plan) Explain() string {
 	var b strings.Builder
+	b.Grow(256)
 	fmt.Fprintf(&b, "engine=%s workers=%d", p.Mode(), p.TotalWorkers)
 	if p.Perspective {
 		fmt.Fprintf(&b, " frames=%d (%d concurrent x %d workers each)", p.Frames, p.FrameWorkers, p.WorkersPerFrame)
@@ -137,6 +144,7 @@ func (p *Plan) Explain() string {
 	if p.Tiled {
 		fmt.Fprintf(&b, " tiles=%dx%d (bands x cols)", p.Bands, p.TileCols)
 	}
+	fmt.Fprintf(&b, " kernel=%s", p.Kernel)
 	if p.LevelCount > 0 {
 		fmt.Fprintf(&b, " level=%d/%d (cell %g)", p.Level, p.LevelCount, p.LevelCellSize)
 	}
@@ -154,8 +162,9 @@ func (p *Plan) addReason(format string, args ...any) {
 
 // Plan inspects the request against the executor's terrain and produces
 // the plan: the pipeline (paged executors always tile; resident grids tile
-// at or above the TileCells threshold), the frame schedule, and the
-// worker-budget split. It is the one place a query's route is decided.
+// at or above the TileCells threshold), the frame schedule, the
+// worker-budget split and the kernel. It is the one place a query's route
+// is decided.
 func (e *Executor) Plan(req Request) (*Plan, error) {
 	if err := req.checkFinite(); err != nil {
 		return nil, err
@@ -207,6 +216,17 @@ func (e *Executor) Plan(req Request) (*Plan, error) {
 		case p.Frames > 1:
 			p.addReason("frames serialized to keep residency at one band")
 		}
+	}
+	p.Kernel = req.Algorithm
+	if p.Kernel == "" {
+		p.Kernel = AlgoParallel
+	}
+	if p.Tiled && p.Kernel == AlgoParallel {
+		// The paper's kernel charges 5.9x to 9.4x sequential-tree's work
+		// (TH5), and no measured tile solve has had the workers to repay it
+		// (ALGORITHM.md, "Kernel choice"). Both emit the same bytes.
+		p.Kernel = AlgoSequentialTree
+		p.reasons = append(p.reasons, "tile kernel sequential-tree: same bytes as parallel for less work")
 	}
 	return p, nil
 }

@@ -23,35 +23,35 @@ func BenchmarkBuildUpperEnvelope(b *testing.B) {
 		segs := benchSegs(n, 1)
 		b.Run(fmt.Sprintf("m=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildUpperEnvelope(segs, 0)
+				none.BuildUpperEnvelope(segs, 0)
 			}
 		})
 	}
 }
 
 func BenchmarkMerge(b *testing.B) {
-	a := BuildUpperEnvelope(benchSegs(1<<12, 1), 0)
-	c := BuildUpperEnvelope(benchSegs(1<<12, 2), 0)
+	a := none.BuildUpperEnvelope(benchSegs(1<<12, 1), 0)
+	c := none.BuildUpperEnvelope(benchSegs(1<<12, 2), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Merge(a, c)
+		none.Merge(a, c)
 	}
 }
 
 func BenchmarkClipAbove(b *testing.B) {
-	p := BuildUpperEnvelope(benchSegs(1<<12, 3), 0)
+	p := none.BuildUpperEnvelope(benchSegs(1<<12, 3), 0)
 	queries := benchSegs(256, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ClipAbove(queries[i%len(queries)], p)
+		none.ClipAbove(queries[i%len(queries)], NoEdge, p)
 	}
 }
 
 func BenchmarkEval(b *testing.B) {
-	p := BuildUpperEnvelope(benchSegs(1<<14, 5), 0)
+	p := none.BuildUpperEnvelope(benchSegs(1<<14, 5), 0)
 	lo, hi, _ := p.XRange()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Eval(lo + (hi-lo)*float64(i%1000)/1000)
+		p.Eval(lo+(hi-lo)*float64(i%1000)/1000, none)
 	}
 }

@@ -26,20 +26,22 @@ type ClipResult struct {
 	Steps     int
 }
 
-// ClipAbove computes the portions of segment s that lie strictly above
-// profile p. Ties (s touching p) count as occluded, matching the Merge
-// convention that the front profile wins.
+// ClipAbove computes the portions of segment s, which is edge edge of e,
+// that lie strictly above profile p. Ties (s touching p) count as occluded,
+// matching the Merge convention that the front profile wins. Heights and
+// crossings are taken on the edges in e, and s's own spans on s itself, so
+// s should be e's segment when edge indexes e.
 //
 // This is the operation performed at every PCT leaf in phase 2 (clipping an
 // edge against its prefix profile P_{i-1}) and at every step of the
 // sequential algorithm of Reif and Sen.
-func ClipAbove(s geom.Seg2, p Profile) ClipResult {
+func (e Edges) ClipAbove(s geom.Seg2, edge int32, p Profile) ClipResult {
 	var res ClipResult
 	s = s.Canon()
 	if s.IsVerticalImage() {
 		return res
 	}
-	sp := Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z, Edge: NoEdge}
+	sp := Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z, Edge: edge}
 
 	// Locate the first profile piece that could overlap s.
 	i := 0
@@ -82,8 +84,8 @@ func ClipAbove(s geom.Seg2, p Profile) ClipResult {
 				openAt(x)
 			}
 		} else {
-			da := sp.ZAt(x) - pc.ZAt(x)
-			db := sp.ZAt(next) - pc.ZAt(next)
+			da := sp.ZAt(x) - e.ZAt(*pc, x)
+			db := sp.ZAt(next) - e.ZAt(*pc, next)
 			above := da > geom.Eps
 			aboveEnd := db > geom.Eps
 			if above == aboveEnd {
@@ -94,7 +96,7 @@ func ClipAbove(s geom.Seg2, p Profile) ClipResult {
 					closeAt(x)
 				}
 			} else {
-				xs, ok := geom.LineIntersectX(sp.Seg(), pc.Seg())
+				xs, ok := e.CrossX(sp, *pc)
 				if !ok {
 					xs = (x + next) / 2
 				}
@@ -124,11 +126,4 @@ func ClipAbove(s geom.Seg2, p Profile) ClipResult {
 		closeAt(sp.X2)
 	}
 	return res
-}
-
-// OcclusionTest reports whether the whole segment is occluded by p
-// (no visible span). It is cheaper than ClipAbove only in naming; provided
-// for readability at call sites.
-func OcclusionTest(s geom.Seg2, p Profile) bool {
-	return len(ClipAbove(s, p).Spans) == 0
 }

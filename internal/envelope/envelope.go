@@ -39,6 +39,71 @@ func (p Piece) Width() float64 { return p.X2 - p.X1 }
 // Profile is an upper envelope: pieces sorted by X1 with disjoint interiors.
 type Profile []Piece
 
+// Edges is the table of original image segments behind a profile's pieces:
+// entry e is the canonical (Canon) projection of the edge whose pieces
+// carry Edge e. Pieces are clipped copies of their edge, and a clipped
+// piece's endpoints carry the roundoff of however its envelope was built.
+// Evaluating heights and crossings on the table's segments instead makes
+// every value a function of the edges alone, so every algorithm that
+// builds the same envelope emits the same bytes.
+//
+// A piece whose Edge does not index the table (NoEdge, or any id under a
+// nil table) is evaluated on its own endpoints: profiles that come from no
+// edge table, such as the tile band front, use the nil Edges.
+type Edges []geom.Seg2
+
+// Line returns the segment whose supporting line carries pc: its edge's
+// original segment, or pc itself when pc.Edge does not index e.
+func (e Edges) Line(pc Piece) geom.Seg2 {
+	if uint(pc.Edge) < uint(len(e)) {
+		return e[pc.Edge]
+	}
+	return pc.Seg()
+}
+
+// ZAt evaluates pc's edge at x: the original segment's supporting line
+// when pc.Edge indexes e, else pc's own. Loops that evaluate one piece
+// repeatedly take its Line once instead; both give the same float64 on a
+// piece of positive width.
+func (e Edges) ZAt(pc Piece, x float64) float64 {
+	if uint(pc.Edge) < uint(len(e)) {
+		return e[pc.Edge].ZAt(x)
+	}
+	return pc.ZAt(x)
+}
+
+// CrossX returns the x at which the supporting lines of pa's and pb's
+// edges cross, and ok=false if they are parallel within tolerance. When
+// both pieces index e the original edges are intersected in a fixed
+// argument order, lower edge id first, so the crossing of two edges is one
+// float64 whichever profile, clipped piece or argument order it is
+// computed from. Otherwise it is geom.LineIntersectX of the two pieces'
+// lines, in the order given.
+func (e Edges) CrossX(pa, pb Piece) (x float64, ok bool) {
+	if uint(pa.Edge) >= uint(len(e)) || uint(pb.Edge) >= uint(len(e)) {
+		return geom.LineIntersectX(e.Line(pa), e.Line(pb))
+	}
+	if pb.Edge < pa.Edge {
+		pa, pb = pb, pa
+	}
+	a, b := e[pa.Edge], e[pb.Edge]
+	x, ok = geom.LineIntersectX(a, b)
+	if !ok {
+		return 0, false
+	}
+	// Edges that share a vertex cross exactly there, but the formula lands
+	// a few ULPs off it, on one side or the other of the interval a sweep
+	// clamps it to. Snap to an endpoint within Eps so that the crossing is
+	// the vertex itself whichever interval it is computed in.
+	tol := geom.Eps * math.Max(1, math.Abs(x))
+	for _, v := range [4]float64{a.A.X, a.B.X, b.A.X, b.B.X} {
+		if math.Abs(x-v) <= tol {
+			return v, true
+		}
+	}
+	return x, true
+}
+
 // FromSegment returns the profile consisting of the single segment s
 // attributed to edge. Segments that are vertical in the image contribute
 // nothing to an upper envelope and yield an empty profile.
@@ -61,11 +126,11 @@ func (p Profile) XRange() (lo, hi float64, ok bool) {
 	return p[0].X1, p[len(p)-1].X2, true
 }
 
-// Eval returns the profile value at x and whether x is covered by a piece.
-// At a breakpoint shared by two pieces the right piece wins (right-continuous
-// convention), except at the global right end where the last piece's value
-// is returned.
-func (p Profile) Eval(x float64) (z float64, covered bool) {
+// Eval returns the profile value at x, evaluated on the pieces' edges in e,
+// and whether x is covered by a piece. At a breakpoint shared by two pieces
+// the right piece wins (right-continuous convention), except at the global
+// right end where the last piece's value is returned.
+func (p Profile) Eval(x float64, e Edges) (z float64, covered bool) {
 	i := sort.Search(len(p), func(i int) bool { return p[i].X2 >= x })
 	if i == len(p) {
 		return 0, false
@@ -78,7 +143,7 @@ func (p Profile) Eval(x float64) (z float64, covered bool) {
 	if x < pc.X1 || x > pc.X2 {
 		return 0, false
 	}
-	return pc.ZAt(x), true
+	return e.ZAt(pc, x), true
 }
 
 // CoversAbove reports whether the profile is defined over all of [x1, x2]
@@ -165,16 +230,17 @@ type Stats struct {
 	MaxChunk int
 }
 
-// Merge returns the upper envelope (pointwise maximum) of a and b.
-// Where the two profiles tie, a wins: callers pass the front profile first
-// so that touching does not count as the back profile becoming visible.
-func Merge(a, b Profile) Profile {
-	out, _ := MergeStats(a, b)
+// Merge returns the upper envelope (pointwise maximum) of a and b, whose
+// pieces' edges are in e. Where the two profiles tie, a wins: callers pass
+// the front profile first so that touching does not count as the back
+// profile becoming visible.
+func (e Edges) Merge(a, b Profile) Profile {
+	out, _ := e.MergeStats(a, b)
 	return out
 }
 
 // MergeStats is Merge with sweep statistics.
-func MergeStats(a, b Profile) (Profile, Stats) {
+func (e Edges) MergeStats(a, b Profile) (Profile, Stats) {
 	var st Stats
 	if len(a) == 0 {
 		return append(Profile(nil), b...), st
@@ -232,70 +298,72 @@ func MergeStats(a, b Profile) (Profile, Stats) {
 		case pa == nil && pb == nil:
 			// Gap on both: skip forward.
 		case pa != nil && pb == nil:
-			out = appendPiece(out, Piece{X1: lo, Z1: pa.ZAt(lo), X2: hi, Z2: pa.ZAt(hi), Edge: pa.Edge})
+			out = appendPiece(out, clip(e.Line(*pa), pa.Edge, lo, hi))
 		case pa == nil && pb != nil:
-			out = appendPiece(out, Piece{X1: lo, Z1: pb.ZAt(lo), X2: hi, Z2: pb.ZAt(hi), Edge: pb.Edge})
+			out = appendPiece(out, clip(e.Line(*pb), pb.Edge, lo, hi))
 		default:
-			out = emitMax(out, *pa, *pb, lo, hi, &st)
+			out = e.emitMax(out, *pa, *pb, lo, hi, &st)
 		}
 		x = next
 	}
 	return out, st
 }
 
+// clip returns the piece of edge id on line restricted to [lo, hi].
+func clip(line geom.Seg2, id int32, lo, hi float64) Piece {
+	return Piece{X1: lo, Z1: line.ZAt(lo), X2: hi, Z2: line.ZAt(hi), Edge: id}
+}
+
 // emitMax appends the pointwise maximum of pieces pa (front, wins ties) and
 // pb over [lo, hi], splitting at a crossing if the order changes.
-func emitMax(out Profile, pa, pb Piece, lo, hi float64, st *Stats) Profile {
-	da := pa.ZAt(lo) - pb.ZAt(lo)
-	db := pa.ZAt(hi) - pb.ZAt(hi)
+func (e Edges) emitMax(out Profile, pa, pb Piece, lo, hi float64, st *Stats) Profile {
+	la, lb := e.Line(pa), e.Line(pb)
+	da := la.ZAt(lo) - lb.ZAt(lo)
+	db := la.ZAt(hi) - lb.ZAt(hi)
 	aAtLo := da >= -geom.Eps // front wins ties
 	aAtHi := db >= -geom.Eps
 	if aAtLo == aAtHi {
-		top, other := pa, pb
+		// Two lines cross at most once, so a top that holds at both ends
+		// holds throughout the interval.
 		if !aAtLo {
-			top, other = pb, pa
+			return appendPiece(out, clip(lb, pb.Edge, lo, hi))
 		}
-		// The tops may still cross and come back within the interval only if
-		// they cross twice, impossible for two lines. Emit the single top.
-		_ = other
-		return appendPiece(out, Piece{X1: lo, Z1: top.ZAt(lo), X2: hi, Z2: top.ZAt(hi), Edge: top.Edge})
+		return appendPiece(out, clip(la, pa.Edge, lo, hi))
 	}
 	// Order changes: find the crossing x*. A sign change of the linear
 	// difference implies the crossing lies within [lo, hi] mathematically,
 	// so an xs outside the interval is pure roundoff — clamp it (a clamped
 	// crossing at an endpoint yields a zero-width piece that appendPiece
 	// drops, leaving the whole interval to the other side).
-	xs, ok := geom.LineIntersectX(pa.Seg(), pb.Seg())
+	xs, ok := e.CrossX(pa, pb)
 	if !ok {
 		// Numerically parallel yet signs flipped within Eps: give the whole
 		// interval to whichever piece is on top at the endpoint where the
 		// separation is widest.
-		top := pa
+		bTop := db < 0
 		if math.Abs(da) >= math.Abs(db) {
-			if da < 0 {
-				top = pb
-			}
-		} else if db < 0 {
-			top = pb
+			bTop = da < 0
 		}
-		return appendPiece(out, Piece{X1: lo, Z1: top.ZAt(lo), X2: hi, Z2: top.ZAt(hi), Edge: top.Edge})
+		if bTop {
+			return appendPiece(out, clip(lb, pb.Edge, lo, hi))
+		}
+		return appendPiece(out, clip(la, pa.Edge, lo, hi))
 	}
 	xs = math.Min(math.Max(xs, lo), hi)
 	st.Crossings++
-	first, second := pa, pb
 	if !aAtLo {
-		first, second = pb, pa
+		out = appendPiece(out, clip(lb, pb.Edge, lo, xs))
+		return appendPiece(out, clip(la, pa.Edge, xs, hi))
 	}
-	zc := first.ZAt(xs)
-	out = appendPiece(out, Piece{X1: lo, Z1: first.ZAt(lo), X2: xs, Z2: zc, Edge: first.Edge})
-	out = appendPiece(out, Piece{X1: xs, Z1: zc, X2: hi, Z2: second.ZAt(hi), Edge: second.Edge})
-	return out
+	out = appendPiece(out, clip(la, pa.Edge, lo, xs))
+	return appendPiece(out, clip(lb, pb.Edge, xs, hi))
 }
 
 // BuildUpperEnvelope computes the upper envelope of a set of image segments
 // by divide-and-conquer merging (the sequential realization of Lemma 3.1).
-// Edge attribution uses the segment indices offset by base.
-func BuildUpperEnvelope(segs []geom.Seg2, base int32) Profile {
+// Edge attribution uses the segment indices offset by base, so segs[i] is
+// edge base+i of e (or any segments under a nil e).
+func (e Edges) BuildUpperEnvelope(segs []geom.Seg2, base int32) Profile {
 	switch len(segs) {
 	case 0:
 		return nil
@@ -303,7 +371,7 @@ func BuildUpperEnvelope(segs []geom.Seg2, base int32) Profile {
 		return FromSegment(segs[0], base)
 	}
 	mid := len(segs) / 2
-	l := BuildUpperEnvelope(segs[:mid], base)
-	r := BuildUpperEnvelope(segs[mid:], base+int32(mid))
-	return Merge(l, r)
+	l := e.BuildUpperEnvelope(segs[:mid], base)
+	r := e.BuildUpperEnvelope(segs[mid:], base+int32(mid))
+	return e.Merge(l, r)
 }

@@ -25,6 +25,10 @@ func maxOverSegments(segs []geom.Seg2, x float64) (float64, bool) {
 	return best, ok
 }
 
+// none is the nil edge table: the tests' hand-built profiles are evaluated
+// on their pieces' own endpoints.
+var none Edges
+
 func randSegs(r *rand.Rand, n int) []geom.Seg2 {
 	segs := make([]geom.Seg2, n)
 	for i := range segs {
@@ -51,11 +55,11 @@ func TestFromSegment(t *testing.T) {
 func TestMergeDisjoint(t *testing.T) {
 	a := FromSegment(geom.S2(0, 1, 1, 1), 0)
 	b := FromSegment(geom.S2(2, 5, 3, 5), 1)
-	m := Merge(a, b)
+	m := none.Merge(a, b)
 	if len(m) != 2 {
 		t.Fatalf("expected 2 pieces, got %d: %+v", len(m), m)
 	}
-	if _, cov := m.Eval(1.5); cov {
+	if _, cov := m.Eval(1.5, none); cov {
 		t.Fatal("gap between disjoint pieces should be uncovered")
 	}
 	if err := m.Validate(); err != nil {
@@ -66,17 +70,17 @@ func TestMergeDisjoint(t *testing.T) {
 func TestMergeCrossing(t *testing.T) {
 	a := FromSegment(geom.S2(0, 0, 4, 4), 0)
 	b := FromSegment(geom.S2(0, 4, 4, 0), 1)
-	m, st := MergeStats(a, b)
+	m, st := none.MergeStats(a, b)
 	if st.Crossings != 1 {
 		t.Fatalf("expected 1 crossing, got %d", st.Crossings)
 	}
 	if len(m) != 2 {
 		t.Fatalf("expected 2 pieces, got %+v", m)
 	}
-	if z, cov := m.Eval(0.5); !cov || math.Abs(z-3.5) > 1e-9 {
+	if z, cov := m.Eval(0.5, none); !cov || math.Abs(z-3.5) > 1e-9 {
 		t.Fatalf("Eval(0.5)=%v,%v", z, cov)
 	}
-	if z, cov := m.Eval(3.5); !cov || math.Abs(z-3.5) > 1e-9 {
+	if z, cov := m.Eval(3.5, none); !cov || math.Abs(z-3.5) > 1e-9 {
 		t.Fatalf("Eval(3.5)=%v,%v", z, cov)
 	}
 	if m[0].Edge != 1 || m[1].Edge != 0 {
@@ -88,7 +92,7 @@ func TestMergeTieFavorsFront(t *testing.T) {
 	// Identical segments: front (first arg) must own the whole result.
 	a := FromSegment(geom.S2(0, 1, 2, 1), 0)
 	b := FromSegment(geom.S2(0, 1, 2, 1), 1)
-	m := Merge(a, b)
+	m := none.Merge(a, b)
 	for _, pc := range m {
 		if pc.Edge != 0 {
 			t.Fatalf("tie should favor front edge: %+v", m)
@@ -100,14 +104,14 @@ func TestMergeJumpDiscontinuity(t *testing.T) {
 	// High shelf ends mid-air above a low floor: envelope has a jump.
 	a := FromSegment(geom.S2(0, 10, 2, 10), 0)
 	b := FromSegment(geom.S2(0, 0, 4, 0), 1)
-	m := Merge(a, b)
+	m := none.Merge(a, b)
 	if len(m) != 2 {
 		t.Fatalf("expected 2 pieces, got %+v", m)
 	}
-	if z, _ := m.Eval(1); z != 10 {
+	if z, _ := m.Eval(1, none); z != 10 {
 		t.Fatalf("Eval(1)=%v", z)
 	}
-	if z, _ := m.Eval(3); z != 0 {
+	if z, _ := m.Eval(3, none); z != 0 {
 		t.Fatalf("Eval(3)=%v", z)
 	}
 	if err := m.Validate(); err != nil {
@@ -117,13 +121,13 @@ func TestMergeJumpDiscontinuity(t *testing.T) {
 
 func TestMergeEmpty(t *testing.T) {
 	a := FromSegment(geom.S2(0, 0, 1, 1), 0)
-	if m := Merge(a, nil); len(m) != 1 {
+	if m := none.Merge(a, nil); len(m) != 1 {
 		t.Fatalf("merge with empty: %+v", m)
 	}
-	if m := Merge(nil, a); len(m) != 1 {
+	if m := none.Merge(nil, a); len(m) != 1 {
 		t.Fatalf("merge with empty: %+v", m)
 	}
-	if m := Merge(nil, nil); len(m) != 0 {
+	if m := none.Merge(nil, nil); len(m) != 0 {
 		t.Fatalf("merge of empties: %+v", m)
 	}
 }
@@ -134,14 +138,14 @@ func TestBuildUpperEnvelopeAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		segs := randSegs(r, 3+trial)
-		env := BuildUpperEnvelope(segs, 0)
+		env := Edges(segs).BuildUpperEnvelope(segs, 0)
 		if err := env.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := 0; i < 200; i++ {
 			x := r.Float64() * 135
 			want, wantCov := maxOverSegments(segs, x)
-			got, gotCov := env.Eval(x)
+			got, gotCov := env.Eval(x, segs)
 			if wantCov != gotCov {
 				// Tolerate disagreement within Eps of a breakpoint.
 				if nearBreakpoint(env, x, 1e-6) || nearEndpoint(segs, x, 1e-6) {
@@ -185,15 +189,16 @@ func TestMergeAssociativityPointwise(t *testing.T) {
 	for i, s := range segs {
 		profs = append(profs, FromSegment(s, int32(i)))
 	}
+	e := Edges(segs)
 	left := profs[0]
 	for _, p := range profs[1:] {
-		left = Merge(left, p)
+		left = e.Merge(left, p)
 	}
-	balanced := BuildUpperEnvelope(segs, 0)
+	balanced := e.BuildUpperEnvelope(segs, 0)
 	for i := 0; i < 400; i++ {
 		x := r.Float64() * 135
-		z1, c1 := left.Eval(x)
-		z2, c2 := balanced.Eval(x)
+		z1, c1 := left.Eval(x, e)
+		z2, c2 := balanced.Eval(x, e)
 		if c1 != c2 {
 			if nearBreakpoint(left, x, 1e-6) || nearBreakpoint(balanced, x, 1e-6) {
 				continue
@@ -206,9 +211,65 @@ func TestMergeAssociativityPointwise(t *testing.T) {
 	}
 }
 
+// With an edge table every height and crossing is a function of the edges
+// alone, so the incremental fold and the balanced divide-and-conquer build
+// the same envelope byte for byte. (TestMergeParallelDeterministicAcrossWorkers
+// checks the chunked parallel merge against the sequential one.)
+func TestEdgesMakeEnvelopesBuildOrderInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		segs := randSegs(r, 200)
+		e := Edges(segs)
+		var left Profile
+		for i, s := range segs {
+			left = e.Merge(left, FromSegment(s, int32(i)))
+		}
+		balanced := e.BuildUpperEnvelope(segs, 0)
+		if len(left) != len(balanced) {
+			t.Fatalf("trial %d: %d pieces incrementally, %d balanced", trial, len(left), len(balanced))
+		}
+		for i := range left {
+			if left[i] != balanced[i] {
+				t.Fatalf("trial %d piece %d: %+v incrementally, %+v balanced", trial, i, left[i], balanced[i])
+			}
+		}
+	}
+}
+
+// CrossX is one float64 per pair of edges: the same bits whichever piece
+// of either edge it is computed from and in whichever argument order.
+func TestCrossXIsAFunctionOfTheEdgePair(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	segs := randSegs(r, 400)
+	e := Edges(segs)
+	clipped := func(i int) Piece {
+		s := segs[i]
+		lo := s.A.X + (s.B.X-s.A.X)*r.Float64()/2
+		return Piece{X1: lo, Z1: s.ZAt(lo), X2: s.B.X, Z2: s.B.Z, Edge: int32(i)}
+	}
+	crossed := 0
+	for i := 0; i+1 < len(segs); i += 2 {
+		a, b := FromSegment(segs[i], int32(i))[0], FromSegment(segs[i+1], int32(i+1))[0]
+		x, ok := e.CrossX(a, b)
+		if !ok {
+			continue
+		}
+		crossed++
+		if y, _ := e.CrossX(b, a); y != x {
+			t.Fatalf("edges %d, %d: CrossX is %v one way and %v the other", i, i+1, x, y)
+		}
+		if y, _ := e.CrossX(clipped(i+1), clipped(i)); y != x {
+			t.Fatalf("edges %d, %d: CrossX of clipped pieces is %v, of whole edges %v", i, i+1, y, x)
+		}
+	}
+	if crossed < 100 {
+		t.Fatalf("only %d of %d pairs have crossing lines", crossed, len(segs)/2)
+	}
+}
+
 func TestClipAboveFullyVisible(t *testing.T) {
 	p := FromSegment(geom.S2(0, 0, 10, 0), 0)
-	res := ClipAbove(geom.S2(2, 5, 8, 5), p)
+	res := none.ClipAbove(geom.S2(2, 5, 8, 5), NoEdge, p)
 	if len(res.Spans) != 1 {
 		t.Fatalf("spans: %+v", res.Spans)
 	}
@@ -220,18 +281,15 @@ func TestClipAboveFullyVisible(t *testing.T) {
 
 func TestClipAboveFullyHidden(t *testing.T) {
 	p := FromSegment(geom.S2(0, 10, 10, 10), 0)
-	res := ClipAbove(geom.S2(2, 5, 8, 5), p)
+	res := none.ClipAbove(geom.S2(2, 5, 8, 5), NoEdge, p)
 	if len(res.Spans) != 0 {
 		t.Fatalf("expected hidden, got %+v", res.Spans)
-	}
-	if !OcclusionTest(geom.S2(2, 5, 8, 5), p) {
-		t.Fatal("OcclusionTest disagreed")
 	}
 }
 
 func TestClipAboveTouchingIsHidden(t *testing.T) {
 	p := FromSegment(geom.S2(0, 5, 10, 5), 0)
-	res := ClipAbove(geom.S2(2, 5, 8, 5), p)
+	res := none.ClipAbove(geom.S2(2, 5, 8, 5), NoEdge, p)
 	if len(res.Spans) != 0 {
 		t.Fatalf("touching segment should be occluded, got %+v", res.Spans)
 	}
@@ -239,7 +297,7 @@ func TestClipAboveTouchingIsHidden(t *testing.T) {
 
 func TestClipAboveCrossing(t *testing.T) {
 	p := FromSegment(geom.S2(0, 0, 10, 10), 0)
-	res := ClipAbove(geom.S2(0, 10, 10, 0), p)
+	res := none.ClipAbove(geom.S2(0, 10, 10, 0), NoEdge, p)
 	if len(res.Spans) != 1 {
 		t.Fatalf("spans: %+v", res.Spans)
 	}
@@ -255,8 +313,8 @@ func TestClipAboveCrossing(t *testing.T) {
 func TestClipAboveOverGap(t *testing.T) {
 	a := FromSegment(geom.S2(0, 10, 3, 10), 0)
 	b := FromSegment(geom.S2(6, 10, 9, 10), 1)
-	p := Merge(a, b)
-	res := ClipAbove(geom.S2(1, 5, 8, 5), p)
+	p := none.Merge(a, b)
+	res := none.ClipAbove(geom.S2(1, 5, 8, 5), NoEdge, p)
 	if len(res.Spans) != 1 {
 		t.Fatalf("spans: %+v", res.Spans)
 	}
@@ -267,7 +325,7 @@ func TestClipAboveOverGap(t *testing.T) {
 }
 
 func TestClipAboveEmptyProfile(t *testing.T) {
-	res := ClipAbove(geom.S2(0, 1, 4, 2), nil)
+	res := none.ClipAbove(geom.S2(0, 1, 4, 2), NoEdge, nil)
 	if len(res.Spans) != 1 || res.Spans[0].X1 != 0 || res.Spans[0].X2 != 4 {
 		t.Fatalf("empty profile clip: %+v", res.Spans)
 	}
@@ -278,13 +336,13 @@ func TestClipAboveAgainstSampling(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		segs := randSegs(r, 12)
-		p := BuildUpperEnvelope(segs, 0)
+		p := Edges(segs).BuildUpperEnvelope(segs, 0)
 		q := randSegs(r, 1)[0].Canon()
-		res := ClipAbove(q, p)
+		res := Edges(segs).ClipAbove(q, NoEdge, p)
 		qp := Piece{X1: q.A.X, Z1: q.A.Z, X2: q.B.X, Z2: q.B.Z}
 		for i := 0; i < 200; i++ {
 			x := q.A.X + r.Float64()*(q.B.X-q.A.X)
-			pz, cov := p.Eval(x)
+			pz, cov := p.Eval(x, segs)
 			wantVisible := !cov || qp.ZAt(x) > pz+1e-7
 			gotVisible := inSpans(res.Spans, x)
 			if wantVisible != gotVisible {
@@ -321,7 +379,7 @@ func nearSpanBoundary(spans []Span, x, tol float64) bool {
 func TestEnvelopeSizeNearLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	segs := randSegs(r, 2000)
-	env := BuildUpperEnvelope(segs, 0)
+	env := none.BuildUpperEnvelope(segs, 0)
 	if env.Size() > 4*len(segs) {
 		t.Fatalf("envelope size %d too large for %d segments", env.Size(), len(segs))
 	}
@@ -353,15 +411,15 @@ func TestMergeParallelMatchesSequential(t *testing.T) {
 			x1 := rr.Float64() * 5000
 			segs[i] = geom.S2(x1, rr.Float64()*100, x1+0.5+rr.Float64()*3, rr.Float64()*100)
 		}
-		return BuildUpperEnvelope(segs, 0)
+		return none.BuildUpperEnvelope(segs, 0)
 	}
 	a, b := mkBig(1), mkBig(2)
 	if len(a)+len(b) <= 2*mergeChunkSize {
 		t.Fatalf("inputs too small to chunk: %d", len(a)+len(b))
 	}
-	want := Merge(a, b)
+	want := none.Merge(a, b)
 	for _, workers := range []int{1, 3, 8} {
-		got, st := MergeParallelStats(a, b, workers)
+		got, st := none.MergeParallelStats(a, b, workers)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -372,8 +430,8 @@ func TestMergeParallelMatchesSequential(t *testing.T) {
 		lo, hi, _ := want.XRange()
 		for q := 0; q < 2000; q++ {
 			x := lo + r.Float64()*(hi-lo)
-			zw, cw := want.Eval(x)
-			zg, cg := got.Eval(x)
+			zw, cw := want.Eval(x, none)
+			zg, cg := got.Eval(x, none)
 			if cw != cg || (cw && math.Abs(zw-zg) > 1e-7) {
 				if nearBreakpoint(want, x, 1e-6) || nearBreakpoint(got, x, 1e-6) {
 					continue
@@ -395,16 +453,42 @@ func TestMergeParallelDeterministicAcrossWorkers(t *testing.T) {
 		x1 := rr.Float64() * 4000
 		segs[i] = geom.S2(x1, rr.Float64()*50, x1+1+rr.Float64()*4, rr.Float64()*50)
 	}
-	a := BuildUpperEnvelope(segs[:3500], 0)
-	b := BuildUpperEnvelope(segs[3500:], 3500)
-	p1 := MergeParallel(a, b, 1)
-	p8 := MergeParallel(a, b, 8)
-	if len(p1) != len(p8) {
-		t.Fatalf("piece counts differ: %d vs %d", len(p1), len(p8))
+	e := Edges(segs)
+	a := e.BuildUpperEnvelope(segs[:3500], 0)
+	b := e.BuildUpperEnvelope(segs[3500:], 3500)
+	// narrow covers half of a's range, so the last chunk merges a's
+	// portion against an empty side and copies it as cut.
+	var narrow Profile
+	for _, pc := range b {
+		if pc.X2 < 2000 {
+			narrow = append(narrow, pc)
+		}
 	}
-	for i := range p1 {
-		if p1[i] != p8[i] {
-			t.Fatalf("piece %d differs across worker counts", i)
+	for _, b := range []Profile{b, narrow} {
+		if n := len(a) + len(b); n <= 2*mergeChunkSize {
+			t.Fatalf("%d input pieces do not reach the chunked merge (> %d)", n, 2*mergeChunkSize)
+		}
+		p1 := e.MergeParallel(a, b, 1)
+		p8 := e.MergeParallel(a, b, 8)
+		if len(p1) != len(p8) {
+			t.Fatalf("piece counts differ: %d vs %d", len(p1), len(p8))
+		}
+		for i := range p1 {
+			if p1[i] != p8[i] {
+				t.Fatalf("piece %d differs across worker counts", i)
+			}
+		}
+		// With an edge table the chunked merge emits the sequential
+		// sweep's bytes: the cuts, the portions and the seam coalescing
+		// move no value.
+		seq := e.Merge(a, b)
+		if len(p1) != len(seq) {
+			t.Fatalf("%d pieces chunked, %d sequential", len(p1), len(seq))
+		}
+		for i := range p1 {
+			if p1[i] != seq[i] {
+				t.Fatalf("piece %d: %+v chunked, %+v sequential", i, p1[i], seq[i])
+			}
 		}
 	}
 }
@@ -414,7 +498,7 @@ func TestPortionClipping(t *testing.T) {
 		{X1: 0, Z1: 0, X2: 10, Z2: 10, Edge: 1},
 		{X1: 12, Z1: 5, X2: 20, Z2: 5, Edge: 2},
 	}
-	mid := portion(p, 4, 15)
+	mid := none.portion(p, 4, 15)
 	if len(mid) != 2 {
 		t.Fatalf("portion: %+v", mid)
 	}
@@ -424,10 +508,10 @@ func TestPortionClipping(t *testing.T) {
 	if mid[1].X2 != 15 || mid[1].X1 != 12 {
 		t.Fatalf("clipped last piece wrong: %+v", mid[1])
 	}
-	if out := portion(p, 10.5, 11.5); len(out) != 0 {
+	if out := none.portion(p, 10.5, 11.5); len(out) != 0 {
 		t.Fatalf("gap portion should be empty: %+v", out)
 	}
-	if out := portion(nil, 0, 1); out != nil {
+	if out := none.portion(nil, 0, 1); out != nil {
 		t.Fatal("empty profile portion")
 	}
 }

@@ -31,7 +31,8 @@ func FuzzEnvelopeMerge(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0x00, 0x80, 0x10, 0x00, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		segs := decodeSegs(data)
-		env := BuildUpperEnvelope(segs, 0)
+		e := Edges(segs)
+		env := e.BuildUpperEnvelope(segs, 0)
 		if err := env.Validate(); err != nil {
 			t.Fatalf("invalid envelope: %v", err)
 		}
@@ -42,7 +43,7 @@ func FuzzEnvelopeMerge(f *testing.F) {
 		for i := 0; i < 32; i++ {
 			x := lo + (hi-lo)*float64(i)/32
 			want, wantCov := bruteMax(segs, x)
-			got, gotCov := env.Eval(x)
+			got, gotCov := env.Eval(x, e)
 			if nearAnyBreakOrEnd(env, segs, x, 1e-6) {
 				continue
 			}
@@ -69,8 +70,8 @@ func FuzzClipAbove(f *testing.F) {
 		if len(q) == 0 {
 			return
 		}
-		p := BuildUpperEnvelope(segs, 0)
-		res := ClipAbove(q[0], p)
+		p := none.BuildUpperEnvelope(segs, 0)
+		res := none.ClipAbove(q[0], NoEdge, p)
 		s := q[0].Canon()
 		for _, sp := range res.Spans {
 			if sp.X1 < s.A.X-1e-9 || sp.X2 > s.B.X+1e-9 {

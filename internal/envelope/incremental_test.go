@@ -43,10 +43,10 @@ func TestIncrementalMergeMatchesFromScratch(t *testing.T) {
 		var seen []geom.Seg2
 		for step, chunk := range chunks {
 			if len(chunk) > 0 {
-				acc = Merge(acc, BuildUpperEnvelope(chunk, NoEdge))
+				acc = none.Merge(acc, none.BuildUpperEnvelope(chunk, NoEdge))
 				seen = append(seen, chunk...)
 			}
-			scratch := BuildUpperEnvelope(seen, NoEdge)
+			scratch := none.BuildUpperEnvelope(seen, NoEdge)
 			if len(seen) == 0 {
 				if acc.Size() != 0 {
 					t.Fatalf("trial %d step %d: empty input produced %d pieces", trial, step, acc.Size())
@@ -55,8 +55,8 @@ func TestIncrementalMergeMatchesFromScratch(t *testing.T) {
 			}
 			for i := 0; i < 150; i++ {
 				x := r.Float64()*140 - 5
-				z1, c1 := acc.Eval(x)
-				z2, c2 := scratch.Eval(x)
+				z1, c1 := acc.Eval(x, none)
+				z2, c2 := scratch.Eval(x, none)
 				if c1 != c2 {
 					if nearBreakpoint(acc, x, 1e-6) || nearBreakpoint(scratch, x, 1e-6) {
 						continue
@@ -87,7 +87,7 @@ func TestIncrementalMergeDeterministic(t *testing.T) {
 			if end > len(segs) {
 				end = len(segs)
 			}
-			acc = Merge(acc, BuildUpperEnvelope(segs[i:end], NoEdge))
+			acc = none.Merge(acc, none.BuildUpperEnvelope(segs[i:end], NoEdge))
 		}
 		return acc
 	}

@@ -25,18 +25,18 @@ const mergeChunkSize = 2048
 
 // MergeParallel merges with worker-parallel chunking. workers <= 1 or
 // small inputs fall back to the sequential sweep.
-func MergeParallel(a, b Profile, workers int) Profile {
-	p, _ := MergeParallelStats(a, b, workers)
+func (e Edges) MergeParallel(a, b Profile, workers int) Profile {
+	p, _ := e.MergeParallelStats(a, b, workers)
 	return p
 }
 
 // MergeParallelStats is MergeParallel with sweep statistics. The Stats
 // MaxChunk field reports the largest single-chunk step count: the merge's
 // critical path under unbounded processors.
-func MergeParallelStats(a, b Profile, workers int) (Profile, Stats) {
+func (e Edges) MergeParallelStats(a, b Profile, workers int) (Profile, Stats) {
 	total := len(a) + len(b)
 	if total <= 2*mergeChunkSize {
-		return MergeStats(a, b)
+		return e.MergeStats(a, b)
 	}
 	cuts := mergeCuts(a, b)
 	nChunks := len(cuts) + 1
@@ -44,7 +44,7 @@ func MergeParallelStats(a, b Profile, workers int) (Profile, Stats) {
 	stats := make([]Stats, nChunks)
 	parallel.ForDynamic(workers, nChunks, 1, func(_, i int) {
 		lo, hi := chunkBounds(cuts, i)
-		outs[i], stats[i] = MergeStats(portion(a, lo, hi), portion(b, lo, hi))
+		outs[i], stats[i] = e.MergeStats(e.portion(a, lo, hi), e.portion(b, lo, hi))
 	})
 	// Concatenate with seam coalescing (a piece cut at a chunk boundary is
 	// reunited by appendPiece's collinearity check).
@@ -97,7 +97,7 @@ func chunkBounds(cuts []float64, i int) (lo, hi float64) {
 }
 
 // portion restricts a profile to [lo, hi), splitting boundary pieces.
-func portion(p Profile, lo, hi float64) Profile {
+func (e Edges) portion(p Profile, lo, hi float64) Profile {
 	if len(p) == 0 {
 		return nil
 	}
@@ -111,11 +111,11 @@ func portion(p Profile, lo, hi float64) Profile {
 	out := make(Profile, j-i)
 	copy(out, p[i:j])
 	if first := &out[0]; first.X1 < lo {
-		first.Z1 = first.ZAt(lo)
+		first.Z1 = e.ZAt(*first, lo)
 		first.X1 = lo
 	}
 	if last := &out[len(out)-1]; last.X2 > hi {
-		last.Z2 = last.ZAt(hi)
+		last.Z2 = e.ZAt(*last, hi)
 		last.X2 = hi
 	}
 	// Drop slivers created by the clipping.

@@ -282,7 +282,7 @@ func TestClaimTH4BrentSpeedup(t *testing.T) {
 // TestClaimTH5WithinPolylogOfSequential is the remark after Theorem 3.1:
 // the parallel algorithm's work stays within a polylog factor of the
 // sequential persistent-tree sweep's. The ratio may grow at most like
-// log² n; measured exponent 0.9, ratio from 6.0 to 9.5.
+// log² n; measured exponent 0.95, ratio from 5.9 to 9.4.
 func TestClaimTH5WithinPolylogOfSequential(t *testing.T) {
 	const allowed = 2.0
 	runs := fractalSweep(t)

@@ -79,6 +79,9 @@ func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 			ops[w] = profiletree.NewOps(persist.NewArena(0x5eed+uint64(w)*0x9e37), opt.WithHulls)
 		}
 	}
+	for _, o := range ops {
+		o.Edges = prep.segs
+	}
 	perWorker := make([]metrics.Counters, workers)
 
 	sep := tree.Sep
@@ -130,7 +133,7 @@ func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 				allocBefore := o.Arena.Allocs
 				runs := o.Scratch.Runs[:0]
 				for _, pc := range tree.Inter[l] {
-					rels, st := cg.QueryRelations(o, P, pc.Seg())
+					rels, st := cg.QueryRelations(o, P, pc.Seg(), pc.Edge)
 					ctr.QuerySteps += st.Steps
 					ctr.HullOps += st.HullQueries
 					ctr.Crossings += st.Crossings
@@ -210,7 +213,7 @@ func clipLeafOS(o *profiletree.Ops, P profiletree.Tree, tree *pct.Tree, pos int,
 	if s.IsVerticalImage() {
 		x := s.A.X
 		zLo, zHi := s.A.Z, s.B.Z
-		z, covered := profiletree.Eval(P, x)
+		z, covered := o.Eval(P, x)
 		ctr.QuerySteps++
 		*taskCost++
 		switch {
@@ -224,7 +227,7 @@ func clipLeafOS(o *profiletree.Ops, P profiletree.Tree, tree *pct.Tree, pos int,
 		}
 		return lv
 	}
-	rels, st := cg.QueryRelations(o, P, s)
+	rels, st := cg.QueryRelations(o, P, s, int32(pos))
 	ctr.QuerySteps += st.Steps
 	ctr.HullOps += st.HullQueries
 	ctr.Crossings += st.Crossings

@@ -76,6 +76,9 @@ func (p *OpsPool) release(ops []*profiletree.Ops) {
 	if len(ops) == 0 {
 		return
 	}
+	for _, o := range ops {
+		o.Edges = nil // drop the solve's edge table
+	}
 	idx := hullIdx(ops[0].WithHulls)
 	p.mu.Lock()
 	p.free[idx] = append(p.free[idx], ops...)

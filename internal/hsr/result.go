@@ -86,9 +86,12 @@ func sortPieces(ps []VisiblePiece) {
 // image segments. A Prepared value is immutable and safe for concurrent
 // reuse across solves.
 type Prepared struct {
-	t    *terrain.Terrain
-	ord  *order.Result
-	segs []geom.Seg2
+	t   *terrain.Terrain
+	ord *order.Result
+	// segs[i] is the canonical image segment of the i-th edge in depth
+	// order: the edge table of every profile a solve builds, so piece Edge
+	// ids are depth positions.
+	segs envelope.Edges
 }
 
 // Prepare computes the depth order for a terrain once, for repeated solves.
@@ -100,7 +103,7 @@ func Prepare(t *terrain.Terrain) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs := make([]geom.Seg2, len(ord.EdgeOrder))
+	segs := make(envelope.Edges, len(ord.EdgeOrder))
 	for i, e := range ord.EdgeOrder {
 		segs[i] = t.EdgeImageSeg(int(e))
 	}
@@ -115,14 +118,15 @@ func (p *Prepared) Order() *order.Result { return p.ord }
 // (BruteForce, AllPairs).
 func (p *Prepared) Terrain() *terrain.Terrain { return p.t }
 
-// clipOne computes the visible spans of segment s against profile p,
-// handling vertical-image segments, and reports the crossing count.
-func clipOne(s geom.Seg2, p envelope.Profile) ([]envelope.Span, int, int) {
-	s = s.Canon()
+// clipOne computes the visible spans of edge pos against profile p, whose
+// pieces' edges are in segs, handling vertical-image segments, and reports
+// the crossing count.
+func clipOne(segs envelope.Edges, pos int, p envelope.Profile) ([]envelope.Span, int, int) {
+	s := segs[pos].Canon()
 	if s.IsVerticalImage() {
 		x := s.A.X
 		zLo, zHi := s.A.Z, s.B.Z
-		z, covered := p.Eval(x)
+		z, covered := p.Eval(x, segs)
 		switch {
 		case !covered:
 			return []envelope.Span{{X1: x, Z1: zLo, X2: x, Z2: zHi}}, 0, 1
@@ -136,6 +140,6 @@ func clipOne(s geom.Seg2, p envelope.Profile) ([]envelope.Span, int, int) {
 			return nil, 0, 1
 		}
 	}
-	res := envelope.ClipAbove(s, p)
+	res := segs.ClipAbove(s, int32(pos), p)
 	return res.Spans, res.Crossings, res.Steps
 }

@@ -31,7 +31,7 @@ func (prep *Prepared) Sequential() (*Result, error) {
 	var profile envelope.Profile
 	var maxTask, total int64
 	for pos, seg := range prep.segs {
-		spans, crossings, steps := clipOne(seg, profile)
+		spans, crossings, steps := clipOne(prep.segs, pos, profile)
 		res.Crossings += int64(crossings)
 		res.Counters.ClipSteps += int64(steps)
 		res.Counters.Crossings += int64(crossings)
@@ -42,7 +42,7 @@ func (prep *Prepared) Sequential() (*Result, error) {
 		cost := int64(steps)
 		if !seg.Canon().IsVerticalImage() {
 			var st envelope.Stats
-			profile, st = envelope.MergeStats(profile, envelope.FromSegment(seg, int32(pos)))
+			profile, st = prep.segs.MergeStats(profile, envelope.FromSegment(seg, int32(pos)))
 			res.Counters.MergeSteps += int64(st.Steps)
 			cost += int64(st.Steps)
 		}
@@ -68,9 +68,9 @@ func BruteForce(t *terrain.Terrain) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{N: prep.t.NumEdges(), Order: prep.ord}
-	for pos, seg := range prep.segs {
-		env := envelope.BuildUpperEnvelope(prep.segs[:pos], 0)
-		spans, crossings, steps := clipOne(seg, env)
+	for pos := range prep.segs {
+		env := prep.segs.BuildUpperEnvelope(prep.segs[:pos], 0)
+		spans, crossings, steps := clipOne(prep.segs, pos, env)
 		res.Crossings += int64(crossings)
 		res.Counters.ClipSteps += int64(steps)
 		res.Counters.Crossings += int64(crossings)

@@ -53,6 +53,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 	} else {
 		o = profiletree.NewOps(persist.NewArena(0xfeed), withHulls)
 	}
+	o.Edges = prep.segs
 	var profile profiletree.Tree
 	var ctr metrics.Counters
 	var maxTask, total int64
@@ -63,7 +64,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 		if s.IsVerticalImage() {
 			x := s.A.X
 			zLo, zHi := s.A.Z, s.B.Z
-			z, covered := profiletree.Eval(profile, x)
+			z, covered := o.Eval(profile, x)
 			ctr.QuerySteps++
 			cost++
 			switch {
@@ -81,7 +82,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 					Span: envelope.Span{X1: x, Z1: z1, X2: x, Z2: zHi}})
 			}
 		} else {
-			rels, st := cg.QueryRelations(o, profile, s)
+			rels, st := cg.QueryRelations(o, profile, s, int32(pos))
 			ctr.QuerySteps += st.Steps
 			ctr.HullOps += st.HullQueries
 			ctr.Crossings += st.Crossings

@@ -14,8 +14,10 @@ import (
 // Tree is the Profile Computation Tree.
 type Tree struct {
 	Sep *order.SeparatorTree
-	// Segs[i] is the image projection of the i-th edge in depth order.
-	Segs []geom.Seg2
+	// Segs[i] is the image projection of the i-th edge in depth order,
+	// canonical (Canon). It is the edge table of every profile the tree
+	// builds: piece Edge ids are depth positions.
+	Segs envelope.Edges
 	// EdgeIDs[i] is the terrain edge index of position i.
 	EdgeIDs []int32
 	// Inter[node] is the phase-1 intermediate profile of the node.
@@ -73,7 +75,7 @@ func (t *Tree) BuildPhase1(workers int, acct *pram.Accounting) []Phase1Stats {
 				// Big merges near the root run chunk-parallel (the inner
 				// loop of Lemma 3.1); chunking is deterministic, so the
 				// result is identical for any worker count.
-				merged, ms := envelope.MergeParallelStats(t.Inter[2*node], t.Inter[2*node+1], chunkWorkers(workers, len(nodes)))
+				merged, ms := t.Segs.MergeParallelStats(t.Inter[2*node], t.Inter[2*node+1], chunkWorkers(workers, len(nodes)))
 				t.Inter[node] = merged
 				cost = int64(ms.Steps) + 1
 				if ms.MaxChunk > 0 {
@@ -202,7 +204,7 @@ func (t *Tree) Phase2Simple(workers int, acct *pram.Accounting) ([]LeafVisibilit
 		atomic.AddInt64(&st.Nodes, 1)
 		if t.Sep.IsLeaf(node) {
 			pos := int(t.Sep.Lo[node])
-			lv := clipLeaf(t.Segs[pos], prefix)
+			lv := clipLeaf(t.Segs, pos, prefix)
 			lv.Pos = pos
 			vis[pos] = lv
 			atomic.AddInt64(&st.Crossings, int64(lv.Crossings))
@@ -212,7 +214,7 @@ func (t *Tree) Phase2Simple(workers int, acct *pram.Accounting) ([]LeafVisibilit
 			return
 		}
 		l, r := 2*node, 2*node+1
-		merged, ms := envelope.MergeStats(prefix, t.Inter[l])
+		merged, ms := t.Segs.MergeStats(prefix, t.Inter[l])
 		atomic.AddInt64(&st.MergeSteps, int64(ms.Steps))
 		atomic.AddInt64(&st.Crossings, int64(ms.Crossings))
 		if recs != nil {
@@ -250,13 +252,13 @@ func maxInt(a, b int) int {
 // clipLeaf computes the visible spans of one segment against its prefix
 // profile, handling segments that project vertically in the image plane
 // (edges parallel to the viewing direction) as zero-width spans.
-func clipLeaf(s geom.Seg2, prefix envelope.Profile) LeafVisibility {
+func clipLeaf(segs envelope.Edges, pos int, prefix envelope.Profile) LeafVisibility {
 	var lv LeafVisibility
-	s = s.Canon()
+	s := segs[pos].Canon()
 	if s.IsVerticalImage() {
 		x := s.A.X
 		zLo, zHi := s.A.Z, s.B.Z // Canon orders by Z for vertical segments
-		z, covered := prefix.Eval(x)
+		z, covered := prefix.Eval(x, segs)
 		switch {
 		case !covered:
 			lv.Spans = []envelope.Span{{X1: x, Z1: zLo, X2: x, Z2: zHi}}
@@ -268,7 +270,7 @@ func clipLeaf(s geom.Seg2, prefix envelope.Profile) LeafVisibility {
 		}
 		return lv
 	}
-	res := envelope.ClipAbove(s, prefix)
+	res := segs.ClipAbove(s, int32(pos), prefix)
 	lv.Spans = res.Spans
 	lv.Crossings = res.Crossings
 	return lv

@@ -39,12 +39,12 @@ func TestPhase1RootIsFullEnvelope(t *testing.T) {
 	if len(stats) == 0 {
 		t.Fatal("no phase1 stats")
 	}
-	want := envelope.BuildUpperEnvelope(segs, 0)
+	want := envelope.Edges(nil).BuildUpperEnvelope(segs, 0)
 	got := tree.Root()
 	for i := 0; i < 500; i++ {
 		x := r.Float64() * 75
-		zw, cw := want.Eval(x)
-		zg, cg := got.Eval(x)
+		zw, cw := want.Eval(x, nil)
+		zg, cg := got.Eval(x, nil)
 		if cw != cg {
 			if nearAnyBreak(want, got, x) {
 				continue
@@ -88,12 +88,12 @@ func TestPhase1EveryNodeCoversItsSubtree(t *testing.T) {
 			continue
 		}
 		lo, hi := tree.Sep.Lo[node], tree.Sep.Hi[node]
-		want := envelope.BuildUpperEnvelope(segs[lo:hi], int32(lo))
+		want := envelope.Edges(nil).BuildUpperEnvelope(segs[lo:hi], int32(lo))
 		got := tree.Inter[node]
 		for i := 0; i < 60; i++ {
 			x := r.Float64() * 75
-			zw, cw := want.Eval(x)
-			zg, cg := got.Eval(x)
+			zw, cw := want.Eval(x, nil)
+			zg, cg := got.Eval(x, nil)
 			if cw != cg || (cw && math.Abs(zw-zg) > 1e-7) {
 				if nearAnyBreak(want, got, x) {
 					continue
@@ -113,8 +113,8 @@ func TestPhase2LeafPrefixSemantics(t *testing.T) {
 	tree.BuildPhase1(3, nil)
 	vis, _ := tree.Phase2Simple(3, nil)
 	for pos := range segs {
-		prefix := envelope.BuildUpperEnvelope(segs[:pos], 0)
-		want := envelope.ClipAbove(segs[pos], prefix)
+		prefix := envelope.Edges(nil).BuildUpperEnvelope(segs[:pos], 0)
+		want := envelope.Edges(nil).ClipAbove(segs[pos], envelope.NoEdge, prefix)
 		got := vis[pos]
 		if got.Pos != pos {
 			t.Fatalf("leaf order scrambled: %d vs %d", got.Pos, pos)

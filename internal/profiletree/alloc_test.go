@@ -15,7 +15,7 @@ func TestEvalDoesNotAllocate(t *testing.T) {
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
 		for x := lo - 1; x <= hi+1; x += (hi - lo) / 50 {
-			z, _ := Eval(tr, x)
+			z, _ := o.Eval(tr, x)
 			sink += z
 		}
 	})

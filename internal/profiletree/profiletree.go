@@ -47,6 +47,11 @@ type Ops struct {
 	H         *hull.Ops
 	WithHulls bool
 	Arena     *persist.Arena
+	// Edges is the table of original segments behind the trees' pieces,
+	// indexed by Piece.Edge: every height and crossing the tree operations
+	// and package cg's queries compute is taken on it (see
+	// envelope.Edges). A solve sets it before building trees.
+	Edges envelope.Edges
 	// Scratch is the worker's crossing-query memory; see Scratch.
 	Scratch Scratch
 
@@ -165,8 +170,8 @@ func ToProfile(t Tree) envelope.Profile {
 }
 
 // Eval returns the profile value at x, mirroring envelope.Profile.Eval
-// (right piece wins at shared breakpoints).
-func Eval(t Tree, x float64) (float64, bool) {
+// (right piece wins at shared breakpoints), on the pieces' edges in o.Edges.
+func (o *Ops) Eval(t Tree, x float64) (float64, bool) {
 	n := t.Root
 	var best envelope.Piece
 	found := false
@@ -181,7 +186,7 @@ func Eval(t Tree, x float64) (float64, bool) {
 	if !found || x > best.X2 {
 		return 0, false
 	}
-	return best.ZAt(x), true
+	return o.Edges.ZAt(best, x), true
 }
 
 // SplitAtX splits the profile at coordinate x: the left tree covers
@@ -195,7 +200,7 @@ func (o *Ops) SplitAtX(t Tree, x float64) (Tree, Tree) {
 		if last.X2 > x+geom.Eps {
 			var lInit *Node
 			lInit, _ = o.P.SplitRank(l, persist.Size(l)-1)
-			zAt := last.ZAt(x)
+			zAt := o.Edges.ZAt(last, x)
 			leftPart := envelope.Piece{X1: last.X1, Z1: last.Z1, X2: x, Z2: zAt, Edge: last.Edge}
 			rightPart := envelope.Piece{X1: x, Z1: zAt, X2: last.X2, Z2: last.Z2, Edge: last.Edge}
 			if leftPart.Width() > geom.Eps {

@@ -18,7 +18,7 @@ func randProfile(r *rand.Rand, n int) envelope.Profile {
 		x1 := r.Float64() * 80
 		segs[i] = geom.S2(x1, r.Float64()*40, x1+1+r.Float64()*20, r.Float64()*40)
 	}
-	return envelope.BuildUpperEnvelope(segs, 0)
+	return envelope.Edges(nil).BuildUpperEnvelope(segs, 0)
 }
 
 func TestFromToProfileRoundTrip(t *testing.T) {
@@ -52,8 +52,8 @@ func TestEvalMatchesSlice(t *testing.T) {
 		tr := o.FromProfile(p)
 		for i := 0; i < 300; i++ {
 			x := r.Float64() * 110
-			zs, cs := p.Eval(x)
-			zt, ct := Eval(tr, x)
+			zs, cs := p.Eval(x, nil)
+			zt, ct := o.Eval(tr, x)
 			if cs != ct || (cs && math.Abs(zs-zt) > 1e-12) {
 				t.Fatalf("trial %d x=%v: slice (%v,%v) tree (%v,%v)", trial, x, zs, cs, zt, ct)
 			}
@@ -149,12 +149,12 @@ func TestSpliceMatchesSliceMerge(t *testing.T) {
 			if err := Validate(spliced); err != nil {
 				t.Fatalf("hulls=%v trial %d: %v", hulls, trial, err)
 			}
-			want := envelope.Merge(base, envelope.Profile(run.Pieces))
+			want := envelope.Edges(nil).Merge(base, envelope.Profile(run.Pieces))
 			got := ToProfile(spliced)
 			for i := 0; i < 200; i++ {
 				x := lo + r.Float64()*(hi-lo)
-				zw, cw := want.Eval(x)
-				zg, cg := got.Eval(x)
+				zw, cw := want.Eval(x, nil)
+				zg, cg := got.Eval(x, nil)
 				if cw != cg || (cw && math.Abs(zw-zg) > 1e-7) {
 					if nearBreak(want, x) || nearBreak(got, x) {
 						continue

@@ -181,7 +181,9 @@ func TestMetricszEndpoint(t *testing.T) {
 // see, one serving route at a time: QueryResult.Mode, the engine=<mode>
 // prefix of QueryResult.Plan, the /viewshed JSON "mode" field on the solving
 // miss and on the cache hit that reports the recorded plan, and the
-// mode="..." label /metricsz files the request under.
+// mode="..." label /metricsz files the request under. It also pins the
+// kernel: the kernel=<name> of the plan text, the miss's cost-ledger
+// "kernel" field and the hit's empty one (a hit charges no work).
 func TestModeVocabulary(t *testing.T) {
 	checkMode := func(t *testing.T, what, mode, plan, want string) {
 		t.Helper()
@@ -196,18 +198,29 @@ func TestModeVocabulary(t *testing.T) {
 			t.Fatalf("/metricsz has no mode=%q series:\n%.600s", want, body)
 		}
 	}
+	checkKernel := func(t *testing.T, what, plan string, cost *terrainhsr.CostLedger, want, wantCost string) {
+		t.Helper()
+		got := ""
+		if cost != nil {
+			got = cost.Kernel
+		}
+		if !strings.Contains(plan, " kernel="+want) || got != wantCost {
+			t.Fatalf("%s: plan %q, ledger kernel %q; want kernel=%s in the plan and %q in the ledger", what, plan, got, want, wantCost)
+		}
+	}
 	for _, tc := range []struct {
 		name, mode string
 		opt        terrainhsr.ServerOptions
 		store      bool
 		eye        terrainhsr.Point
+		kernel     string
 	}{
-		{"plain grid under the threshold", "batched", terrainhsr.ServerOptions{}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}},
-		{"TileCells 1", "batched-tiled", terrainhsr.ServerOptions{TileCells: 1}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}},
+		{"plain grid under the threshold", "batched", terrainhsr.ServerOptions{}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}, "parallel"},
+		{"TileCells 1", "batched-tiled", terrainhsr.ServerOptions{TileCells: 1}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}, "sequential-tree"},
 		{"store level over the residency budget", "out-of-core",
-			terrainhsr.ServerOptions{ResidencyBudget: 100_000}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}},
+			terrainhsr.ServerOptions{ResidencyBudget: 100_000}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}, "sequential-tree"},
 		{"out-of-core level with tiled routing disabled", "out-of-core",
-			terrainhsr.ServerOptions{ResidencyBudget: 100_000, TileCells: -1}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}},
+			terrainhsr.ServerOptions{ResidencyBudget: 100_000, TileCells: -1}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}, "sequential-tree"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := terrainhsr.NewServer(tc.opt)
@@ -228,6 +241,7 @@ func TestModeVocabulary(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkMode(t, "Query", qr.Mode, qr.Plan, tc.mode)
+			checkKernel(t, "Query", qr.Plan, qr.Cost, tc.kernel, tc.kernel)
 
 			h := New(srv, Options{Metrics: obs.NewRegistry()})
 			url := fmt.Sprintf("/viewshed?terrain=demo&eye=%g,%g,%g", tc.eye.X, tc.eye.Y, tc.eye.Z)
@@ -240,6 +254,11 @@ func TestModeVocabulary(t *testing.T) {
 					t.Fatalf("/viewshed answered %q, want %q", resp.Cache, pass)
 				}
 				checkMode(t, "/viewshed "+pass, resp.Mode, resp.Plan, tc.mode)
+				wantCost := tc.kernel
+				if pass == "hit" {
+					wantCost = ""
+				}
+				checkKernel(t, "/viewshed "+pass, resp.Plan, resp.Cost, tc.kernel, wantCost)
 			}
 			metricsHasMode(t, h, tc.mode)
 		})

@@ -140,7 +140,7 @@ func TestSeedClipsLikeFront(t *testing.T) {
 	}
 	// A seed profile covering the left half of the image at a height that
 	// hides part of the terrain.
-	seed := envelope.BuildUpperEnvelope([]geom.Seg2{
+	seed := envelope.Edges(nil).BuildUpperEnvelope([]geom.Seg2{
 		{A: geom.Pt2{X: -100, Z: 3}, B: geom.Pt2{X: 20, Z: 3}},
 	}, envelope.NoEdge)
 
@@ -177,7 +177,7 @@ func TestSeedClipsLikeFront(t *testing.T) {
 	}
 
 	// A seed covering everything suppresses all output and all solving.
-	total := envelope.BuildUpperEnvelope([]geom.Seg2{
+	total := envelope.Edges(nil).BuildUpperEnvelope([]geom.Seg2{
 		{A: geom.Pt2{X: -1e6, Z: 1e6}, B: geom.Pt2{X: 1e6, Z: 1e6}},
 	}, envelope.NoEdge)
 	none, nst, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: total})

@@ -298,7 +298,10 @@ func (bs *bandState) finishBand(b int, outcomes []*tileOutcome, stats *Stats) er
 		// globally hidden pieces lie below the accumulated front profile,
 		// so merging them is harmless. Front is passed first: earlier
 		// bands win ties, matching the depth order of a monolithic solve.
-		bs.front = envelope.Merge(bs.front, envelope.BuildUpperEnvelope(bandSegs, envelope.NoEdge))
+		// The front's pieces come from no edge table, so the nil Edges
+		// evaluates them on their own endpoints.
+		var own envelope.Edges
+		bs.front = own.Merge(bs.front, own.BuildUpperEnvelope(bandSegs, envelope.NoEdge))
 	}
 	return nil
 }
@@ -420,7 +423,7 @@ func appendClipped(dst []hsr.VisiblePiece, pc hsr.VisiblePiece, front envelope.P
 	if sp.X2-sp.X1 <= geom.Eps {
 		// A vertical-image piece: compare its height range against the
 		// profile value at its column (same rules as the solvers' clipOne).
-		z, covered := front.Eval(sp.X1)
+		z, covered := front.Eval(sp.X1, nil)
 		switch {
 		case !covered:
 			return append(dst, pc), 0
@@ -440,10 +443,10 @@ func appendClipped(dst []hsr.VisiblePiece, pc hsr.VisiblePiece, front envelope.P
 	// the first piece that can overlap the span (binary search) so a band
 	// merge costs O(pieces · log |front|) rather than O(pieces · |front|).
 	i := sort.Search(len(front), func(i int) bool { return front[i].X2 > sp.X1+geom.Eps })
-	res := envelope.ClipAbove(geom.Seg2{
+	res := envelope.Edges(nil).ClipAbove(geom.Seg2{
 		A: geom.Pt2{X: sp.X1, Z: sp.Z1},
 		B: geom.Pt2{X: sp.X2, Z: sp.Z2},
-	}, front[i:])
+	}, envelope.NoEdge, front[i:])
 	for _, s := range res.Spans {
 		dst = append(dst, hsr.VisiblePiece{Edge: pc.Edge, Span: s})
 	}

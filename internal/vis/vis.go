@@ -154,7 +154,7 @@ func Silhouette(res *hsr.Result) envelope.Profile {
 		var next []envelope.Profile
 		for i := 0; i < len(segs); i += 2 {
 			if i+1 < len(segs) {
-				next = append(next, envelope.Merge(segs[i], segs[i+1]))
+				next = append(next, envelope.Edges(nil).Merge(segs[i], segs[i+1]))
 			} else {
 				next = append(next, segs[i])
 			}

@@ -95,7 +95,7 @@ func TestSilhouetteIsUpperBound(t *testing.T) {
 		}
 		mid := (p.Span.X1 + p.Span.X2) / 2
 		zp := (p.Span.Z1 + p.Span.Z2) / 2
-		zs, cov := sil.Eval(mid)
+		zs, cov := sil.Eval(mid, nil)
 		if !cov {
 			t.Fatalf("silhouette uncovered at %v inside visible piece", mid)
 		}
@@ -110,8 +110,8 @@ func TestSilhouetteAgreesAcrossAlgorithms(t *testing.T) {
 	sa, sb := Silhouette(a), Silhouette(b)
 	loA, hiA, _ := sa.XRange()
 	for x := loA; x < hiA; x += (hiA - loA) / 200 {
-		za, ca := sa.Eval(x)
-		zb, cb := sb.Eval(x)
+		za, ca := sa.Eval(x, nil)
+		zb, cb := sb.Eval(x, nil)
 		if ca != cb {
 			continue // breakpoint slivers
 		}

@@ -74,6 +74,12 @@ type CostLedger struct {
 	N         int   `json:"n"`
 	K         int   `json:"k"`
 	Crossings int64 `json:"crossings,omitempty"`
+	// Kernel is the algorithm whose solve charged the terms below and
+	// produced the pieces: the plan's kernel (engine.Plan.Kernel), which a
+	// tiled plan may choose differently from the requested algorithm.
+	// Empty for cache hits and coalesced waits; a session replay names the
+	// kernel that solved the frame it replays.
+	Kernel string `json:"kernel,omitempty"`
 	// Work is the total charged elementary operations
 	// (metrics.Counters.Total) and the fields after it its breakdown:
 	// envelope merge steps, clip steps, persistent-tree node visits,

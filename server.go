@@ -324,27 +324,49 @@ type serverLevel struct {
 	pager *store.Pager // an out-of-core store level's pager, set by its constructor
 	hits  atomic.Int64 // answered queries
 
-	plan  string // recorded plan's explanation ("" before the first solve)
+	plans []levelPlan // recorded plans, first solve first, one per algorithm
+}
+
+// levelPlan is one recorded plan of a level: its explanation, tiled flag
+// and mode, and the algorithm it was planned for. The plan names the
+// kernel the algorithm ran, so a level keeps one plan per algorithm.
+type levelPlan struct {
+	algo  Algorithm
+	plan  string
 	tiled bool
 	mode  string
 }
 
-// recordPlan remembers a level's first plan for cache-hit answers.
-func (e *serverTerrain) recordPlan(level int, plan *engine.Plan) {
-	e.mu.Lock()
-	if l := &e.lv[level]; l.plan == "" {
-		l.plan, l.tiled, l.mode = plan.Explain(), plan.Tiled, plan.Mode()
-	}
-	e.mu.Unlock()
-}
-
-// planFor returns the recorded plan, tiled flag and mode of a level (""
-// before the level's first solve).
-func (e *serverTerrain) planFor(level int) (string, bool, string) {
+// recordPlan remembers a level's first plan for algo for cache-hit
+// answers.
+func (e *serverTerrain) recordPlan(level int, algo Algorithm, plan *engine.Plan) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	l := &e.lv[level]
-	return l.plan, l.tiled, l.mode
+	for _, p := range l.plans {
+		if p.algo == algo {
+			return
+		}
+	}
+	l.plans = append(l.plans, levelPlan{algo: algo, plan: plan.Explain(), tiled: plan.Tiled, mode: plan.Mode()})
+}
+
+// planFor returns the recorded plan, tiled flag and mode of a level for
+// algo, or the level's first recorded plan when algo has none ("" before
+// the level's first solve).
+func (e *serverTerrain) planFor(level int, algo Algorithm) (string, bool, string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	plans := e.lv[level].plans
+	for _, p := range plans {
+		if p.algo == algo {
+			return p.plan, p.tiled, p.mode
+		}
+	}
+	if len(plans) == 0 {
+		return "", false, ""
+	}
+	return plans[0].plan, plans[0].tiled, plans[0].mode
 }
 
 // Server answers viewshed queries for a set of registered terrains through
@@ -436,7 +458,7 @@ func (s *Server) Register(id string, t *Terrain) error {
 	}
 	entry := &serverTerrain{levels: engine.SingleLevel(eng), lv: make([]serverLevel, 1)}
 	entry.lv[0].terr = t
-	entry.recordPlan(0, plan)
+	entry.recordPlan(0, Parallel, plan)
 	s.install(id, entry)
 	return nil
 }
@@ -766,7 +788,7 @@ func (s *Server) query(q Query, e *serverTerrain, level int, forced bool, worker
 		// This query runs the solve: it reports the plan that executes,
 		// worker split and budget reason included.
 		qr.Plan, qr.Tiled, qr.Mode = plan.Explain(), plan.Tiled, plan.Mode()
-		e.recordPlan(level, plan)
+		e.recordPlan(level, algo, plan)
 		s.solves.Add(1)
 		if plan.Tiled {
 			s.tiledSolves.Add(1)
@@ -779,6 +801,7 @@ func (s *Server) query(q Query, e *serverTerrain, level int, forced bool, worker
 			q.Trace.EndSpan(tok)
 			return nil, err
 		}
+		cost.Kernel = plan.Kernel
 		cost.noteTile(outs[0].Tile)
 		cost.noteResult(outs[0].Res)
 		endSolveSpan(q.Trace, tok, plan, cost)
@@ -792,7 +815,7 @@ func (s *Server) query(q Query, e *serverTerrain, level int, forced bool, worker
 		// under the same epoch (or, for a plain terrain, its registration),
 		// so a recorded plan exists; its reason tail may phrase the level
 		// pick differently than this query's budget.
-		qr.Plan, qr.Tiled, qr.Mode = e.planFor(level)
+		qr.Plan, qr.Tiled, qr.Mode = e.planFor(level, algo)
 	}
 	e.lv[level].hits.Add(1)
 	return qr, nil
@@ -807,6 +830,7 @@ func endSolveSpan(tr *obs.Trace, tok obs.SpanToken, plan *engine.Plan, cost *Cos
 	}
 	tr.EndSpanAttrs(tok,
 		obs.AttrStr("mode", plan.Mode()),
+		obs.AttrStr("kernel", plan.Kernel),
 		obs.AttrInt("k", int64(cost.K)),
 		obs.AttrInt("work", cost.Work))
 }
@@ -920,7 +944,7 @@ func (s *Server) session(key string, e *serverTerrain, level int, req engine.Req
 	if err != nil {
 		return nil, err
 	}
-	e.recordPlan(level, plan)
+	e.recordPlan(level, Algorithm(req.Algorithm), plan)
 	state, err := exec.NewSessionState(plan, req)
 	if err != nil {
 		return nil, err
@@ -1006,7 +1030,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 	// replays (a replay's "solve" is re-emitting the recording); the work
 	// breakdown stays zero because session frames stream without keeping an
 	// hsr.Result.
-	cost := &CostLedger{SolveUS: usOf(frameDur), N: fi.N, K: fi.K, Crossings: fi.Crossings}
+	cost := &CostLedger{SolveUS: usOf(frameDur), Kernel: ss.plan.Kernel, N: fi.N, K: fi.K, Crossings: fi.Crossings}
 	cost.noteTile(fi.Tile)
 	cost.TilesReused = fi.Reuse.TilesReused
 	if q.Trace.Sampled() {
@@ -1016,6 +1040,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 		}
 		q.Trace.EndSpanAttrs(tok,
 			obs.AttrStr("replayed", replayed),
+			obs.AttrStr("kernel", ss.plan.Kernel),
 			obs.AttrInt("tiles_reused", int64(fi.Reuse.TilesReused)),
 			obs.AttrInt("k", int64(fi.K)))
 	}
@@ -1144,7 +1169,7 @@ func (s *Server) Stats() ServerStats {
 	pageIns := make(map[string]int64)
 	for id, e := range s.terrains {
 		if e.st == nil {
-			plans[id], _, _ = e.planFor(0)
+			plans[id], _, _ = e.planFor(0, Parallel)
 			continue
 		}
 		hits := make([]int64, len(e.lv))
@@ -1165,7 +1190,7 @@ func (s *Server) Stats() ServerStats {
 		// stay described by the registration summary.
 		var parts []string
 		for l := range hits {
-			if p, _, _ := e.planFor(l); p != "" {
+			if p, _, _ := e.planFor(l, Parallel); p != "" {
 				parts = append(parts, fmt.Sprintf("level %d: %s", l, p))
 			}
 		}

@@ -141,3 +141,30 @@ func TestQueryManyMissReportsSolvedPlan(t *testing.T) {
 		t.Fatalf("Stats plan changed to %q after QueryMany, want %q", got, registered)
 	}
 }
+
+// TestCacheHitReportsItsAlgorithmsKernel: a level records one plan per
+// algorithm, because the plan names the kernel that ran. A cache hit then
+// reports the kernel its own algorithm's miss ran, not the default's.
+func TestCacheHitReportsItsAlgorithmsKernel(t *testing.T) {
+	s := NewServer(ServerOptions{Workers: 2, TileCells: 1})
+	if err := s.Register("t", genTest(t, "fractal", 10, 10, 3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		algo   Algorithm
+		kernel string
+	}{{"", "sequential-tree"}, {Sequential, "sequential"}, {ParallelHulls, "parallel-hulls"}} {
+		for _, want := range []string{"miss", "hit"} {
+			r, err := s.Query(Query{TerrainID: "t", Eye: serverEye(0, 0, 0), Algorithm: tc.algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Cache != want || !strings.Contains(r.Plan, " kernel="+tc.kernel) {
+				t.Fatalf("algorithm %q: %s answer with plan %q, want a %s reporting kernel=%s", tc.algo, r.Cache, r.Plan, want, tc.kernel)
+			}
+		}
+	}
+	if got := s.Stats().Plans["t"]; !strings.Contains(got, " kernel=sequential-tree") {
+		t.Fatalf("Stats plan %q, want the default algorithm's", got)
+	}
+}

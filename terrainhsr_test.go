@@ -38,27 +38,58 @@ func TestSolveDefaultAlgorithm(t *testing.T) {
 	}
 }
 
+// TestAllAlgorithmsAgree: every crossing and height is computed from the
+// two original edges (envelope.Edges), so the five exact algorithms emit
+// byte-identical pieces at every worker count, and the quadratic baselines
+// emit the same bytes again on the small inputs.
 func TestAllAlgorithmsAgree(t *testing.T) {
-	// The ridge is the occluded output-sensitivity scene of the paper's
-	// claims (internal/hsr's TestClaimTH3*): a tall wall hiding most of
-	// the terrain behind it.
-	ridge, err := Generate(GenParams{Kind: "ridge", Rows: 24, Cols: 24, Seed: 3, Amplitude: 4, RidgeHeight: 32})
-	if err != nil {
-		t.Fatal(err)
+	exact := []Algorithm{Parallel, ParallelHulls, ParallelCopying, Sequential, SequentialTree}
+	type input struct {
+		name  string
+		p     GenParams
+		algos []Algorithm
 	}
-	for _, tr := range []*Terrain{genTest(t, "sinusoid", 8, 8, 3), ridge} {
-		var lengths []float64
-		for _, algo := range Algorithms() {
-			res, err := Solve(tr, Options{Algorithm: algo, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s: %v", algo, err)
-			}
-			lengths = append(lengths, res.VisibleLength())
+	var inputs []input
+	for _, kind := range []string{"fractal", "ridge", "massive", "sinusoid"} {
+		inputs = append(inputs,
+			input{kind + " 48x48", GenParams{Kind: kind, Rows: 48, Cols: 48, Seed: 1}, exact},
+			input{kind + " 16x16", GenParams{Kind: kind, Rows: 16, Cols: 16, Seed: 2}, Algorithms()})
+	}
+	// The ridge is also the occluded output-sensitivity scene of the
+	// paper's claims (internal/hsr's TestClaimTH3*): a tall wall hiding
+	// most of the terrain behind it.
+	inputs = append(inputs, input{"ridge 24x24 height 32",
+		GenParams{Kind: "ridge", Rows: 24, Cols: 24, Seed: 3, Amplitude: 4, RidgeHeight: 32}, Algorithms()},
+		input{"sinusoid 8x8", GenParams{Kind: "sinusoid", Rows: 8, Cols: 8, Seed: 3}, Algorithms()})
+	for _, in := range inputs {
+		tr, err := Generate(in.p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(lengths); i++ {
-			if math.Abs(lengths[i]-lengths[0]) > 1e-6*lengths[0] {
-				t.Fatalf("n=%d: algorithm %s visible length %v differs from %v",
-					tr.NumEdges(), Algorithms()[i], lengths[i], lengths[0])
+		ref, err := Solve(tr, Options{Algorithm: Parallel, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Pieces()
+		for _, algo := range in.algos {
+			workers := []int{1, 2, 4}
+			if algo == BruteForce || algo == AllPairs {
+				workers = workers[:1] // sequential by construction
+			}
+			for _, w := range workers {
+				res, err := Solve(tr, Options{Algorithm: algo, Workers: w})
+				if err != nil {
+					t.Fatalf("%s %s: %v", in.name, algo, err)
+				}
+				got := res.Pieces()
+				if len(got) != len(want) {
+					t.Fatalf("%s: %s workers=%d emits %d pieces, parallel %d", in.name, algo, w, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: %s workers=%d piece %d is %+v, parallel's %+v", in.name, algo, w, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
