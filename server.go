@@ -14,9 +14,7 @@ import (
 	"terrainhsr/internal/dem"
 	"terrainhsr/internal/engine"
 	"terrainhsr/internal/geom"
-	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/obs"
-	"terrainhsr/internal/session"
 	"terrainhsr/internal/store"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
@@ -187,123 +185,6 @@ type QueryResult struct {
 	Reuse *ReuseStats
 }
 
-// ServerStats is a point-in-time snapshot of the server's counters.
-type ServerStats struct {
-	// Terrains is the number of registered terrains.
-	Terrains int
-	// CacheEntries is the number of results currently cached.
-	CacheEntries int
-	// Hits, Misses and Coalesced classify every cache-eligible query:
-	// served from the cache, solved by this query, or waited on an
-	// identical in-flight query and shared its answer.
-	Hits, Misses, Coalesced int64
-	// Evictions counts cached results displaced by capacity pressure.
-	Evictions int64
-	// Solves counts solve executions, including NoCache bypasses; with a
-	// warm cache it grows much more slowly than the query count.
-	Solves int64
-	// TiledSolves counts the subset of Solves routed through the tiled
-	// engine.
-	TiledSolves int64
-	// SessionFrames counts frames answered by QuerySession, and
-	// SessionReplays the subset served by replaying the previous frame's
-	// recorded stream (bitwise-identical eye) without solving at all.
-	SessionFrames, SessionReplays int64
-	// TilesReused, TilesReverified, TilesResolved and VerifyFailures
-	// aggregate the per-frame reuse ledger of every session frame solved so
-	// far (see ReuseStats for the per-frame meaning): how much of the fleet's
-	// flyover traffic the verify-then-reuse machinery actually saved.
-	TilesReused, TilesReverified, TilesResolved, VerifyFailures int64
-	// Plans maps every registered terrain ID to the explained engine plan
-	// its queries route through — the operator-facing answer to "which
-	// engine does this terrain's traffic actually take, and why". Exposed
-	// verbatim on /statsz by cmd/hsrserved.
-	Plans map[string]string
-	// LevelQueries maps every store-backed terrain ID to its per-level
-	// answered-query counts (index 0 = finest): the LOD hit profile that
-	// tells an operator which resolutions the traffic actually consumes.
-	LevelQueries map[string][]int64
-	// StoreBytes maps every store-backed terrain ID to the cumulative
-	// tile-file bytes its store has read so far — the paging cost of
-	// Haverkort & Toma's accounting, visible per terrain. The counter never
-	// decreases; on a culling workload it stays strictly below the level's
-	// on-disk bytes, proving hidden tiles were never read.
-	StoreBytes map[string]int64
-	// ResidentBytes maps every store-backed terrain ID to the height bytes
-	// its store currently holds in memory (assembled levels plus pager
-	// blocks). Unlike StoreBytes it falls as bands retire and levels drop —
-	// the live-memory side of the out-of-core ledger.
-	ResidentBytes map[string]int64
-	// PageIns maps every store-backed terrain ID to the number of tile-file
-	// reads its out-of-core levels have performed (demand and read-ahead;
-	// re-reads after eviction count again). Zero for terrains whose levels
-	// all run in core.
-	PageIns map[string]int64
-}
-
-// Add accumulates another snapshot into s — the fleet aggregation behind
-// the router's /statsz (internal/fleet, cmd/hsrrouter): summing the
-// snapshots of every replica in a shared-nothing fleet yields the fleet's
-// own ServerStats. Counters (hits, misses, coalesced, evictions, solves,
-// cache entries) and the per-terrain ledgers (LevelQueries elementwise,
-// StoreBytes, ResidentBytes, PageIns) add; Terrains takes the maximum,
-// since replicas of one fleet register the same terrain set rather than
-// disjoint ones; Plans keeps the first non-empty explanation per terrain,
-// since every replica plans identically for identical flags. ServerStats
-// has no custom JSON marshalling — field names are the wire format of
-// /statsz — so a snapshot survives an HTTP round trip and Add composes
-// across processes.
-func (s *ServerStats) Add(o ServerStats) {
-	if o.Terrains > s.Terrains {
-		s.Terrains = o.Terrains
-	}
-	s.CacheEntries += o.CacheEntries
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Coalesced += o.Coalesced
-	s.Evictions += o.Evictions
-	s.Solves += o.Solves
-	s.TiledSolves += o.TiledSolves
-	s.SessionFrames += o.SessionFrames
-	s.SessionReplays += o.SessionReplays
-	s.TilesReused += o.TilesReused
-	s.TilesReverified += o.TilesReverified
-	s.TilesResolved += o.TilesResolved
-	s.VerifyFailures += o.VerifyFailures
-	for id, plan := range o.Plans {
-		if s.Plans == nil {
-			s.Plans = make(map[string]string)
-		}
-		if s.Plans[id] == "" {
-			s.Plans[id] = plan
-		}
-	}
-	for id, hits := range o.LevelQueries {
-		if s.LevelQueries == nil {
-			s.LevelQueries = make(map[string][]int64)
-		}
-		have := s.LevelQueries[id]
-		if len(hits) > len(have) {
-			have = append(have, make([]int64, len(hits)-len(have))...)
-		}
-		for l, n := range hits {
-			have[l] += n
-		}
-		s.LevelQueries[id] = have
-	}
-	addByID := func(dst *map[string]int64, src map[string]int64) {
-		for id, n := range src {
-			if *dst == nil {
-				*dst = make(map[string]int64)
-			}
-			(*dst)[id] += n
-		}
-	}
-	addByID(&s.StoreBytes, o.StoreBytes)
-	addByID(&s.ResidentBytes, o.ResidentBytes)
-	addByID(&s.PageIns, o.PageIns)
-}
-
 // serverTerrain is one registry slot: the invalidation epoch and the level
 // set its queries resolve through. A plain Register is a one-level set
 // whose plan is recorded at registration (it depends only on the terrain's
@@ -397,23 +278,6 @@ type Server struct {
 	sessMu   sync.Mutex
 	sessions map[string]*serverSession
 	sessSeq  int64
-}
-
-// maxServerSessions bounds the number of live flyover sessions a server
-// retains; the least recently used session is dropped beyond it (a dropped
-// session is not an error — its next frame simply solves cold again under a
-// fresh session).
-const maxServerSessions = 64
-
-// serverSession is one live flyover session: the executor and plan its
-// frames run on and the warm state carried between frames. Frames of one
-// session serialize on mu; distinct sessions run concurrently.
-type serverSession struct {
-	mu       sync.Mutex
-	eng      *engine.Executor
-	plan     *engine.Plan
-	state    *session.State
-	lastUsed int64 // sessSeq at last use, under Server.sessMu
 }
 
 // NewServer builds a query server; see ServerOptions for defaults.
@@ -902,163 +766,6 @@ func (s *Server) key(id string, e *serverTerrain, eye Point, algo Algorithm, min
 	return b.String()
 }
 
-// sessionKey builds the flyover session registry key: the cache key's
-// fingerprint minus the eye — terrain identity and epoch, algorithm,
-// MinDepth, and the answering LOD level. Consecutive frames of one flyover
-// differ only in their eye, so they land on the same session and warm-start
-// from each other; an epoch bump on re-registration orphans the old
-// terrain's sessions exactly as it orphans its cached answers (they age out
-// under the session cap rather than being purged eagerly).
-func (s *Server) sessionKey(id string, e *serverTerrain, algo Algorithm, minDepth float64, level int) string {
-	var b strings.Builder
-	b.Grow(len(id) + 48)
-	b.WriteString(strconv.Quote(id))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(e.epoch, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(math.Float64bits(minDepth), 16))
-	b.WriteByte('|')
-	b.WriteString(string(algo))
-	b.WriteString("|L")
-	b.WriteString(strconv.Itoa(level))
-	return b.String()
-}
-
-// session returns the live session under key, creating (and capping) it if
-// needed. A new session plans through the level planner like Query does,
-// and records the level's plan before stamping it coherent, so later cache
-// hits report the level's own pipeline. Planning and bounds construction
-// run outside the registry lock; when two first frames race, one session
-// wins and both frames use it.
-func (s *Server) session(key string, e *serverTerrain, level int, req engine.Request) (*serverSession, error) {
-	s.sessMu.Lock()
-	if ss, ok := s.sessions[key]; ok {
-		s.sessSeq++
-		ss.lastUsed = s.sessSeq
-		s.sessMu.Unlock()
-		return ss, nil
-	}
-	s.sessMu.Unlock()
-
-	plan, exec, err := e.levels.PlanLevel(req, -1)
-	if err != nil {
-		return nil, err
-	}
-	e.recordPlan(level, Algorithm(req.Algorithm), plan)
-	state, err := exec.NewSessionState(plan, req)
-	if err != nil {
-		return nil, err
-	}
-	ss := &serverSession{eng: exec, plan: plan, state: state}
-
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	s.sessSeq++
-	if have, ok := s.sessions[key]; ok {
-		have.lastUsed = s.sessSeq // a concurrent first frame built it already
-		return have, nil
-	}
-	ss.lastUsed = s.sessSeq
-	s.sessions[key] = ss
-	if len(s.sessions) > maxServerSessions {
-		var coldest string
-		oldest := int64(math.MaxInt64)
-		for k, v := range s.sessions {
-			if v.lastUsed < oldest {
-				coldest, oldest = k, v.lastUsed
-			}
-		}
-		delete(s.sessions, coldest)
-	}
-	return ss, nil
-}
-
-// QuerySession answers one frame of a flyover: like Query, but warm-started
-// from the previous frame of the same flyover instead of solved cold. The
-// server keys sessions by everything in the cache key except the eye, so
-// consecutive frames against one terrain with the same options share a
-// session automatically — no session handle crosses the API. The frame's
-// pieces stream to sink (QueryResult.Result stays nil) and are
-// byte-identical to what Query would compute for the same quantized eye: a
-// bitwise-repeated eye replays the previous frame's recorded stream without
-// solving, and a moving eye on a tiled plan re-solves only the tiles whose
-// previous verdict the conservative cone check cannot confirm.
-// QueryResult.Cache reports "session" and QueryResult.Reuse the frame's
-// reuse ledger. The result cache is not consulted (frames are ordered and
-// rarely collide with point queries); sessions are capped at 64 with LRU
-// eviction, and an evicted flyover's next frame simply solves cold again.
-func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
-	e, level, err := s.resolve(q)
-	if err != nil {
-		return nil, err
-	}
-	algo := resolveAlgo(q.Algorithm)
-	eye := s.QuantizeEye(q.Eye)
-	q.Trace.SetTerrain(q.TerrainID)
-	req := s.request(q, []geom.Pt3{pt3(eye)}, s.opt.Workers)
-	ss, err := s.session(s.sessionKey(q.TerrainID, e, algo, q.MinDepth, level), e, level, req)
-	if err != nil {
-		return nil, err
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	tok := q.Trace.StartSpan(obs.StageSession)
-	t0 := time.Now()
-	fi, err := ss.eng.RunSessionFrame(ss.plan, req, ss.state, func(p hsr.VisiblePiece) error {
-		return sink(toPiece(p))
-	})
-	frameDur := time.Since(t0)
-	if err != nil {
-		q.Trace.EndSpan(tok)
-		return nil, err
-	}
-	s.sessionFrames.Add(1)
-	if fi.Replayed {
-		s.sessionReplays.Add(1)
-	} else {
-		s.solves.Add(1)
-		if ss.plan.Tiled {
-			s.tiledSolves.Add(1)
-		}
-	}
-	s.tilesReused.Add(int64(fi.Reuse.TilesReused))
-	s.tilesReverified.Add(int64(fi.Reuse.TilesReverified))
-	s.tilesResolved.Add(int64(fi.Reuse.TilesResolved))
-	s.verifyFailures.Add(int64(fi.Reuse.VerifyFailures))
-	e.lv[level].hits.Add(1)
-	// The frame's ledger: production time counts as solve time even for
-	// replays (a replay's "solve" is re-emitting the recording); the work
-	// breakdown stays zero because session frames stream without keeping an
-	// hsr.Result.
-	cost := &CostLedger{SolveUS: usOf(frameDur), Kernel: ss.plan.Kernel, N: fi.N, K: fi.K, Crossings: fi.Crossings}
-	cost.noteTile(fi.Tile)
-	cost.TilesReused = fi.Reuse.TilesReused
-	if q.Trace.Sampled() {
-		replayed := "false"
-		if fi.Replayed {
-			replayed = "true"
-		}
-		q.Trace.EndSpanAttrs(tok,
-			obs.AttrStr("replayed", replayed),
-			obs.AttrStr("kernel", ss.plan.Kernel),
-			obs.AttrInt("tiles_reused", int64(fi.Reuse.TilesReused)),
-			obs.AttrInt("k", int64(fi.K)))
-	}
-	q.Trace.SetCost(cost)
-	return &QueryResult{
-		Eye: eye, Cache: "session", Tiled: ss.plan.Tiled, Plan: ss.plan.Explain(),
-		Mode: ss.plan.Mode(), Cost: cost,
-		Level: level, Levels: e.levels.NumLevels(), LevelCellSize: e.levels.CellSize(level),
-		Reuse: &ReuseStats{
-			Replayed:        fi.Replayed,
-			TilesReused:     fi.Reuse.TilesReused,
-			TilesReverified: fi.Reuse.TilesReverified,
-			TilesResolved:   fi.Reuse.TilesResolved,
-			VerifyFailures:  fi.Reuse.VerifyFailures,
-		},
-	}, nil
-}
-
 // QueryMany answers one query template from many eye points — the
 // many-observer viewshed workload — under the engine's worker budget
 // policy (engine.SplitBudget): up to min(eyes, Workers) eyes are in flight
@@ -1156,71 +863,4 @@ func (s *Server) QueryProgressive(q Query, pass func(ProgressivePass) error, sin
 		}
 	}
 	return nil
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() ServerStats {
-	s.mu.RLock()
-	terrains := len(s.terrains)
-	plans := make(map[string]string, terrains)
-	levelQueries := make(map[string][]int64)
-	storeBytes := make(map[string]int64)
-	residentBytes := make(map[string]int64)
-	pageIns := make(map[string]int64)
-	for id, e := range s.terrains {
-		if e.st == nil {
-			plans[id], _, _ = e.planFor(0, Parallel)
-			continue
-		}
-		hits := make([]int64, len(e.lv))
-		var ins int64
-		e.mu.Lock()
-		for l := range e.lv {
-			hits[l] = e.lv[l].hits.Load()
-			if pg := e.lv[l].pager; pg != nil {
-				ins += pg.PageIns()
-			}
-		}
-		e.mu.Unlock()
-		levelQueries[id] = hits
-		storeBytes[id] = e.st.BytesLoaded()
-		residentBytes[id] = e.st.ResidentBytes()
-		pageIns[id] = ins
-		// Report the per-level plans solved so far; levels never queried
-		// stay described by the registration summary.
-		var parts []string
-		for l := range hits {
-			if p, _, _ := e.planFor(l, Parallel); p != "" {
-				parts = append(parts, fmt.Sprintf("level %d: %s", l, p))
-			}
-		}
-		if len(parts) == 0 {
-			plans[id] = s.storeSummary(e)
-		} else {
-			plans[id] = strings.Join(parts, " || ")
-		}
-	}
-	s.mu.RUnlock()
-	st := ServerStats{
-		Terrains:        terrains,
-		Solves:          s.solves.Load(),
-		TiledSolves:     s.tiledSolves.Load(),
-		SessionFrames:   s.sessionFrames.Load(),
-		SessionReplays:  s.sessionReplays.Load(),
-		TilesReused:     s.tilesReused.Load(),
-		TilesReverified: s.tilesReverified.Load(),
-		TilesResolved:   s.tilesResolved.Load(),
-		VerifyFailures:  s.verifyFailures.Load(),
-		Plans:           plans,
-		LevelQueries:    levelQueries,
-		StoreBytes:      storeBytes,
-		ResidentBytes:   residentBytes,
-		PageIns:         pageIns,
-	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		st.CacheEntries = cs.Entries
-		st.Hits, st.Misses, st.Coalesced, st.Evictions = cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions
-	}
-	return st
 }
