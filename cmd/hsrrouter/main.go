@@ -3,7 +3,8 @@
 // (huge terrains shard further by resolution-level band), hedges slow
 // requests onto the next replica in ring order, fails over transparently
 // on replica errors, probes replica health and ejects/readmits members,
-// and serves a fleet-wide /statsz that sums every replica's counters.
+// and serves a fleet-wide /statsz that sums every replica's counters and
+// merges their stage latency histograms.
 //
 //	hsrrouter -addr :8100 \
 //	    -replica http://127.0.0.1:8101 \
@@ -31,9 +32,10 @@
 // every N — the trace ID propagates to every attempted replica, each
 // hedge attempt becomes a child span with winner/loser attribution, and
 // the winning replica's own spans are grafted in — served on GET /tracez.
-// GET /metricsz merges every replica's latency histograms with the
-// router's own (request and attempt series) into one Prometheus text
-// exposition. Hedge-loser latencies appear on /fleetz under
+// GET /metricsz renders the router's own latency series (request and
+// attempt) merged with the replicas' histograms — the "Stages" of the
+// same replica /statsz documents the fleet rollup reads — as one
+// Prometheus text exposition. Hedge-loser latencies appear on /fleetz under
 // attempt_latency. -pprof-addr starts net/http/pprof on a separate
 // private listener; -log-level sets the slog level.
 package main
@@ -157,7 +159,6 @@ func main() {
 		WarmupRequests: *warmupRequests,
 		Replication:    replication,
 		Tracer:         obs.NewTracer(*traceSample, *traceRing),
-		Metrics:        obs.NewRegistry(),
 		Logf: func(format string, args ...any) {
 			lg.Info(fmt.Sprintf(format, args...))
 		},

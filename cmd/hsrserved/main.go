@@ -10,7 +10,7 @@
 // Usage:
 //
 //	hsrserved [-addr :8080] [-terrain spec]... [-store spec]...
-//	          [-resolution 0.25] [-cache 1024] [-shards 16] [-workers 0]
+//	          [-resolution 0.25] [-cache 1024] [-workers 0]
 //	          [-tile-cells 262144] [-residency-budget 0]
 //	          [-trace-sample 0] [-trace-ring 64] [-slow-query 0]
 //	          [-pprof-addr ""] [-log-level info]
@@ -42,7 +42,9 @@
 //	GET /healthz   liveness probe; responds "ok".
 //	GET /statsz    JSON ServerStats: hits, misses, coalesced, evictions,
 //	               solves, cache entries, per-level LOD query counters,
-//	               store bytes loaded, resident bytes and tile page-ins.
+//	               store bytes loaded, resident bytes, tile page-ins and
+//	               the stage latency histograms ("Stages") — the one
+//	               document a router fetches and merges.
 //	GET /terrains  JSON list of registered terrains and their sizes
 //	               (manifest-derived for stores; listing never pages tiles).
 //	GET /viewshed  answer a viewshed query; parameters below.
@@ -52,9 +54,9 @@
 //	               enables local sampling; requests arriving with an
 //	               X-HSR-Trace header are always traced. Filters:
 //	               terrain=, id=, min_ms=, limit=.
-//	GET /metricsz  per-stage, per-plan-mode latency histograms: Prometheus
-//	               text by default, the JSON snapshot with ?format=json
-//	               (what a router aggregates). See docs/OBSERVABILITY.md.
+//	GET /metricsz  the same per-stage, per-plan-mode latency histograms:
+//	               Prometheus text by default, the JSON snapshot with
+//	               ?format=json. See docs/OBSERVABILITY.md.
 //
 // Observability flags: -trace-sample N traces one query in every N (0
 // only honors propagated trace IDs), -trace-ring caps the /tracez ring,
@@ -174,7 +176,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	resolution := flag.Float64("resolution", 0.25, "viewpoint quantization grid spacing (0 = exact keys)")
 	cacheCap := flag.Int("cache", 1024, "result cache capacity (negative disables caching)")
-	shards := flag.Int("shards", 16, "cache shard count")
 	workers := flag.Int("workers", 0, "worker budget per query (0 = all CPUs)")
 	tileCells := flag.Int("tile-cells", 262144, "route grids with >= this many cells through the tiled engine (negative disables)")
 	residencyMiB := flag.Int64("residency-budget", 0, "solve store levels estimated above this many MiB out-of-core, paging tile files band by band (0 disables)")
@@ -196,7 +197,6 @@ func main() {
 	srv := terrainhsr.NewServer(terrainhsr.ServerOptions{
 		Resolution:      *resolution,
 		CacheCapacity:   *cacheCap,
-		CacheShards:     *shards,
 		Workers:         *workers,
 		TileCells:       *tileCells,
 		ResidencyBudget: *residencyMiB << 20,
@@ -230,11 +230,10 @@ func main() {
 
 	// A zero sampling rate still builds a tracer: propagated X-HSR-Trace
 	// requests (the router sampled them) are always traced and land in the
-	// ring. The metrics registry is always on — Observe is a few atomic
-	// adds — so /metricsz works out of the box.
+	// ring. The stage histograms need no setup: the server always records
+	// them (a few atomic adds per query).
 	opt := serve.Options{
 		Tracer:    obs.NewTracer(*traceSample, *traceRing),
-		Metrics:   obs.NewRegistry(),
 		Logger:    lg,
 		SlowQuery: *slowQuery,
 	}

@@ -43,13 +43,17 @@
 // preference but never empties it: with every replica ejected the router
 // still tries the ring order rather than refusing traffic.
 //
-// Statsz. The router's /statsz fans out to every configured replica —
-// including ejected ones — and sums their ServerStats into a fleet
-// snapshot via terrainhsr.ServerStats.Add, reporting each replica's
-// health and error alongside; a down replica is reported, never silently
-// dropped. The router's own counters (routed, hedged, hedge wins,
-// failovers, ejections, adds, removes) ride along on /fleetz, with the
-// per-key placement and serve ledger.
+// Statsz. A replica publishes one document, its /statsz ServerStats:
+// counters, per-terrain ledgers and the stage latency histograms (Stages).
+// The router's /statsz fans out to every configured replica — including
+// ejected ones — and sums their ServerStats into a fleet snapshot via
+// terrainhsr.ServerStats.Add, the only cross-process merge, reporting each
+// replica's health and error alongside; a down replica is reported, never
+// silently dropped. The router's /metricsz renders its own request and
+// attempt series merged with that rollup's Stages, and the admin warm-up
+// check reads the same replica /statsz. The router's own counters
+// (routed, hedged, hedge wins, failovers, ejections, adds, removes) ride
+// along on /fleetz, with the per-key placement and serve ledger.
 //
 // Membership. The fleet is elastic at runtime: with AdminToken set, the
 // authenticated /adminz surface admits and removes replicas while

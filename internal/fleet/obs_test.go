@@ -38,7 +38,7 @@ func newTracedReplica(t *testing.T, delay time.Duration) *tracedReplica {
 		}
 	}
 	rep := &tracedReplica{tracer: obs.NewTracer(0, 16), delay: delay}
-	h := serve.New(srv, serve.Options{Tracer: rep.tracer, Metrics: obs.NewRegistry()})
+	h := serve.New(srv, serve.Options{Tracer: rep.tracer})
 	rep.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if rep.delay > 0 && r.URL.Path == "/viewshed" {
 			time.Sleep(rep.delay)
@@ -77,7 +77,6 @@ func TestRouterTraceCoversHedgedQuery(t *testing.T) {
 		HedgeAfter:    20 * time.Millisecond,
 		ProbeInterval: -1,
 		Tracer:        obs.NewTracer(1, 8), // trace every routed query
-		Metrics:       obs.NewRegistry(),
 		Logf:          func(string, ...any) {},
 	})
 	if err != nil {
@@ -216,7 +215,6 @@ func TestRouterMetricszAggregates(t *testing.T) {
 		Replicas:      []string{a.srv.URL, b.srv.URL},
 		HedgeAfter:    -1,
 		ProbeInterval: -1,
-		Metrics:       obs.NewRegistry(),
 		Logf:          func(string, ...any) {},
 	})
 	if err != nil {
@@ -261,36 +259,5 @@ func TestRouterMetricszAggregates(t *testing.T) {
 	}
 	if replicaReqs != 3 {
 		t.Fatalf("aggregated replica request observations = %d, want 3", replicaReqs)
-	}
-}
-
-// TestAggregateMetricsPure exercises the merge arithmetic without HTTP:
-// series sharing (stage, mode) sum bucket-wise, disjoint series append,
-// and down replicas are skipped.
-func TestAggregateMetricsPure(t *testing.T) {
-	r1 := obs.NewRegistry()
-	r1.Observe(obs.StageSolve, "tiled", 2*time.Millisecond)
-	r1.Observe(obs.StageSolve, "tiled", 3*time.Millisecond)
-	r2 := obs.NewRegistry()
-	r2.Observe(obs.StageSolve, "tiled", 4*time.Millisecond)
-	r2.Observe(obs.StagePlan, "monolithic", time.Millisecond)
-	local := obs.NewRegistry()
-	local.Observe(obs.StageRequest, "router", time.Millisecond)
-
-	merged := fleet.AggregateMetrics([]fleet.ReplicaMetrics{
-		{Addr: "r1", Healthy: true, Snap: r1.Snapshot()},
-		{Addr: "r2", Healthy: true, Snap: r2.Snapshot()},
-		{Addr: "down", Healthy: false},
-	}, local.Snapshot())
-
-	counts := map[string]uint64{}
-	for _, e := range merged.Hists {
-		counts[e.Stage+"/"+e.Mode] = e.Hist.Count
-	}
-	want := map[string]uint64{"solve/tiled": 3, "plan/monolithic": 1, "request/router": 1}
-	for k, n := range want {
-		if counts[k] != n {
-			t.Fatalf("merged[%s] = %d, want %d (all: %v)", k, counts[k], n, counts)
-		}
 	}
 }

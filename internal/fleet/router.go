@@ -80,11 +80,6 @@ type Options struct {
 	// its attempt. nil disables router tracing entirely — propagated
 	// client IDs still flow through to the replicas untouched.
 	Tracer *obs.Tracer
-	// Metrics collects the router's own latency series — whole routed
-	// requests plus per-attempt winner/loser latencies — and is merged
-	// with the replicas' histograms on /metricsz. nil drops the router's
-	// local series; /metricsz still aggregates the replicas.
-	Metrics *obs.Registry
 	// Logf receives router diagnostics (default log.Printf; tests silence
 	// it).
 	Logf func(format string, args ...any)
@@ -179,7 +174,7 @@ type Router struct {
 	client  *http.Client
 	logf    func(string, ...any)
 	tracer  *obs.Tracer
-	metrics *obs.Registry
+	metrics *obs.Registry // the router's own request and attempt series
 
 	// winners and losers histogram time-to-response-header per attempt
 	// outcome. Losers are the attempts abandoned because another attempt
@@ -245,7 +240,7 @@ func New(opt Options) (*Router, error) {
 		client:   opt.Client,
 		logf:     opt.Logf,
 		tracer:   opt.Tracer,
-		metrics:  opt.Metrics,
+		metrics:  obs.NewRegistry(),
 		replicas: make(map[string]*replica, len(opt.Replicas)),
 		terrains: make(map[string]terrainMeta),
 		hot:      make(map[string][]string),

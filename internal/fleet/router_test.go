@@ -8,12 +8,19 @@ import (
 	"time"
 
 	terrainhsr "terrainhsr"
+	"terrainhsr/internal/obs"
 )
 
 // silent drops router diagnostics in tests that expect failures.
 func silent(string, ...any) {}
 
 func TestAggregateStats(t *testing.T) {
+	r1, r2, r3 := obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()
+	r1.Observe(obs.StageSolve, "batched-tiled", 2*time.Millisecond)
+	r1.Observe(obs.StageSolve, "batched-tiled", 3*time.Millisecond)
+	r2.Observe(obs.StageSolve, "batched-tiled", 4*time.Millisecond)
+	r2.Observe(obs.StagePlan, "batched", time.Millisecond)
+	r3.Observe(obs.StageSolve, "batched-tiled", time.Second)
 	a := &terrainhsr.ServerStats{
 		Terrains: 2, CacheEntries: 10, Hits: 100, Misses: 20, Coalesced: 3,
 		Evictions: 1, Solves: 23, TiledSolves: 4,
@@ -22,6 +29,7 @@ func TestAggregateStats(t *testing.T) {
 		StoreBytes:    map[string]int64{"alps": 1000},
 		ResidentBytes: map[string]int64{"alps": 400},
 		PageIns:       map[string]int64{"alps": 7},
+		Stages:        r1.Snapshot(),
 	}
 	b := &terrainhsr.ServerStats{
 		Terrains: 2, CacheEntries: 6, Hits: 50, Misses: 10, Coalesced: 1,
@@ -31,11 +39,13 @@ func TestAggregateStats(t *testing.T) {
 		StoreBytes:    map[string]int64{"alps": 500, "delta": 30},
 		ResidentBytes: map[string]int64{"alps": 100},
 		PageIns:       map[string]int64{"delta": 2},
+		Stages:        r2.Snapshot(),
 	}
 	fs := AggregateStats([]ReplicaStats{
 		{Addr: "http://r1", Healthy: true, Stats: a},
 		{Addr: "http://r2", Healthy: true, Stats: b},
-		{Addr: "http://r3", Error: "connection refused"},
+		// A down replica's (stale) snapshot never reaches the fleet rollup.
+		{Addr: "http://r3", Error: "connection refused", Stats: &terrainhsr.ServerStats{Hits: 1000, Stages: r3.Snapshot()}},
 	})
 	if fs.Reporting != 2 || fs.Down != 1 {
 		t.Fatalf("reporting=%d down=%d, want 2/1", fs.Reporting, fs.Down)
@@ -74,6 +84,24 @@ func TestAggregateStats(t *testing.T) {
 	}
 	if f.PageIns["alps"] != 7 || f.PageIns["delta"] != 2 {
 		t.Errorf("PageIns = %v", f.PageIns)
+	}
+	// Stage histograms: series sharing (stage, mode) sum bucket-wise,
+	// disjoint series append, and the down replica contributes nothing.
+	counts := map[string]uint64{}
+	for _, e := range f.Stages.Hists {
+		counts[e.Stage+"/"+e.Mode] = e.Hist.Count
+	}
+	want := map[string]uint64{"solve/batched-tiled": 3, "plan/batched": 1}
+	if len(counts) != len(want) {
+		t.Fatalf("Stages series = %v, want %v", counts, want)
+	}
+	for k, n := range want {
+		if counts[k] != n {
+			t.Fatalf("Stages[%s] = %d, want %d (all: %v)", k, counts[k], n, counts)
+		}
+	}
+	if got := f.Stages.Hists[1].Hist.SumNS; got != int64(9*time.Millisecond) {
+		t.Errorf("merged solve series sums %v, want 9ms", time.Duration(got))
 	}
 }
 

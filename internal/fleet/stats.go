@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	terrainhsr "terrainhsr"
-	"terrainhsr/internal/obs"
 )
 
 // ReplicaStats is one replica's contribution to the fleet's /statsz: its
@@ -106,84 +105,14 @@ func (rt *Router) statsz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, fs)
 }
 
-// ReplicaMetrics is one replica's contribution to the fleet's /metricsz:
-// its histogram snapshot when it answered, or the error when it did not —
-// same listing contract as ReplicaStats, so a low fleet histogram is
-// attributable to the replica that failed to report.
-type ReplicaMetrics struct {
-	// Addr is the replica's base URL.
-	Addr string `json:"addr"`
-	// Healthy reports whether this metricsz fetch succeeded.
-	Healthy bool `json:"healthy"`
-	// Error is the fetch failure, when Healthy is false.
-	Error string `json:"error,omitempty"`
-	// Snap is the replica's registry snapshot, when Healthy.
-	Snap obs.RegistrySnapshot `json:"snap,omitempty"`
-}
-
-// AggregateMetrics merges per-replica histogram snapshots and the
-// router's own series into one fleet snapshot (obs.RegistrySnapshot.Merge
-// sums series sharing a stage and mode — log-bucketed histograms merge
-// exactly). It is the pure half of the router's /metricsz, the histogram
-// analogue of AggregateStats.
-func AggregateMetrics(replicas []ReplicaMetrics, local obs.RegistrySnapshot) obs.RegistrySnapshot {
-	var out obs.RegistrySnapshot
-	out.Merge(local)
-	for _, r := range replicas {
-		if !r.Healthy {
-			continue
-		}
-		out.Merge(r.Snap)
-	}
-	return out
-}
-
-// FetchMetrics fetches every configured replica's /metricsz?format=json
-// concurrently and returns the per-replica outcomes in configured order.
-func (rt *Router) FetchMetrics() []ReplicaMetrics {
-	reps := rt.snapshotReplicas()
-	out := make([]ReplicaMetrics, len(reps))
-	var wg sync.WaitGroup
-	for i, r := range reps {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			out[i] = rt.fetchOneMetrics(r)
-		}(i, r)
-	}
-	wg.Wait()
-	return out
-}
-
-// fetchOneMetrics fetches one replica's histogram snapshot.
-func (rt *Router) fetchOneMetrics(r *replica) ReplicaMetrics {
-	resp, err := rt.client.Get(r.addr + "/metricsz?format=json")
-	if err != nil {
-		return ReplicaMetrics{Addr: r.addr, Error: err.Error()}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return ReplicaMetrics{Addr: r.addr, Error: fmt.Sprintf("metricsz: %s", resp.Status)}
-	}
-	var snap obs.RegistrySnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return ReplicaMetrics{Addr: r.addr, Error: "parse metricsz: " + err.Error()}
-	}
-	return ReplicaMetrics{Addr: r.addr, Healthy: true, Snap: snap}
-}
-
-// metricsz serves the fleet's merged latency histograms: every replica's
-// per-stage, per-mode series summed with the router's own (request and
-// attempt series, whose modes — "router", "winner", "loser" — never
-// collide with the replicas' engine plan modes). Prometheus text by
-// default, the merged JSON snapshot with ?format=json.
+// metricsz serves the fleet's merged latency histograms: the router's own
+// series (request and attempt, whose modes — "router", "winner", "loser" —
+// never collide with the replicas' engine plan modes) merged with the
+// fleet rollup of the replicas' /statsz Stages, so /statsz and /metricsz
+// read one fan-out and one merge. Prometheus text by default, the merged
+// JSON snapshot with ?format=json.
 func (rt *Router) metricsz(w http.ResponseWriter, req *http.Request) {
-	snap := AggregateMetrics(rt.FetchMetrics(), rt.metrics.Snapshot())
-	if req.URL.Query().Get("format") == "json" {
-		writeJSON(w, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap.WritePrometheus(w, obs.MetricFamily)
+	snap := rt.metrics.Snapshot()
+	snap.Merge(AggregateStats(rt.FetchStats()).Fleet.Stages)
+	snap.Serve(w, req)
 }

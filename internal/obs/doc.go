@@ -30,8 +30,9 @@
 // with a single atomic add — safe for concurrent writers, allocation-free
 // on Observe. A Registry keys histograms by (stage, plan mode) and renders
 // them in Prometheus text exposition format for GET /metricsz; snapshots
-// marshal to JSON so a router can fetch its replicas' registries and merge
-// them the way fleet.AggregateStats merges counters.
+// marshal to JSON and ride in a replica's /statsz document
+// (ServerStats.Stages), so a router merges them in the same pass
+// (fleet.AggregateStats) that sums the replicas' counters.
 //
 // The invariant threaded through every tier: tracing on or off, sampled or
 // not, solve bytes are byte-identical. Instrumentation only ever reads

@@ -149,8 +149,8 @@ func (s HistSnapshot) Mean() time.Duration {
 }
 
 // Registry keys histograms by (stage, plan mode) and renders them for
-// /metricsz. A nil *Registry ignores observations, so instrumented code
-// never branches on whether metrics are enabled.
+// /metricsz. Every query server and router owns one; there is no disabled
+// state to branch on.
 type Registry struct {
 	mu    sync.RWMutex
 	hists map[histKey]*Histogram
@@ -168,9 +168,6 @@ func NewRegistry() *Registry {
 // The fast path is a read-locked map lookup with a struct key — no
 // allocation — so callers may resolve per observation.
 func (r *Registry) Hist(stage, mode string) *Histogram {
-	if r == nil {
-		return nil
-	}
 	k := histKey{stage, mode}
 	r.mu.RLock()
 	h := r.hists[k]
@@ -203,8 +200,9 @@ type HistEntry struct {
 }
 
 // RegistrySnapshot is a point-in-time copy of a whole registry, ordered by
-// (stage, mode). It is the JSON body of /metricsz?format=json and the unit
-// the router aggregates across replicas.
+// (stage, mode). It is the JSON body of /metricsz?format=json and the
+// Stages field of a replica's /statsz document, which the router merges
+// across replicas.
 type RegistrySnapshot struct {
 	// Hists lists every series, sorted by stage then mode.
 	Hists []HistEntry `json:"hists"`
@@ -213,9 +211,6 @@ type RegistrySnapshot struct {
 // Snapshot copies every series in the registry.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	var s RegistrySnapshot
-	if r == nil {
-		return s
-	}
 	r.mu.RLock()
 	for k, h := range r.hists {
 		s.Hists = append(s.Hists, HistEntry{Stage: k.stage, Mode: k.mode, Hist: h.Snapshot()})
@@ -288,15 +283,15 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer, family string, constLabel
 	}
 }
 
-// ServeHTTP serves the registry (the /metricsz endpoint): Prometheus text
-// by default, the JSON snapshot with ?format=json (what a router fetches
-// to aggregate).
+// ServeHTTP serves the registry (the /metricsz endpoint); see
+// RegistrySnapshot.Serve.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if r == nil {
-		http.Error(w, "metrics disabled", http.StatusNotFound)
-		return
-	}
-	s := r.Snapshot()
+	r.Snapshot().Serve(w, req)
+}
+
+// Serve renders the snapshot as a /metricsz response: Prometheus text
+// under MetricFamily by default, the JSON snapshot with ?format=json.
+func (s RegistrySnapshot) Serve(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(s)

@@ -10,7 +10,8 @@
 // Endpoints (see cmd/hsrserved for the operator-facing documentation):
 //
 //	GET /healthz   liveness probe; responds "ok".
-//	GET /statsz    JSON terrainhsr.ServerStats snapshot.
+//	GET /statsz    JSON terrainhsr.ServerStats snapshot: counters, ledgers
+//	               and the stage latency histograms ("Stages").
 //	GET /terrains  JSON list of registered terrains and their sizes
 //	               (manifest-derived for stores; listing never pages tiles).
 //	GET /viewshed  answer a viewshed query (JSON, SVG or ASCII; single or

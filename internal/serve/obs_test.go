@@ -16,12 +16,12 @@ import (
 )
 
 // newObsHandler builds a handler with the full observability stack: a
-// tracer (sampling rate sampleEvery) and a metrics registry.
+// tracer (sampling rate sampleEvery) and the server's stage histograms.
 func newObsHandler(t *testing.T, sampleEvery int) (http.Handler, *obs.Tracer, *obs.Registry) {
 	t.Helper()
 	tracer := obs.NewTracer(sampleEvery, 16)
-	reg := obs.NewRegistry()
-	return New(newObsServer(t), Options{Tracer: tracer, Metrics: reg}), tracer, reg
+	srv := newObsServer(t)
+	return New(srv, Options{Tracer: tracer}), tracer, srv.Metrics()
 }
 
 // newObsServer registers the observability tests' terrain as "demo".
@@ -88,8 +88,8 @@ func TestTracePropagation(t *testing.T) {
 // TestTracedBodyMatchesUnobserved checks that observation never changes an
 // answer: the body served under a propagated trace (always sampled) and
 // under rate-1 sampling equals, after zeroing the volatile timing and
-// ledger fields, the body of a handler with no tracer or registry — for a
-// solving miss and for a cache hit.
+// ledger fields, the body of a handler with no tracer — for a solving miss
+// and for a cache hit.
 func TestTracedBodyMatchesUnobserved(t *testing.T) {
 	plain := New(newObsServer(t), Options{})
 	propagated, _, _ := newObsHandler(t, 0)
@@ -243,7 +243,7 @@ func TestModeVocabulary(t *testing.T) {
 			checkMode(t, "Query", qr.Mode, qr.Plan, tc.mode)
 			checkKernel(t, "Query", qr.Plan, qr.Cost, tc.kernel, tc.kernel)
 
-			h := New(srv, Options{Metrics: obs.NewRegistry()})
+			h := New(srv, Options{})
 			url := fmt.Sprintf("/viewshed?terrain=demo&eye=%g,%g,%g", tc.eye.X, tc.eye.Y, tc.eye.Z)
 			for _, pass := range []string{"miss", "hit"} {
 				var resp viewshedResponse
@@ -271,14 +271,14 @@ func TestModeVocabulary(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkMode(t, "QuerySession", qr.Mode, qr.Plan, "coherent")
-		h := New(srv, Options{Metrics: obs.NewRegistry()})
+		h := New(srv, Options{})
 		serveBody(t, h, "/flyover?terrain=demo&eye=-8,6,20&eye=-9,6,21")
 		metricsHasMode(t, h, "coherent")
 	})
 }
 
 // TestObsDisabledEndpoints404 checks the zero-value Options contract:
-// without a tracer or registry the endpoints answer 404, not panic.
+// without a tracer the endpoint answers 404, not panic.
 func TestObsDisabledEndpoints404(t *testing.T) {
 	tr, err := terrainhsr.Generate(terrainhsr.GenParams{Kind: "fractal", Rows: 10, Cols: 10, Seed: 3})
 	if err != nil {
@@ -289,7 +289,7 @@ func TestObsDisabledEndpoints404(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(srv, Options{})
-	for _, path := range []string{"/tracez", "/metricsz"} {
+	for _, path := range []string{"/tracez"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusNotFound {

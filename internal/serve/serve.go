@@ -20,9 +20,11 @@ import (
 )
 
 // Options is the observability configuration of one replica handler. The
-// zero value serves exactly as before observability existed: no tracing
-// (/tracez answers 404), no histograms (/metricsz answers 404), structured
-// logs through slog.Default, no slow-query reporting.
+// zero value serves without tracing (/tracez answers 404), logs through
+// slog.Default and reports no slow queries. Stage histograms need no
+// option: the query server always records them, and /metricsz renders its
+// registry (Server.Metrics; the same series are ServerStats.Stages on
+// /statsz).
 type Options struct {
 	// Tracer samples queries for /tracez. Requests arriving with the
 	// obs.TraceHeader header are always traced (the router made the
@@ -30,10 +32,6 @@ type Options struct {
 	// header and return their spans in obs.SpansHeader for the router to
 	// graft. Nil disables tracing.
 	Tracer *obs.Tracer
-	// Metrics receives per-stage, per-plan-mode latency histograms from
-	// every answered query and serves them on /metricsz (Prometheus text,
-	// or the JSON snapshot with ?format=json). Nil disables histograms.
-	Metrics *obs.Registry
 	// Logger receives the handler's structured logs (errors, slow queries,
 	// per-query debug lines). Nil selects slog.Default().
 	Logger *slog.Logger
@@ -43,9 +41,10 @@ type Options struct {
 }
 
 // New returns the HTTP handler of one serving replica: the service
-// endpoints wired to the given query server, plus the observability
-// endpoints the options enable. Tracing and metrics never change answers:
-// solve bytes are identical with them on or off.
+// endpoints wired to the given query server, plus /metricsz (the server's
+// stage histograms) and /tracez (answered by Options.Tracer). Tracing and
+// metrics never change answers: solve bytes are identical with tracing on
+// or off.
 func New(srv *terrainhsr.Server, opt Options) http.Handler {
 	if opt.Logger == nil {
 		opt.Logger = slog.Default()
@@ -57,10 +56,10 @@ func New(srv *terrainhsr.Server, opt Options) http.Handler {
 	mux.HandleFunc("/terrains", h.terrains)
 	mux.HandleFunc("/viewshed", h.viewshed)
 	mux.HandleFunc("/flyover", h.flyover)
-	// A nil Tracer or Registry serves 404 from its own ServeHTTP, so the
-	// routes exist unconditionally and report their feature as disabled.
+	// A nil Tracer serves 404 from its own ServeHTTP, so the route exists
+	// unconditionally and reports tracing as disabled.
 	mux.Handle("/tracez", opt.Tracer)
-	mux.Handle("/metricsz", opt.Metrics)
+	mux.Handle("/metricsz", srv.Metrics())
 	return mux
 }
 
@@ -147,36 +146,11 @@ func (h *handler) finishTrace(w http.ResponseWriter, tr *obs.Trace, tok obs.Span
 	h.opt.Tracer.Finish(tr)
 }
 
-// observe records one answered query into the stage latency histograms,
-// labeled by the engine plan mode that produced the answer.
+// observe records one answered request's whole time into the server's
+// stage histograms under its plan mode; the server itself records the
+// query's plan, cache, solve, merge and page-in wait stages.
 func (h *handler) observe(qr *terrainhsr.QueryResult, elapsed time.Duration) {
-	m := h.opt.Metrics
-	if m == nil || qr == nil {
-		return
-	}
-	mode := qr.Mode
-	if mode == "" {
-		mode = "unknown"
-	}
-	m.Observe(obs.StageRequest, mode, elapsed)
-	c := qr.Cost
-	if c == nil {
-		return
-	}
-	for _, st := range [...]struct {
-		stage string
-		us    int64
-	}{
-		{obs.StagePlan, c.PlanUS},
-		{obs.StageCache, c.CacheUS},
-		{obs.StageSolve, c.SolveUS},
-		{obs.StageMerge, c.MergeUS},
-		{obs.StagePageWait, c.PageWaitUS},
-	} {
-		if st.us > 0 {
-			m.Observe(st.stage, mode, time.Duration(st.us)*time.Microsecond)
-		}
-	}
+	h.srv.Metrics().Observe(obs.StageRequest, qr.Mode, elapsed)
 }
 
 // logQuery emits the structured per-query log line: Debug for ordinary

@@ -109,3 +109,51 @@ func TestWarmHitUnsampledAllocs(t *testing.T) {
 		t.Fatalf("warm unsampled cache hit allocates %.0f objects, budget %d", allocs, budget)
 	}
 }
+
+// TestStatsStagesRecordLibraryTraffic checks that the stage histograms fill
+// without any serve handler: a miss records plan, cache and solve under its
+// plan mode, a hit records cache only, and a session frame records solve
+// under "coherent" — all visible in Stats().Stages.
+func TestStatsStagesRecordLibraryTraffic(t *testing.T) {
+	tr := genTest(t, "fractal", 10, 10, 3)
+	s := NewServer(ServerOptions{})
+	if err := s.Register("h", tr); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, want map[string]uint64) {
+		t.Helper()
+		got := map[string]uint64{}
+		for _, e := range s.Stats().Stages.Hists {
+			got[e.Stage+"/"+e.Mode] = e.Hist.Count
+		}
+		if len(got) != len(want) {
+			t.Fatalf("after %s: stages %v, want %v", what, got, want)
+		}
+		for k, n := range want {
+			if got[k] != n {
+				t.Fatalf("after %s: stages %v, want %v", what, got, want)
+			}
+		}
+	}
+	q := Query{TerrainID: "h", Eye: serverEye(0, 0, 0)}
+	miss, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cache != "miss" {
+		t.Fatalf("first query answered %q, want a miss", miss.Cache)
+	}
+	m := miss.Mode
+	check("a miss", map[string]uint64{obs.StagePlan + "/" + m: 1, obs.StageCache + "/" + m: 1, obs.StageSolve + "/" + m: 1})
+	if hit, err := s.Query(q); err != nil || hit.Cache != "hit" {
+		t.Fatalf("second query: %v, %v; want a hit", hit, err)
+	}
+	check("a hit", map[string]uint64{obs.StagePlan + "/" + m: 1, obs.StageCache + "/" + m: 2, obs.StageSolve + "/" + m: 1})
+	if _, err := s.QuerySession(q, func(Piece) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	check("a session frame", map[string]uint64{
+		obs.StagePlan + "/" + m: 1, obs.StageCache + "/" + m: 2, obs.StageSolve + "/" + m: 1,
+		obs.StageSolve + "/coherent": 1,
+	})
+}

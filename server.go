@@ -45,6 +45,12 @@ import (
 // preview followed by the exact finest answer over the same PieceSink
 // machinery the streaming solvers use.
 //
+// ServerStats (stats.go) is the one document a server publishes: counters,
+// per-terrain ledgers and the stage latency histograms, which every
+// answered query records under its plan mode (observe) whether it arrived
+// over HTTP or through the library. Flyover sessions (server_session.go)
+// live in an LRU registry next to the result cache.
+//
 // Cache semantics, in full (see also docs/API.md):
 //
 //   - Quantization. Each queried eye is snapped per coordinate to the
@@ -81,9 +87,6 @@ type ServerOptions struct {
 	// (exact total). 0 selects 1024; negative disables caching entirely
 	// (queries still coalesce nothing and always solve).
 	CacheCapacity int
-	// CacheShards is the number of independently locked cache shards
-	// (0 selects 16; lowered automatically if it exceeds the capacity).
-	CacheShards int
 	// Workers bounds each query's solve parallelism, and QueryMany's total
 	// budget across concurrent eyes, exactly like Options.Workers
 	// (0 = all CPUs). Worker counts never change the computed pieces and
@@ -273,29 +276,32 @@ type Server struct {
 
 	// sessions is the flyover session registry, keyed like the result cache
 	// minus the eye (sessionKey); bounded by maxServerSessions with
-	// least-recently-used eviction. Guarded by sessMu; sessSeq is the LRU
-	// clock.
-	sessMu   sync.Mutex
-	sessions map[string]*serverSession
-	sessSeq  int64
+	// least-recently-used eviction.
+	sessions *cache.Cache
+
+	// metrics holds the per-stage, per-plan-mode latency histograms every
+	// answered query records into (ServerStats.Stages, /metricsz).
+	metrics *obs.Registry
 }
+
+// cacheShards is the number of independently locked result-cache shards
+// (cache.New lowers it to the capacity when that is smaller).
+const cacheShards = 16
 
 // NewServer builds a query server; see ServerOptions for defaults.
 func NewServer(opt ServerOptions) *Server {
 	if opt.CacheCapacity == 0 {
 		opt.CacheCapacity = 1024
 	}
-	if opt.CacheShards <= 0 {
-		opt.CacheShards = 16
-	}
 	s := &Server{
 		opt:       opt,
 		terrains:  make(map[string]*serverTerrain),
 		lastEpoch: make(map[string]uint64),
-		sessions:  make(map[string]*serverSession),
+		sessions:  cache.New(maxServerSessions, 1),
+		metrics:   obs.NewRegistry(),
 	}
 	if opt.CacheCapacity > 0 {
-		s.cache = cache.New(opt.CacheCapacity, opt.CacheShards)
+		s.cache = cache.New(opt.CacheCapacity, cacheShards)
 	}
 	return s
 }
@@ -682,8 +688,47 @@ func (s *Server) query(q Query, e *serverTerrain, level int, forced bool, worker
 		qr.Plan, qr.Tiled, qr.Mode = e.planFor(level, algo)
 	}
 	e.lv[level].hits.Add(1)
+	s.observe(qr)
 	return qr, nil
 }
+
+// observe records an answered query's ledger stages into the server's
+// stage histograms under its plan mode, so library and HTTP traffic alike
+// land in ServerStats.Stages. Every stage the query passed through is
+// recorded, even one under a microsecond (bucket 0): plan and solve when
+// this query solved, cache when it went through the result cache, solve
+// alone for a session frame, and merge and page-in wait — parts of a tiled
+// solve — when it spent any.
+func (s *Server) observe(qr *QueryResult) {
+	c := qr.Cost
+	rec := func(stage string, us int64) {
+		s.metrics.Observe(stage, qr.Mode, time.Duration(us)*time.Microsecond)
+	}
+	switch qr.Cache {
+	case "miss":
+		rec(obs.StagePlan, c.PlanUS)
+		rec(obs.StageCache, c.CacheUS)
+		rec(obs.StageSolve, c.SolveUS)
+	case "bypass":
+		rec(obs.StagePlan, c.PlanUS)
+		rec(obs.StageSolve, c.SolveUS)
+	case "hit", "coalesced":
+		rec(obs.StageCache, c.CacheUS)
+	case "session":
+		rec(obs.StageSolve, c.SolveUS)
+	}
+	if c.MergeUS > 0 {
+		rec(obs.StageMerge, c.MergeUS)
+	}
+	if c.PageWaitUS > 0 {
+		rec(obs.StagePageWait, c.PageWaitUS)
+	}
+}
+
+// Metrics returns the server's stage latency histograms: the registry
+// behind ServerStats.Stages, rendered on /metricsz by the serve tier, which
+// also records each HTTP request's whole time into it (obs.StageRequest).
+func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // endSolveSpan closes a solve span, attributing the plan mode and the
 // output size. The attribute build is guarded so unsampled queries never

@@ -24,11 +24,10 @@ const maxServerSessions = 64
 // frames run on and the warm state carried between frames. Frames of one
 // session serialize on mu; distinct sessions run concurrently.
 type serverSession struct {
-	mu       sync.Mutex
-	eng      *engine.Executor
-	plan     *engine.Plan
-	state    *session.State
-	lastUsed int64 // sessSeq at last use, under Server.sessMu
+	mu    sync.Mutex
+	eng   *engine.Executor
+	plan  *engine.Plan
+	state *session.State
 }
 
 // sessionKey builds the flyover session registry key: the cache key's
@@ -53,53 +52,29 @@ func (s *Server) sessionKey(id string, e *serverTerrain, algo Algorithm, minDept
 	return b.String()
 }
 
-// session returns the live session under key, creating (and capping) it if
-// needed. A new session plans through the level planner like Query does,
-// and records the level's plan before stamping it coherent, so later cache
-// hits report the level's own pipeline. Planning and bounds construction
-// run outside the registry lock; when two first frames race, one session
-// wins and both frames use it.
+// session returns the live session under key, creating it if needed. A
+// new session plans through the level planner like Query does, and records
+// the level's plan before stamping it coherent, so later cache hits report
+// the level's own pipeline. The registry is an LRU cache capped at
+// maxServerSessions: racing first frames coalesce onto one build, and a
+// failed build is not kept.
 func (s *Server) session(key string, e *serverTerrain, level int, req engine.Request) (*serverSession, error) {
-	s.sessMu.Lock()
-	if ss, ok := s.sessions[key]; ok {
-		s.sessSeq++
-		ss.lastUsed = s.sessSeq
-		s.sessMu.Unlock()
-		return ss, nil
-	}
-	s.sessMu.Unlock()
-
-	plan, exec, err := e.levels.PlanLevel(req, -1)
-	if err != nil {
-		return nil, err
-	}
-	e.recordPlan(level, Algorithm(req.Algorithm), plan)
-	state, err := exec.NewSessionState(plan, req)
-	if err != nil {
-		return nil, err
-	}
-	ss := &serverSession{eng: exec, plan: plan, state: state}
-
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	s.sessSeq++
-	if have, ok := s.sessions[key]; ok {
-		have.lastUsed = s.sessSeq // a concurrent first frame built it already
-		return have, nil
-	}
-	ss.lastUsed = s.sessSeq
-	s.sessions[key] = ss
-	if len(s.sessions) > maxServerSessions {
-		var coldest string
-		oldest := int64(math.MaxInt64)
-		for k, v := range s.sessions {
-			if v.lastUsed < oldest {
-				coldest, oldest = k, v.lastUsed
-			}
+	v, _, err := s.sessions.GetOrCompute(key, func() (any, error) {
+		plan, exec, err := e.levels.PlanLevel(req, -1)
+		if err != nil {
+			return nil, err
 		}
-		delete(s.sessions, coldest)
+		e.recordPlan(level, Algorithm(req.Algorithm), plan)
+		state, err := exec.NewSessionState(plan, req)
+		if err != nil {
+			return nil, err
+		}
+		return &serverSession{eng: exec, plan: plan, state: state}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return ss, nil
+	return v.(*serverSession), nil
 }
 
 // QuerySession answers one frame of a flyover: like Query, but warm-started
@@ -174,7 +149,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 			obs.AttrInt("k", int64(fi.K)))
 	}
 	q.Trace.SetCost(cost)
-	return &QueryResult{
+	qr := &QueryResult{
 		Eye: eye, Cache: "session", Tiled: ss.plan.Tiled, Plan: ss.plan.Explain(),
 		Mode: ss.plan.Mode(), Cost: cost,
 		Level: level, Levels: e.levels.NumLevels(), LevelCellSize: e.levels.CellSize(level),
@@ -185,5 +160,7 @@ func (s *Server) QuerySession(q Query, sink PieceSink) (*QueryResult, error) {
 			TilesResolved:   fi.Reuse.TilesResolved,
 			VerifyFailures:  fi.Reuse.VerifyFailures,
 		},
-	}, nil
+	}
+	s.observe(qr)
+	return qr, nil
 }

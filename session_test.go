@@ -179,3 +179,35 @@ func TestSessionSinkErrorInvalidates(t *testing.T) {
 	sortCanonical(got)
 	piecesEqual(t, "frame after aborted solve", want, got)
 }
+
+// TestServerSessionCapEvictsLRU pins the session registry's bound: after
+// maxServerSessions+1 flyovers (distinct MinDepth, so distinct sessions)
+// the least recently used one is gone — its dwell frame solves cold — while
+// the most recent one still replays its recorded stream.
+func TestServerSessionCapEvictsLRU(t *testing.T) {
+	tr := genTest(t, "fractal", 8, 8, 3)
+	s := NewServer(ServerOptions{})
+	if err := s.Register("cap", tr); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(i int) *QueryResult {
+		t.Helper()
+		qr, err := s.QuerySession(Query{TerrainID: "cap", Eye: serverEye(0, 0, 0), MinDepth: 0.5 + float64(i)/1024},
+			func(Piece) error { return nil })
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		return qr
+	}
+	for i := 0; i <= maxServerSessions; i++ {
+		if frame(i).Reuse.Replayed {
+			t.Fatalf("session %d replayed its first frame", i)
+		}
+	}
+	if frame(0).Reuse.Replayed {
+		t.Fatal("the least recently used session survived the cap: its dwell frame replayed")
+	}
+	if !frame(maxServerSessions).Reuse.Replayed {
+		t.Fatal("the most recent session was evicted: its dwell frame did not replay")
+	}
+}

@@ -3,9 +3,12 @@ package terrainhsr
 import (
 	"fmt"
 	"strings"
+
+	"terrainhsr/internal/obs"
 )
 
-// ServerStats is a point-in-time snapshot of the server's counters.
+// ServerStats is a point-in-time snapshot of the server's counters, ledgers
+// and stage latency histograms: the one document /statsz publishes.
 type ServerStats struct {
 	// Terrains is the number of registered terrains.
 	Terrains int
@@ -57,6 +60,11 @@ type ServerStats struct {
 	// re-reads after eviction count again). Zero for terrains whose levels
 	// all run in core.
 	PageIns map[string]int64
+	// Stages holds the server's per-stage, per-plan-mode latency histograms
+	// (Server.Metrics): every answered query's plan, cache, solve, merge and
+	// page-in wait, plus the serve tier's whole HTTP requests. /metricsz
+	// renders the same registry as Prometheus text.
+	Stages obs.RegistrySnapshot
 }
 
 // Add accumulates another snapshot into s — the fleet aggregation behind
@@ -67,7 +75,9 @@ type ServerStats struct {
 // StoreBytes, ResidentBytes, PageIns) add; Terrains takes the maximum,
 // since replicas of one fleet register the same terrain set rather than
 // disjoint ones; Plans keeps the first non-empty explanation per terrain,
-// since every replica plans identically for identical flags. ServerStats
+// since every replica plans identically for identical flags; Stages merges
+// histogram series (obs.RegistrySnapshot.Merge: series sharing a stage and
+// mode add bucket by bucket, exactly, and the rest append). ServerStats
 // has no custom JSON marshalling — field names are the wire format of
 // /statsz — so a snapshot survives an HTTP round trip and Add composes
 // across processes.
@@ -120,6 +130,7 @@ func (s *ServerStats) Add(o ServerStats) {
 	addByID(&s.StoreBytes, o.StoreBytes)
 	addByID(&s.ResidentBytes, o.ResidentBytes)
 	addByID(&s.PageIns, o.PageIns)
+	s.Stages.Merge(o.Stages)
 }
 
 // Stats snapshots the server counters.
@@ -180,6 +191,7 @@ func (s *Server) Stats() ServerStats {
 		StoreBytes:      storeBytes,
 		ResidentBytes:   residentBytes,
 		PageIns:         pageIns,
+		Stages:          s.metrics.Snapshot(),
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
