@@ -261,3 +261,42 @@ func TestRouterMetricszAggregates(t *testing.T) {
 		t.Fatalf("aggregated replica request observations = %d, want 3", replicaReqs)
 	}
 }
+
+// TestAggregateMetricsPure exercises /metricsz's merge arithmetic without
+// HTTP: the replicas' /statsz Stages roll up through AggregateStats, then
+// merge with the router's own series. Series sharing (stage, mode) sum
+// bucket-wise, disjoint series append, and down replicas are skipped.
+func TestAggregateMetricsPure(t *testing.T) {
+	r1 := obs.NewRegistry()
+	r1.Observe(obs.StageSolve, "tiled", 2*time.Millisecond)
+	r1.Observe(obs.StageSolve, "tiled", 3*time.Millisecond)
+	r2 := obs.NewRegistry()
+	r2.Observe(obs.StageSolve, "tiled", 4*time.Millisecond)
+	r2.Observe(obs.StagePlan, "monolithic", time.Millisecond)
+	down := obs.NewRegistry()
+	down.Observe(obs.StageSolve, "tiled", time.Second)
+	local := obs.NewRegistry()
+	local.Observe(obs.StageRequest, "router", time.Millisecond)
+
+	fs := fleet.AggregateStats([]fleet.ReplicaStats{
+		{Addr: "r1", Healthy: true, Stats: &terrainhsr.ServerStats{Stages: r1.Snapshot()}},
+		{Addr: "r2", Healthy: true, Stats: &terrainhsr.ServerStats{Stages: r2.Snapshot()}},
+		{Addr: "down", Error: "refused", Stats: &terrainhsr.ServerStats{Stages: down.Snapshot()}},
+	})
+	merged := local.Snapshot()
+	merged.Merge(fs.Fleet.Stages)
+
+	counts := map[string]uint64{}
+	for _, e := range merged.Hists {
+		counts[e.Stage+"/"+e.Mode] = e.Hist.Count
+	}
+	want := map[string]uint64{"solve/tiled": 3, "plan/monolithic": 1, "request/router": 1}
+	if len(counts) != len(want) {
+		t.Fatalf("merged series = %v, want %v", counts, want)
+	}
+	for k, n := range want {
+		if counts[k] != n {
+			t.Fatalf("merged[%s] = %d, want %d (all: %v)", k, counts[k], n, counts)
+		}
+	}
+}
