@@ -15,7 +15,13 @@ import (
 // are rewound (profiletree.Ops.Reset) and whose scratch keeps its capacity,
 // so steady-state Phase 2 work allocates almost nothing. What a pooled Ops
 // retains — slabs and scratch alike — is bounded by the largest solve, and
-// the largest query, it has served.
+// the largest query, it has served. For a ParallelOS solve that is every
+// node its path copies made; sequential-tree runs its tree in place, so
+// there it is bounded by the largest profile (plus one run batch).
+//
+// Acquired Ops are always in the persistent mode (persist.Ops.Reset clears
+// the in-place mode a sequential-tree solve sets), so a ParallelOS solve
+// after a sequential-tree one on the same pool shares profiles as usual.
 //
 // Pooled Ops are keyed by the WithHulls mode, since hull aggregation is
 // baked into an Ops at construction. The pool is safe for concurrent use;

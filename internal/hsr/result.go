@@ -1,9 +1,10 @@
 package hsr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/geom"
@@ -69,16 +70,19 @@ func (r *Result) VisibleLength() float64 {
 
 // sortPieces normalizes piece order for deterministic output and comparison.
 func sortPieces(ps []VisiblePiece) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		if a.Edge != b.Edge {
-			return a.Edge < b.Edge
-		}
-		if a.Span.X1 != b.Span.X1 {
-			return a.Span.X1 < b.Span.X1
-		}
-		return a.Span.Z1 < b.Span.Z1
-	})
+	slices.SortFunc(ps, ComparePieces)
+}
+
+// ComparePieces orders pieces canonically by (Edge, Span.X1, Span.Z1), the
+// order of every Result's Pieces.
+func ComparePieces(a, b VisiblePiece) int {
+	if a.Edge != b.Edge {
+		return cmp.Compare(a.Edge, b.Edge)
+	}
+	if a.Span.X1 != b.Span.X1 {
+		return cmp.Compare(a.Span.X1, b.Span.X1)
+	}
+	return cmp.Compare(a.Span.Z1, b.Span.Z1)
 }
 
 // Prepared bundles the view-dependent preprocessing shared by all

@@ -54,6 +54,12 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 		o = profiletree.NewOps(persist.NewArena(0xfeed), withHulls)
 	}
 	o.Edges = prep.segs
+	// The sweep keeps only the current profile, so its tree runs in place:
+	// splices rewrite the profile's nodes and recycle the covered ones, and
+	// the solve holds about as many nodes as the largest profile has pieces.
+	// Shapes, aggregates and counters are those of path copying (see package
+	// persist). The pool's Reset returns the Ops to the persistent mode.
+	o.P.InPlace = true
 	var profile profiletree.Tree
 	var ctr metrics.Counters
 	var maxTask, total int64

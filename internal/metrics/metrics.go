@@ -18,8 +18,11 @@ type Counters struct {
 	Crossings int64
 	// TreeOps counts persistent-tree node visits (split/join/search).
 	TreeOps int64
-	// TreeAllocs counts persistent-tree nodes allocated (the memory side of
-	// persistence, experiment F3).
+	// TreeAllocs counts tree node writes: nodes created, and path nodes
+	// copied or, in the in-place mode sequential-tree runs (persist.Ops
+	// InPlace), rewritten. For a persistent solve it is the memory side of
+	// persistence (experiment F3); in place it counts writes, not live
+	// nodes, and keeps the value path copying would give.
 	TreeAllocs int64
 	// HullOps counts convex-chain operations (bridge searches, tangent
 	// queries).

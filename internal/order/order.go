@@ -1,6 +1,7 @@
 package order
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -112,11 +113,11 @@ func Compute(t *terrain.Terrain) (*Result, error) {
 		}
 		keys[ei] = keyed{key: k, e: int32(ei)}
 	}
-	parallel.SortFunc(0, keys, func(a, b keyed) bool {
-		if a.key != b.key {
-			return a.key < b.key
+	parallel.SortFunc(0, keys, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return a.e < b.e
+		return cmp.Compare(a.e, b.e)
 	})
 	res.EdgeOrder = make([]int32, len(keys))
 	res.PosOf = make([]int32, len(keys))

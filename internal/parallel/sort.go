@@ -1,20 +1,21 @@
 package parallel
 
-import "sort"
+import "slices"
 
-// SortFunc sorts xs by less using parallel merge sort: the slice is split
-// into one block per worker, blocks are sorted concurrently with the
-// standard library sort, and then merged pairwise in parallel rounds. This
-// is the EREW-style sorting primitive the depth-order step charges to the
-// PRAM model (the paper's step 1 sorts edges by separator-tree position).
-func SortFunc[T any](workers int, xs []T, less func(a, b T) bool) {
+// SortFunc sorts xs by cmp (as slices.SortFunc) using parallel merge sort:
+// the slice is split into one block per worker, blocks are sorted
+// concurrently with slices.SortFunc, and then merged pairwise in parallel
+// rounds. This is the EREW-style sorting primitive the depth-order step
+// charges to the PRAM model (the paper's step 1 sorts edges by
+// separator-tree position).
+func SortFunc[T any](workers int, xs []T, cmp func(a, b T) int) {
 	n := len(xs)
 	if n < 2 {
 		return
 	}
 	workers = clampWorkers(workers, n)
 	if workers == 1 || n < 4096 {
-		sort.Slice(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+		slices.SortFunc(xs, cmp)
 		return
 	}
 	// Block bounds.
@@ -31,8 +32,7 @@ func SortFunc[T any](workers int, xs []T, less func(a, b T) bool) {
 	}
 	ForBlocked(workers, workers, func(_, wLo, wHi int) {
 		for w := wLo; w < wHi; w++ {
-			blk := xs[bounds[w][0]:bounds[w][1]]
-			sort.Slice(blk, func(i, j int) bool { return less(blk[i], blk[j]) })
+			slices.SortFunc(xs[bounds[w][0]:bounds[w][1]], cmp)
 		}
 	})
 	// Pairwise merge rounds.
@@ -57,7 +57,7 @@ func SortFunc[T any](workers int, xs []T, less func(a, b T) bool) {
 		}
 		ForDynamic(workers, len(pairs), 1, func(_, pi int) {
 			p := pairs[pi]
-			mergeInto(dst[p[0]:p[2]], src[p[0]:p[1]], src[p[1]:p[2]], less)
+			mergeInto(dst[p[0]:p[2]], src[p[0]:p[1]], src[p[1]:p[2]], cmp)
 		})
 		src, dst = dst, src
 	}
@@ -67,10 +67,10 @@ func SortFunc[T any](workers int, xs []T, less func(a, b T) bool) {
 }
 
 // mergeInto merges two sorted slices into out (len(out) == len(a)+len(b)).
-func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
+func mergeInto[T any](out, a, b []T, cmp func(x, y T) int) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
+		if cmp(b[j], a[i]) < 0 {
 			out[k] = b[j]
 			j++
 		} else {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,16 +10,16 @@ import (
 
 func TestSortFuncSmall(t *testing.T) {
 	xs := []int{5, 2, 9, 1, 5, 6}
-	SortFunc(4, xs, func(a, b int) bool { return a < b })
+	SortFunc(4, xs, cmp.Compare[int])
 	if !sort.IntsAreSorted(xs) {
 		t.Fatalf("not sorted: %v", xs)
 	}
 }
 
 func TestSortFuncEmptyAndSingle(t *testing.T) {
-	SortFunc(4, []int{}, func(a, b int) bool { return a < b })
+	SortFunc(4, []int{}, cmp.Compare[int])
 	one := []int{7}
-	SortFunc(4, one, func(a, b int) bool { return a < b })
+	SortFunc(4, one, cmp.Compare[int])
 	if one[0] != 7 {
 		t.Fatal("single element disturbed")
 	}
@@ -34,7 +35,7 @@ func TestSortFuncLargeParallel(t *testing.T) {
 		}
 		want := append([]int(nil), xs...)
 		sort.Ints(want)
-		SortFunc(workers, xs, func(a, b int) bool { return a < b })
+		SortFunc(workers, xs, cmp.Compare[int])
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Fatalf("workers=%d: mismatch at %d: %d vs %d", workers, i, xs[i], want[i])
@@ -53,7 +54,7 @@ func TestSortFuncStabilityOfOrderNotRequired(t *testing.T) {
 			xs[i] = int(v) % 8
 			counts[xs[i]]++
 		}
-		SortFunc(1+int(w)%12, xs, func(a, b int) bool { return a < b })
+		SortFunc(1+int(w)%12, xs, cmp.Compare[int])
 		if !sort.IntsAreSorted(xs) {
 			return false
 		}
@@ -88,7 +89,7 @@ func BenchmarkSortFunc(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(work, xs)
-				SortFunc(workers, work, func(a, b int64) bool { return a < b })
+				SortFunc(workers, work, cmp.Compare[int64])
 			}
 		})
 	}

@@ -8,7 +8,10 @@
 // profiles" of a PCT layer: profiles derived from one another by splicing
 // share every untouched subtree — and with it the hull chains — so the
 // storage for a layer is proportional to the new visible material, not to
-// the summed profile sizes (Figures 1 and 3; experiment F3).
+// the summed profile sizes (Figures 1 and 3; experiment F3). A caller that
+// keeps only the current profile, as the sequential sweep does, runs the
+// same operations in place (persist.Ops.InPlace) and holds about one node
+// per profile piece instead.
 //
 // Two pruning modes exist. With hulls enabled, the crossing test of Lemma
 // 3.6 is exact in O(log) per node via tangent queries. With hulls disabled

@@ -31,8 +31,9 @@ type Hulls struct {
 // Node is a persistent profile-tree node; its value is one profile piece.
 type Node = persist.Node[envelope.Piece, Agg]
 
-// Tree is a (possibly empty) persistent profile. Trees are immutable;
-// operations return new trees sharing structure.
+// Tree is a (possibly empty) profile. Trees are immutable and operations
+// return new trees sharing structure, unless the Ops runs in place
+// (P.InPlace): then each operation consumes the trees it is given.
 type Tree struct {
 	Root *Node
 }
@@ -94,10 +95,12 @@ func NewOps(arena *persist.Arena, withHulls bool) *Ops {
 
 // Reset rewinds the ops for reuse by another solve: the arena restarts its
 // priority stream and counters, and the node slabs (profile and hull) and
-// the chain-pair slab are carved again from the start. Every tree previously built through o is invalidated;
-// callers must drop all references to such trees first. This is what lets a
-// worker pool amortize tree allocation across a batch of solves. The query
-// Scratch keeps its capacity: each query overwrites it anyway.
+// the chain-pair slab are carved again from the start. Every tree previously
+// built through o is invalidated; callers must drop all references to such
+// trees first. This is what lets a worker pool amortize tree allocation
+// across a batch of solves. The profile tree returns to the persistent mode
+// (persist.Ops.Reset). The query Scratch keeps its capacity: each query
+// overwrites it anyway.
 func (o *Ops) Reset() {
 	o.Arena.Reset()
 	o.P.Reset()
@@ -191,15 +194,16 @@ func (o *Ops) Eval(t Tree, x float64) (float64, bool) {
 
 // SplitAtX splits the profile at coordinate x: the left tree covers
 // (-inf, x), the right [x, +inf). A piece straddling x is divided; slivers
-// of width <= Eps are dropped.
+// of width <= Eps are dropped. In place, the straddling piece's node is
+// recycled for its halves.
 func (o *Ops) SplitAtX(t Tree, x float64) (Tree, Tree) {
 	l, r := o.P.SplitBy(t.Root, func(pc envelope.Piece) bool { return pc.X1 < x })
 	// The last piece of l may extend past x.
 	if l != nil {
 		last := persist.Last(l)
 		if last.X2 > x+geom.Eps {
-			var lInit *Node
-			lInit, _ = o.P.SplitRank(l, persist.Size(l)-1)
+			lInit, straddling := o.P.SplitRank(l, persist.Size(l)-1)
+			o.P.Drop(straddling)
 			zAt := o.Edges.ZAt(last, x)
 			leftPart := envelope.Piece{X1: last.X1, Z1: last.Z1, X2: x, Z2: zAt, Edge: last.Edge}
 			rightPart := envelope.Piece{X1: x, Z1: zAt, X2: last.X2, Z2: last.Z2, Edge: last.Edge}
@@ -230,7 +234,8 @@ type Run struct {
 // Splice replaces the profile by the pointwise maximum with the given runs
 // (each run's pieces lie strictly above the current profile on its
 // interval, as established by the caller's crossing queries). Runs must be
-// sorted by X1 and pairwise disjoint.
+// sorted by X1 and pairwise disjoint. In place, the covered middle of each
+// run is dropped for later nodes to reuse.
 func (o *Ops) Splice(t Tree, runs []Run) Tree {
 	if len(runs) == 0 {
 		return t
@@ -239,7 +244,8 @@ func (o *Ops) Splice(t Tree, runs []Run) Tree {
 	rest := t
 	for _, run := range runs {
 		left, midRight := o.SplitAtX(rest, run.X1)
-		_, right := o.SplitAtX(midRight, run.X2) // covered material is dropped
+		covered, right := o.SplitAtX(midRight, run.X2)
+		o.P.Drop(covered.Root)
 		acc = o.Join(acc, left)
 		if len(run.Pieces) > 0 {
 			acc = o.Join(acc, Tree{Root: o.P.Build(run.Pieces)})

@@ -2,6 +2,7 @@ package tile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -351,16 +352,7 @@ func (bs *bandState) result(numEdges int, stats *Stats) *hsr.Result {
 // sortVisible orders pieces canonically by (Edge, X1, Z1) — the order every
 // materialized result uses, and the within-band order of streamed bands.
 func sortVisible(ps []hsr.VisiblePiece) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		if a.Edge != b.Edge {
-			return a.Edge < b.Edge
-		}
-		if a.Span.X1 != b.Span.X1 {
-			return a.Span.X1 < b.Span.X1
-		}
-		return a.Span.Z1 < b.Span.Z1
-	})
+	slices.SortFunc(ps, hsr.ComparePieces)
 }
 
 // solveTile runs one tile of band b: verify-then-reuse (when coherent),
