@@ -5,6 +5,7 @@ import (
 
 	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/terrain"
+	"terrainhsr/internal/tile"
 )
 
 // Algorithm names understood by Dispatch; they mirror the public
@@ -54,5 +55,14 @@ func Dispatch(tt *terrain.Terrain, prepare func() (*hsr.Prepared, error), algo s
 		return prep.Sequential()
 	default: // AlgoSequentialTree; the first switch rejected everything else.
 		return prep.SequentialTreePooled(false, pool)
+	}
+}
+
+// TileSolver is the SolveFunc of every tiled plan: it runs kernel in each
+// tile through Dispatch, on the depth order the tile's set-up arena
+// prepares, drawing tree arenas from pool.
+func TileSolver(kernel string, pool *hsr.OpsPool) tile.SolveFunc {
+	return func(sub *terrain.Terrain, prepare func() (*hsr.Prepared, error), workers int) (*hsr.Result, error) {
+		return Dispatch(sub, prepare, kernel, workers, pool)
 	}
 }

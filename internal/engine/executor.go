@@ -185,10 +185,7 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 		if err != nil {
 			return Outcome{}, err
 		}
-		solve := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
-			return Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, plan.Kernel, w, e.pool)
-		}
-		res, st, err := tile.Solve(lat, e.part, solve, tile.Options{
+		res, st, err := tile.Solve(lat, e.part, TileSolver(plan.Kernel, e.pool), tile.Options{
 			Workers: plan.WorkersPerFrame, NoCull: e.cfg.NoCull, Emit: emit, Coherence: co, Trace: req.Trace,
 		})
 		if err != nil {

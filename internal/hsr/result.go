@@ -87,8 +87,11 @@ func ComparePieces(a, b VisiblePiece) int {
 
 // Prepared bundles the view-dependent preprocessing shared by all
 // algorithms: the depth order (the separator-tree step) and the ordered
-// image segments. A Prepared value is immutable and safe for concurrent
-// reuse across solves.
+// image segments. A Prepared from Prepare is immutable and safe for
+// concurrent reuse across solves. One filled by PrepareInto is backed by
+// storage its caller reuses, such as a tile's set-up arena: it is neither
+// immutable nor shareable, and it is valid only until that storage is
+// prepared into again or released.
 type Prepared struct {
 	t   *terrain.Terrain
 	ord *order.Result
@@ -100,18 +103,35 @@ type Prepared struct {
 
 // Prepare computes the depth order for a terrain once, for repeated solves.
 func Prepare(t *terrain.Terrain) (*Prepared, error) {
-	if t == nil || t.NumEdges() == 0 {
-		return nil, fmt.Errorf("hsr: empty terrain")
-	}
-	ord, err := order.Compute(t)
-	if err != nil {
+	p := new(Prepared)
+	if err := PrepareInto(p, t, new(order.Scratch)); err != nil {
 		return nil, err
 	}
-	segs := make(envelope.Edges, len(ord.EdgeOrder))
-	for i, e := range ord.EdgeOrder {
-		segs[i] = t.EdgeImageSeg(int(e))
+	return p, nil
+}
+
+// PrepareInto makes p the preparation Prepare(t) returns, reusing the
+// storage of p's depth order and segment table and the working memory sc,
+// so a caller that prepares terrains of similar size in a loop allocates
+// nothing once the buffers have grown. Every Result solved from p refers to
+// that storage through its Order field. On error p's contents are
+// unspecified.
+func PrepareInto(p *Prepared, t *terrain.Terrain, sc *order.Scratch) error {
+	if t == nil || t.NumEdges() == 0 {
+		return fmt.Errorf("hsr: empty terrain")
 	}
-	return &Prepared{t: t, ord: ord, segs: segs}, nil
+	if p.ord == nil {
+		p.ord = new(order.Result)
+	}
+	if err := order.ComputeInto(t, p.ord, sc); err != nil {
+		return err
+	}
+	p.t = t
+	p.segs = slices.Grow(p.segs[:0], len(p.ord.EdgeOrder))
+	for _, e := range p.ord.EdgeOrder {
+		p.segs = append(p.segs, t.EdgeImageSeg(int(e)))
+	}
+	return nil
 }
 
 // Order exposes the cached depth order.

@@ -7,10 +7,33 @@ import (
 	"terrainhsr/internal/terrain"
 )
 
+// topoResult is the outcome of a layered topological sort, for the tests.
+type topoResult struct {
+	TopoIndex, LayerOf []int32
+	Layers             int
+}
+
+// csrTopoSort runs layeredTopoSort on the DAG given by adjacency lists.
+func csrTopoSort(n int, adj [][]int32) (*topoResult, error) {
+	off := make([]int32, n+1)
+	var arcs []int32
+	for u := 0; u < n; u++ {
+		arcs = append(arcs, adj[u]...)
+		off[u+1] = int32(len(arcs))
+	}
+	res := &topoResult{TopoIndex: make([]int32, n), LayerOf: make([]int32, n)}
+	layers, err := layeredTopoSort(off, arcs, res.TopoIndex, res.LayerOf, new(Scratch))
+	if err != nil {
+		return nil, err
+	}
+	res.Layers = layers
+	return res, nil
+}
+
 func TestLayeredTopoSortBasic(t *testing.T) {
 	// 0 -> 1 -> 3, 0 -> 2 -> 3
 	adj := [][]int32{{1, 2}, {3}, {3}, nil}
-	res, err := layeredTopoSort(4, adj)
+	res, err := csrTopoSort(4, adj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,21 +50,21 @@ func TestLayeredTopoSortBasic(t *testing.T) {
 
 func TestLayeredTopoSortCycle(t *testing.T) {
 	adj := [][]int32{{1}, {2}, {0}}
-	if _, err := layeredTopoSort(3, adj); err == nil {
+	if _, err := csrTopoSort(3, adj); err == nil {
 		t.Fatal("cycle not detected")
 	}
 	// Partial cycle: one free vertex, three in a cycle.
 	adj2 := [][]int32{nil, {2}, {3}, {1}}
-	if _, err := layeredTopoSort(4, adj2); err == nil {
+	if _, err := csrTopoSort(4, adj2); err == nil {
 		t.Fatal("partial cycle not detected")
 	}
 }
 
 func TestLayeredTopoSortEmptyAndSingle(t *testing.T) {
-	if res, err := layeredTopoSort(0, nil); err != nil || res.Layers != 0 {
+	if res, err := csrTopoSort(0, nil); err != nil || res.Layers != 0 {
 		t.Fatalf("empty graph: %v %v", res, err)
 	}
-	res, err := layeredTopoSort(1, [][]int32{nil})
+	res, err := csrTopoSort(1, [][]int32{nil})
 	if err != nil || res.Layers != 1 || res.TopoIndex[0] != 0 {
 		t.Fatalf("single vertex: %+v %v", res, err)
 	}
@@ -61,7 +84,7 @@ func TestLayeredTopoSortRandomDAGs(t *testing.T) {
 				}
 			}
 		}
-		res, err := layeredTopoSort(n, adj)
+		res, err := csrTopoSort(n, adj)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,13 +1,12 @@
 package order
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"terrainhsr/internal/geom"
-	"terrainhsr/internal/parallel"
 	"terrainhsr/internal/terrain"
 )
 
@@ -38,16 +37,43 @@ type Result struct {
 // the in-front relation contains a cycle, which cannot happen for a valid
 // terrain projection and therefore indicates degenerate input.
 func Compute(t *terrain.Terrain) (*Result, error) {
-	nt := len(t.Tris)
-	adj := make([][]int32, nt)
-	res := &Result{
-		FrontTri:  make([]int32, len(t.Edges)),
-		BehindTri: make([]int32, len(t.Edges)),
+	res := new(Result)
+	if err := ComputeInto(t, res, new(Scratch)); err != nil {
+		return nil, err
 	}
+	return res, nil
+}
 
-	// behindOf[e] = triangle on the +x side of edge e (NoTri if outside).
-	behindOf := make([]int32, len(t.Edges))
-	parallelEdge := make([]bool, len(t.Edges))
+// Scratch is the working memory of ComputeInto. The zero value is ready to
+// use, and a Scratch keeps its capacity from one call to the next.
+type Scratch struct {
+	parallelEdge []bool
+	// off and arcs hold the in-front DAG in compressed sparse rows: the
+	// triangles behind triangle u are arcs[off[u]:off[u+1]], in edge order.
+	off, arcs []int32
+	// indeg, frontier and next are the Kahn sweep's state.
+	indeg, frontier, next []int32
+	// key and count are the counting sort's bucket per edge and per key.
+	key, count []int32
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// ComputeInto computes what Compute returns into res, reusing the storage
+// of res's slices and of sc: a caller that orders terrains of similar size
+// in a loop allocates nothing once the buffers have grown. res is then
+// backed by that storage and valid until its next ComputeInto. On error
+// res's contents are unspecified.
+func ComputeInto(t *terrain.Terrain, res *Result, sc *Scratch) error {
+	nt, ne := len(t.Tris), len(t.Edges)
+	res.FrontTri = resize(res.FrontTri, ne)
+	res.BehindTri = resize(res.BehindTri, ne)
+	res.Constraints = 0
+	parallelEdge := resize(sc.parallelEdge, ne)
+	off := resize(sc.off, nt+1)
+	clear(off)
 	for ei, e := range t.Edges {
 		p, q := t.PlanPt(e.V0), t.PlanPt(e.V1)
 		dy := q.Z - p.Z // world-y extent of the projected edge
@@ -57,75 +83,91 @@ func Compute(t *terrain.Terrain) (*Result, error) {
 		}
 		if math.Abs(dy) <= geom.Eps*scale {
 			parallelEdge[ei] = true
-			behindOf[ei] = terrain.NoTri
 			res.FrontTri[ei], res.BehindTri[ei] = terrain.NoTri, terrain.NoTri
 			continue
 		}
+		parallelEdge[ei] = false
 		// The +x side of the directed plan line p->q has orientation sign
 		// equal to sign(-dy); Left triangles sit on the +1 side.
-		var front, behind int32
+		front, behind := e.Left, e.Right
 		if dy < 0 {
 			front, behind = e.Right, e.Left
-		} else {
-			front, behind = e.Left, e.Right
 		}
-		behindOf[ei] = behind
 		res.FrontTri[ei], res.BehindTri[ei] = front, behind
 		if front != terrain.NoTri && behind != terrain.NoTri {
-			adj[front] = append(adj[front], behind)
+			off[front+1]++
 			res.Constraints++
 		}
 	}
+	// The arcs of every triangle, in the order of the edges that make them.
+	for u := 0; u < nt; u++ {
+		off[u+1] += off[u]
+	}
+	arcs := resize(sc.arcs, res.Constraints)
+	fill := resize(sc.next, nt) // borrowed: the sweep resets it
+	copy(fill, off[:nt])
+	for ei := range t.Edges {
+		front, behind := res.FrontTri[ei], res.BehindTri[ei]
+		if front != terrain.NoTri && behind != terrain.NoTri {
+			arcs[fill[front]] = behind
+			fill[front]++
+		}
+	}
+	sc.parallelEdge, sc.off, sc.arcs, sc.next = parallelEdge, off, arcs, fill
 
 	// Layered Kahn topological sort. Layer membership doubles as the round
 	// index of the parallel algorithm.
-	topo, err := layeredTopoSort(nt, adj)
+	res.TriTopo = resize(res.TriTopo, nt)
+	res.TriLayer = resize(res.TriLayer, nt)
+	layers, err := layeredTopoSort(off, arcs, res.TriTopo, res.TriLayer, sc)
 	if err != nil {
-		return nil, fmt.Errorf("order: in-front relation of terrain projection: %w", err)
+		return fmt.Errorf("order: in-front relation of terrain projection: %w", err)
 	}
-	res.TriTopo = topo.TopoIndex
-	res.TriLayer = topo.LayerOf
-	res.Layers = topo.Layers
+	res.Layers = layers
 
-	// Key edges by the topological index of the triangle behind them.
-	const inf = int64(math.MaxInt64)
-	type keyed struct {
-		key int64
-		e   int32
-	}
-	keys := make([]keyed, len(t.Edges))
+	// Key edges by the topological index of the triangle behind them, then
+	// order them by key with a counting sort that is stable in the edge id:
+	// the (key, edge id) order in O(n + nt). Keys 0..nt-1 are topological
+	// indices, nt marks an unconstrained edge and nt+1 an exit edge.
+	unconstrained, exit := int32(nt), int32(nt+1)
+	key := resize(sc.key, ne)
+	count := resize(sc.count, nt+2)
+	clear(count)
 	for ei, e := range t.Edges {
-		var k int64
+		var k int32
 		switch {
 		case parallelEdge[ei]:
 			// Unconstrained: any position consistent with determinism.
-			k = inf - 1
+			k = unconstrained
 			if e.Left != terrain.NoTri {
-				k = int64(res.TriTopo[e.Left])
+				k = res.TriTopo[e.Left]
 			}
-			if e.Right != terrain.NoTri && int64(res.TriTopo[e.Right]) < k {
-				k = int64(res.TriTopo[e.Right])
+			if e.Right != terrain.NoTri && res.TriTopo[e.Right] < k {
+				k = res.TriTopo[e.Right]
 			}
-		case behindOf[ei] == terrain.NoTri:
-			k = inf // exit edge: safe at the very back
+		case res.BehindTri[ei] == terrain.NoTri:
+			k = exit // exit edge: safe at the very back
 		default:
-			k = int64(res.TriTopo[behindOf[ei]])
+			k = res.TriTopo[res.BehindTri[ei]]
 		}
-		keys[ei] = keyed{key: k, e: int32(ei)}
+		key[ei] = k
+		count[k]++
 	}
-	parallel.SortFunc(0, keys, func(a, b keyed) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.e, b.e)
-	})
-	res.EdgeOrder = make([]int32, len(keys))
-	res.PosOf = make([]int32, len(keys))
-	for i, k := range keys {
-		res.EdgeOrder[i] = k.e
-		res.PosOf[k.e] = int32(i)
+	start := int32(0)
+	for k, c := range count {
+		count[k] = start
+		start += c
 	}
-	return res, nil
+	res.EdgeOrder = resize(res.EdgeOrder, ne)
+	res.PosOf = resize(res.PosOf, ne)
+	for ei, k := range key {
+		pos := count[k]
+		count[k]++
+		res.EdgeOrder[pos] = int32(ei)
+		res.PosOf[ei] = pos
+	}
+	sc.key, sc.count = key, count
+	return nil
 }
 
 // RayCrossings returns the edges crossed by the viewing ray at world y,

@@ -2,64 +2,51 @@ package order
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// topoResult is the outcome of a layered Kahn topological sort.
-type topoResult struct {
-	// TopoIndex[v] is the position of v in a valid linear extension.
-	TopoIndex []int32
-	// LayerOf[v] is the Kahn layer of v (the parallel round in which it is
-	// removed); layers are the depth of the parallel sort.
-	LayerOf []int32
-	// Layers is the number of layers.
-	Layers int
-}
-
-// layeredTopoSort orders the vertices of the DAG given by adjacency lists
-// adj (arcs u -> v meaning u before v) using layered Kahn elimination.
-// Within a layer, vertices are processed in ascending index order for
-// determinism. Returns an error naming the strongly-connected remainder
-// size if the graph has a cycle.
-func layeredTopoSort(n int, adj [][]int32) (*topoResult, error) {
-	indeg := make([]int32, n)
-	for _, out := range adj {
-		for _, v := range out {
-			indeg[v]++
-		}
+// layeredTopoSort orders the vertices of the DAG held in compressed sparse
+// rows — arcs[off[u]:off[u+1]] are the heads of u's arcs, an arc u -> v
+// meaning u before v — by layered Kahn elimination. It writes each vertex's
+// position in the linear extension to topo and its Kahn layer (the parallel
+// round in which it is removed) to layerOf, both of length len(off)-1, and
+// returns the number of layers: the depth of the parallel sort. Within a
+// layer, vertices are processed in ascending index order for determinism.
+// The sweep's state lives in sc. It returns an error naming the size of the
+// unsorted remainder if the graph has a cycle.
+func layeredTopoSort(off, arcs, topo, layerOf []int32, sc *Scratch) (int, error) {
+	n := len(off) - 1
+	indeg := resize(sc.indeg, n)
+	clear(indeg)
+	for _, v := range arcs {
+		indeg[v]++
 	}
-	res := &topoResult{
-		TopoIndex: make([]int32, n),
-		LayerOf:   make([]int32, n),
-	}
-	frontier := make([]int32, 0, n)
+	frontier := sc.frontier[:0]
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			frontier = append(frontier, int32(v))
 		}
 	}
-	next := make([]int32, 0, n)
-	processed := 0
-	topo := int32(0)
+	next := sc.next[:0]
+	layers, processed := 0, 0
 	for len(frontier) > 0 {
-		layer := int32(res.Layers)
-		res.Layers++
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		slices.Sort(frontier)
 		for _, v := range frontier {
-			res.TopoIndex[v] = topo
-			res.LayerOf[v] = layer
-			topo++
+			topo[v] = int32(processed)
+			layerOf[v] = int32(layers)
 			processed++
-			for _, w := range adj[v] {
+			for _, w := range arcs[off[v]:off[v+1]] {
 				if indeg[w]--; indeg[w] == 0 {
 					next = append(next, w)
 				}
 			}
 		}
+		layers++
 		frontier, next = next, frontier[:0]
 	}
+	sc.indeg, sc.frontier, sc.next = indeg, frontier, next
 	if processed != n {
-		return nil, fmt.Errorf("order: cycle detected (%d of %d vertices unsorted)", n-processed, n)
+		return 0, fmt.Errorf("order: cycle detected (%d of %d vertices unsorted)", n-processed, n)
 	}
-	return res, nil
+	return layers, nil
 }

@@ -3,6 +3,7 @@ package terrain
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"terrainhsr/internal/geom"
 )
@@ -68,51 +69,81 @@ func (t *Terrain) Centroid2(ti int32) geom.Pt2 {
 // New builds a Terrain from vertices and triangles, orienting every triangle
 // counter-clockwise in plan view and deriving the edge/adjacency table.
 func New(verts []geom.Pt3, tris [][3]int32) (*Terrain, error) {
-	t := &Terrain{Verts: verts, Tris: make([][3]int32, len(tris))}
-	copy(t.Tris, tris)
-	for i, tr := range t.Tris {
-		for _, v := range tr {
-			if int(v) >= len(verts) || v < 0 {
-				return nil, fmt.Errorf("terrain: triangle %d references vertex %d out of range", i, v)
-			}
-		}
-		a, b, c := t.PlanPt(tr[0]), t.PlanPt(tr[1]), t.PlanPt(tr[2])
-		cr := geom.Cross(a, b, c)
-		if math.Abs(cr) <= geom.Eps {
-			return nil, fmt.Errorf("terrain: triangle %d degenerate in plan view", i)
-		}
-		if cr < 0 {
-			t.Tris[i][1], t.Tris[i][2] = t.Tris[i][2], t.Tris[i][1]
-		}
-	}
-	if err := t.buildEdges(); err != nil {
+	t := new(Terrain)
+	if err := t.Rebuild(verts, tris, new(Scratch)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-type edgeKey struct{ a, b int32 }
-
-func mkEdgeKey(u, v int32) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
+// Scratch is the working memory of the edge derivation: per-vertex edge
+// lists keyed by the lower vertex of each edge. The zero value is ready to
+// use, and a Scratch keeps its capacity from one Rebuild to the next.
+type Scratch struct {
+	head []int32 // head[v]: the newest edge whose V0 is v, or -1
+	next []int32 // next[e]: the edge before e in e.V0's list, or -1
 }
 
-func (t *Terrain) buildEdges() error {
-	idx := make(map[edgeKey]int32, 3*len(t.Tris)/2)
+// Rebuild makes t the terrain New(verts, tris) returns — same triangles,
+// orientations, edge numbering and adjacency — but reuses the storage of
+// t's Tris and Edges and of sc, so a caller that rebuilds terrains of
+// similar size in a loop allocates nothing once the buffers have grown.
+// Like New's result, t aliases verts. The grid metadata is cleared. t must
+// own its tables: rebuilding a TransformShared result would overwrite the
+// tables it shares. On error t's contents are unspecified.
+func (t *Terrain) Rebuild(verts []geom.Pt3, tris [][3]int32, sc *Scratch) error {
+	t.Verts = verts
+	t.Tris = append(t.Tris[:0], tris...)
+	t.Edges = t.Edges[:0]
+	t.GridRows, t.GridCols = 0, 0
+	for i, tr := range t.Tris {
+		for _, v := range tr {
+			if int(v) >= len(verts) || v < 0 {
+				return fmt.Errorf("terrain: triangle %d references vertex %d out of range", i, v)
+			}
+		}
+		a, b, c := t.PlanPt(tr[0]), t.PlanPt(tr[1]), t.PlanPt(tr[2])
+		cr := geom.Cross(a, b, c)
+		if math.Abs(cr) <= geom.Eps {
+			return fmt.Errorf("terrain: triangle %d degenerate in plan view", i)
+		}
+		if cr < 0 {
+			t.Tris[i][1], t.Tris[i][2] = t.Tris[i][2], t.Tris[i][1]
+		}
+	}
+	return t.buildEdges(sc)
+}
+
+// buildEdges numbers the edges in first-seen order of the triangle walk and
+// records each edge's left and right triangle. An edge is found again
+// through the list of its lower vertex, whose length is that vertex's
+// number of higher-numbered neighbours.
+func (t *Terrain) buildEdges(sc *Scratch) error {
+	nv := len(t.Verts)
+	head := slices.Grow(sc.head[:0], nv)[:nv]
+	for v := range head {
+		head[v] = -1
+	}
+	// Euler's formula bounds a plane triangulation's edges by V + T - 1, so
+	// a valid terrain never grows the tables past this capacity.
+	edges := slices.Grow(t.Edges[:0], nv+len(t.Tris))
+	next := slices.Grow(sc.next[:0], cap(edges))
+	defer func() { t.Edges, sc.head, sc.next = edges, head, next }()
 	for ti, tr := range t.Tris {
 		for k := 0; k < 3; k++ {
 			u, v := tr[k], tr[(k+1)%3]
-			key := mkEdgeKey(u, v)
-			ei, ok := idx[key]
-			if !ok {
-				ei = int32(len(t.Edges))
-				idx[key] = ei
-				t.Edges = append(t.Edges, Edge{V0: key.a, V1: key.b, Left: NoTri, Right: NoTri})
+			lo, hi := min(u, v), max(u, v)
+			ei := head[lo]
+			for ei >= 0 && edges[ei].V1 != hi {
+				ei = next[ei]
 			}
-			e := &t.Edges[ei]
+			if ei < 0 {
+				ei = int32(len(edges))
+				edges = append(edges, Edge{V0: lo, V1: hi, Left: NoTri, Right: NoTri})
+				next = append(next, head[lo])
+				head[lo] = ei
+			}
+			e := &edges[ei]
 			// The triangle is CCW; the directed edge u->v has the triangle on
 			// its left. Record relative to the canonical direction V0->V1.
 			if u == e.V0 {

@@ -22,8 +22,8 @@ import (
 // workload's terrain seed and ingested like the store's finest level. It
 // repeats hsrperf's ridgeDEM draw for draw, and nothing checks that the two
 // stay in step (ROADMAP item 9 records moving both onto one generator).
-func coldRidge(b *testing.B) *terrain.Terrain {
-	b.Helper()
+func coldRidge(tb testing.TB) *terrain.Terrain {
+	tb.Helper()
 	const n = 97
 	r := rand.New(rand.NewSource(1))
 	wall := n / 6
@@ -53,11 +53,11 @@ func coldRidge(b *testing.B) *terrain.Terrain {
 	}
 	d, err := dem.ParseASC(strings.NewReader(asc.String()))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tt, err := d.ToTerrain(0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tt
 }
@@ -80,10 +80,7 @@ func BenchmarkTileSolve(b *testing.B) {
 	}
 	for _, kernel := range []string{engine.AlgoParallel, engine.AlgoSequentialTree} {
 		b.Run("kernel="+kernel, func(b *testing.B) {
-			pool := hsr.NewOpsPool()
-			solve := func(sub *terrain.Terrain, w int) (*hsr.Result, error) {
-				return engine.Dispatch(sub, func() (*hsr.Prepared, error) { return hsr.Prepare(sub) }, kernel, w, pool)
-			}
+			solve := engine.TileSolver(kernel, hsr.NewOpsPool())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := tile.Solve(tile.Resident{T: vt}, part, solve, tile.Options{}); err != nil {

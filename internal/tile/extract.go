@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"terrainhsr/internal/geom"
 	"terrainhsr/internal/terrain"
 )
 
@@ -95,10 +94,10 @@ func ownedIV(ys [][]float64, r0, r1, c0, c1 int) yiv {
 // interval intersects the owned interval. Per row the cell intervals are
 // monotone in the column index (canonical y increases with world y at fixed
 // depth under every transform the library applies), so the range is
-// contiguous.
-func haloRanges(ivs [][]yiv, owned yiv) [][2]int {
+// contiguous. The ranges are written over dst's storage.
+func haloRanges(ivs [][]yiv, owned yiv, dst [][2]int) [][2]int {
 	pad := 1e-7 * (1 + math.Abs(owned.lo) + math.Abs(owned.hi))
-	out := make([][2]int, len(ivs))
+	out := resize(dst, len(ivs))
 	for i, row := range ivs {
 		lo, hi := len(row), len(row)
 		for j, iv := range row {
@@ -138,8 +137,9 @@ type subTerrain struct {
 // range of the halo — and builds the canonical triangles of every included
 // cell in row-major order, so local vertex and edge numbering depend only
 // on the cells, never on which lattice supplied the vertices. Global edge
-// ids and owners come from the closed-form grid numbering.
-func extract(l Lattice, p *Partition, b, c int, r0, r1 int, ranges [][2]int) (*subTerrain, error) {
+// ids and owners come from the closed-form grid numbering. Everything it
+// builds lives in the set-up arena s, including the returned value.
+func extract(l Lattice, p *Partition, b, c int, r0, r1 int, ranges [][2]int, s *setup) (*subTerrain, error) {
 	or0, or1, oc0, oc1 := p.TileCells(b, c)
 
 	// The bounding column range of the halo, to page in one rectangle.
@@ -159,59 +159,59 @@ func extract(l Lattice, p *Partition, b, c int, r0, r1 int, ranges [][2]int) (*s
 	if cells == 0 {
 		return nil, fmt.Errorf("tile: band %d col %d selected no cells", b, c)
 	}
-	at, err := l.vertices(r0, r1, jlo, jhi) // vertex cols of cells [jlo, jhi)
+	vr, err := l.vertices(r0, r1, jlo, jhi) // vertex cols of cells [jlo, jhi)
 	if err != nil {
 		return nil, fmt.Errorf("tile: band %d col %d: %w", b, c, err)
 	}
 
 	// Number vertices compactly in first-reference order while emitting the
 	// canonical grid triples terrain.Grid.Build emits for every included
-	// cell (i, j).
+	// cell (i, j). The dense table local covers the vertex rectangle
+	// [r0, r1] x [jlo, jhi].
 	nvc := int32(p.Cols + 1)
-	maxVerts := (r1 - r0 + 1) * (jhi - jlo + 1)
-	localOf := make(map[int32]int32, maxVerts)
-	verts := make([]geom.Pt3, 0, maxVerts)
-	gverts := make([]int32, 0, maxVerts)
+	width := jhi - jlo + 1
+	local := resize(s.local, (r1-r0+1)*width)
+	for k := range local {
+		local[k] = -1
+	}
+	verts, gverts := s.verts[:0], s.gverts[:0]
 	var vertErr error
-	localID := func(gv int32) int32 {
-		lv, ok := localOf[gv]
-		if !ok {
-			lv = int32(len(verts))
-			localOf[gv] = lv
-			v, err := at(int(gv)/int(nvc), int(gv)%int(nvc))
+	localID := func(i, j int) int32 {
+		lv := &local[(i-r0)*width+j-jlo]
+		if *lv < 0 {
+			*lv = int32(len(verts))
+			v, err := vr.vertex(i, j)
 			if err != nil && vertErr == nil {
 				vertErr = err
 			}
 			verts = append(verts, v)
-			gverts = append(gverts, gv)
+			gverts = append(gverts, int32(i)*nvc+int32(j))
 		}
-		return lv
+		return *lv
 	}
-	tris := make([][3]int32, 0, 2*cells)
+	tris := s.tris[:0]
 	for i := r0; i < r1; i++ {
 		for j := ranges[i-r0][0]; j < ranges[i-r0][1]; j++ {
-			a := localID(int32(i)*nvc + int32(j))
-			bb := localID(int32(i+1)*nvc + int32(j))
-			cc := localID(int32(i+1)*nvc + int32(j) + 1)
-			d := localID(int32(i)*nvc + int32(j) + 1)
+			a := localID(i, j)
+			bb := localID(i+1, j)
+			cc := localID(i+1, j+1)
+			d := localID(i, j+1)
 			tris = append(tris, [3]int32{a, bb, cc}, [3]int32{a, cc, d})
 		}
 	}
+	s.local, s.verts, s.gverts, s.tris = local, verts, gverts, tris
 	if vertErr != nil {
 		return nil, vertErr
 	}
 
-	sub, err := terrain.New(verts, tris)
-	if err != nil {
+	if err := s.terr.Rebuild(verts, tris, &s.tsc); err != nil {
 		return nil, fmt.Errorf("tile: band %d col %d: %w", b, c, err)
 	}
-
-	st := &subTerrain{
-		t:          sub,
-		globalEdge: make([]int32, len(sub.Edges)),
-		owned:      make([]bool, len(sub.Edges)),
-	}
-	for le, ed := range sub.Edges {
+	st := &s.sub
+	st.t = &s.terr
+	st.globalEdge = resize(st.globalEdge, len(s.terr.Edges))
+	st.owned = resize(st.owned, len(s.terr.Edges))
+	for le, ed := range s.terr.Edges {
 		ge, oi, oj, err := gridEdge(p.Cols, int(nvc), gverts[ed.V0], gverts[ed.V1])
 		if err != nil {
 			return nil, fmt.Errorf("tile: band %d col %d: local edge %d: %w", b, c, le, err)

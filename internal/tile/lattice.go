@@ -38,8 +38,8 @@ type Lattice interface {
 	// rectangle must then be treated as unboundedly tall).
 	zBound(r0, r1, c0, c1 int) (z float64, ok bool)
 	// vertices makes the vertices of [r0, r1] x [c0, c1] available and
-	// returns an accessor valid until the next retire at or behind r1.
-	vertices(r0, r1, c0, c1 int) (func(i, j int) (geom.Pt3, error), error)
+	// returns a reader of them valid until the next retire at or behind r1.
+	vertices(r0, r1, c0, c1 int) (vertexReader, error)
 	// retire tells the lattice that vertex rows < row no longer influence
 	// the solve.
 	retire(row int)
@@ -48,6 +48,11 @@ type Lattice interface {
 	// worldBox bounds the untransformed vertex rectangle [r0, r1] x
 	// [c0, c1] (see TileBounds).
 	worldBox(r0, r1, c0, c1 int) WorldBox
+}
+
+// vertexReader reads the vertices a Lattice made available.
+type vertexReader interface {
+	vertex(i, j int) (geom.Pt3, error)
 }
 
 // Resident is the lattice of an in-memory grid terrain, read in place. T
@@ -82,9 +87,11 @@ func (r Resident) zBound(r0, r1, c0, c1 int) (float64, bool) {
 	return z, true
 }
 
-func (r Resident) vertices(_, _, _, _ int) (func(i, j int) (geom.Pt3, error), error) {
-	return func(i, j int) (geom.Pt3, error) { return r.at(i, j), nil }, nil
-}
+// vertices hands out the lattice itself: a one-pointer value, so the
+// reader costs no allocation.
+func (r Resident) vertices(_, _, _, _ int) (vertexReader, error) { return r, nil }
+
+func (r Resident) vertex(i, j int) (geom.Pt3, error) { return r.at(i, j), nil }
 
 func (Resident) retire(int) {}
 
@@ -225,13 +232,21 @@ func (g *PagedGrid) zBound(r0, r1, c0, c1 int) (float64, bool) {
 	return math.Max(z0, z1), true
 }
 
-func (g *PagedGrid) vertices(r0, r1, c0, c1 int) (func(i, j int) (geom.Pt3, error), error) {
+func (g *PagedGrid) vertices(r0, r1, c0, c1 int) (vertexReader, error) {
 	h, err := g.Src.Rect(r0, r1, c0, c1)
 	if err != nil {
 		return nil, err
 	}
-	return func(i, j int) (geom.Pt3, error) { return g.vertex(i, j, h(i, j)) }, nil
+	return pagedRect{g: g, h: h}, nil
 }
+
+// pagedRect reads the vertices of one paged-in rectangle.
+type pagedRect struct {
+	g *PagedGrid
+	h func(i, j int) float64
+}
+
+func (r pagedRect) vertex(i, j int) (geom.Pt3, error) { return r.g.vertex(i, j, r.h(i, j)) }
 
 func (g *PagedGrid) retire(row int) { g.Src.Retire(row) }
 

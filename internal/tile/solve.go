@@ -18,10 +18,15 @@ import (
 
 // SolveFunc solves one tile sub-terrain with the given intra-tile worker
 // budget and returns its visible scene (in the sub-terrain's local edge
-// numbering). The caller supplies it, closing over the algorithm choice and
-// any arena pools; package tile stays agnostic of which hidden-surface
-// algorithm runs inside a tile.
-type SolveFunc func(sub *terrain.Terrain, workers int) (*hsr.Result, error)
+// numbering). prepare computes the sub-terrain's depth order into the
+// tile's set-up arena, so a solve that needs the order takes it from there
+// and one that needs none never pays for it. Both sub and the prepared
+// value belong to the arena: they are valid only during the call, and the
+// returned Result's Pieces must not refer to them. The caller supplies the
+// function, closing over the algorithm choice and any tree-arena pools;
+// package tile stays agnostic of which hidden-surface algorithm runs inside
+// a tile.
+type SolveFunc func(sub *terrain.Terrain, prepare func() (*hsr.Prepared, error), workers int) (*hsr.Result, error)
 
 // Options configures a tiled solve.
 type Options struct {
@@ -362,7 +367,8 @@ func sortVisible(ps []hsr.VisiblePiece) {
 // height bound, and a reusable prior verdict is first tried against the
 // tile's frame-invariant world box, so a tile's vertices are requested only
 // when it survives both. front is read-only here (it is only rewritten
-// between bands, after the band barrier).
+// between bands, after the band barrier). A solved tile sets up in an arena
+// drawn from setupPool for the duration of the call.
 func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence) (*tileOutcome, error) {
 	r0, r1, c0, c1 := p.TileCells(b, c)
 	verifyFailed := false
@@ -384,14 +390,19 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 			return &tileOutcome{culled: true, verifyFailed: verifyFailed}, nil
 		}
 	}
-	sub, err := extract(l, p, b, c, r0, r1, haloRanges(ivs, owned))
+	// The set-up arena lives until the owned pieces carry global ids.
+	s := setupPool.Get().(*setup)
+	defer setupPool.Put(s)
+	s.halo = haloRanges(ivs, owned, s.halo)
+	sub, err := extract(l, p, b, c, r0, r1, s.halo, s)
 	if err != nil {
 		return nil, err
 	}
-	res, err := solve(sub.t, workers)
+	res, err := solve(sub.t, s.prepare, workers)
 	if err != nil {
 		return nil, err
 	}
+	res.Order = nil // it points into the arena
 	oc := &tileOutcome{counters: res.Counters, crossings: res.Crossings, verifyFailed: verifyFailed}
 	for _, pc := range res.Pieces {
 		if !sub.owned[pc.Edge] {

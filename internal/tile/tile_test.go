@@ -19,10 +19,10 @@ func genGrid(t *testing.T, kind workload.Kind, rows, cols int, seed int64) *terr
 	return tr
 }
 
-// seqSolve is the trusted tile-solver callback for the tests.
-func seqSolve(sub *terrain.Terrain, workers int) (*hsr.Result, error) {
-	_ = workers
-	prep, err := hsr.Prepare(sub)
+// seqSolve is the trusted tile-solver callback for the tests. It solves on
+// the depth order of the tile's set-up arena, as serving does.
+func seqSolve(_ *terrain.Terrain, prepare func() (*hsr.Prepared, error), _ int) (*hsr.Result, error) {
+	prep, err := prepare()
 	if err != nil {
 		return nil, err
 	}
