@@ -51,9 +51,6 @@ func mustSeq(t *terrain.Terrain) *hsr.Result {
 
 func log2(x float64) float64 { return math.Log2(x) }
 
-// ms renders a duration in milliseconds for the tables.
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
 func sizesFor(quick bool) []int {
 	if quick {
 		return []int{16, 24, 32}

@@ -2,12 +2,8 @@
 // Theorem 3.1 time and work bounds (TH1, TH2), output sensitivity against
 // the intersection count (TH3), Brent speedup (TH4), comparison with the
 // sequential algorithm (TH5), the lemma-level costs (LM1, LM6), the
-// structural figure analogues (FG1, FG2, FG3), the design ablations (A1,
-// A2), and two serving-fleet runs: routed 3-replica throughput and tail
-// latency against a single replica at an equal total worker budget, with
-// byte-identical answers (F1), and throughput and tail latency before,
-// during and after a scripted membership churn, with zero client-visible
-// errors and unchanged answers (E1).
+// structural figure analogues (FG1, FG2, FG3) and the design ablations
+// (A1, A2).
 //
 // The tables print measurements; the claims they illustrate are asserted
 // by go test: internal/hsr's TestClaim* tests fit the exponents of
@@ -18,16 +14,17 @@
 //
 // Usage:
 //
-//	hsrbench [-exp all|TH1..TH5|LM1|LM6|FG1..FG3|A1|A2|F1|E1[,...]] [-quick]
+//	hsrbench [-exp all|TH1..TH5|LM1|LM6|FG1..FG3|A1|A2[,...]] [-quick]
 //
-// -exp accepts a comma-separated list; an unknown id exits 2 and lists the
-// available ones.
+// -exp accepts a comma-separated list; an unknown id exits 2, before any
+// table runs, and lists the available ones.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,12 +48,10 @@ var experiments = []experiment{
 	{"FG3", "Figure 3 — persistence vs copying storage", expFG3},
 	{"A1", "Ablation — persistent splicing vs profile copying", expA1},
 	{"A2", "Ablation — hull-augmented (ACG) vs summary pruning", expA2},
-	{"F1", "Serving fleet — routed 3-replica throughput vs one replica at equal total workers", expFleet},
-	{"E1", "Fleet elasticity — throughput before/during/after membership churn, zero errors", expElastic},
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (TH1..TH5, LM1, LM6, FG1..FG3, A1, A2, F1, E1) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (TH1..TH5, LM1, LM6, FG1..FG3, A1, A2) or 'all'")
 	quick := flag.Bool("quick", false, "smaller sizes for a fast pass")
 	flag.Parse()
 
@@ -70,26 +65,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "empty -exp value; pass experiment ids or 'all'\n")
 		os.Exit(2)
 	}
+	// Reject unknown ids before running anything: a typo in a list must
+	// not cost the known tables' run time first.
 	names := make([]string, 0, len(experiments))
 	for _, e := range experiments {
 		names = append(names, e.name)
-		if wanted["ALL"] || wanted[e.name] {
-			fmt.Printf("== %s: %s ==\n", e.name, e.title)
-			e.run(*quick)
-			fmt.Println()
-			delete(wanted, e.name)
-		}
 	}
-	delete(wanted, "ALL")
-	if len(wanted) > 0 {
-		unknown := make([]string, 0, len(wanted))
-		for w := range wanted {
+	var unknown []string
+	for w := range wanted {
+		if w != "ALL" && !slices.Contains(names, w) {
 			unknown = append(unknown, w)
 		}
+	}
+	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		sort.Strings(names)
 		fmt.Fprintf(os.Stderr, "unknown experiment(s) %s; available: %s, all\n",
 			strings.Join(unknown, ", "), strings.Join(names, ", "))
 		os.Exit(2)
+	}
+	for _, e := range experiments {
+		if wanted["ALL"] || wanted[e.name] {
+			fmt.Printf("== %s: %s ==\n", e.name, e.title)
+			e.run(*quick)
+			fmt.Println()
+		}
 	}
 }

@@ -8,7 +8,7 @@
 //	    -terrain id=alps,kind=ridge,rows=96,cols=96,seed=7 \
 //	    -terrain id=delta,kind=fractal,rows=64,cols=64,seed=3 \
 //	    -scenario mixed -zipf 1.3 -requests 512 -repeats 4 -workers 8 \
-//	    -check -json LOAD.json -experiment F1 -variant fleet-3
+//	    -check -json LOAD.json -experiment soak -variant fleet-3
 //
 // The -terrain specs use the same syntax as hsrserved's -terrain flag
 // and MUST match the specs the target replicas were started with:

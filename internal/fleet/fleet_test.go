@@ -370,7 +370,10 @@ func TestFleetChurnSoak(t *testing.T) {
 		EjectAfter:    2,
 		AdminToken:    "soak",
 		DrainTimeout:  10 * time.Second,
-		Logf:          t.Logf,
+		// alps is rank 0 of the zipf draw: the hot terrain rotates over
+		// a replica group of two through both membership changes.
+		Replication: map[string]int{"alps": 2},
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -477,6 +480,20 @@ func TestFleetChurnSoak(t *testing.T) {
 	}
 	if st := seen[joiner.URL]; st != "active" {
 		t.Fatalf("joiner state %q, want active (membership %+v)", st, m.Members)
+	}
+
+	// The replicated terrain's current group has two members and both
+	// served it. The serve ledger spans the whole run, so a drained
+	// ex-member keeps its credit; only the current group is checked.
+	group := rt.Placement()["alps"]
+	if len(group) != 2 {
+		t.Fatalf("placement for the replicated terrain = %v, want 2 members", group)
+	}
+	serves := rt.KeyServes()["alps"]
+	for _, addr := range group {
+		if serves[addr] == 0 {
+			t.Fatalf("group member %s served 0 of the replicated terrain: %v (group %v)", addr, serves, group)
+		}
 	}
 
 	// Ring geometry of the same churn, over the actual member URLs: the

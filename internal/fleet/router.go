@@ -568,7 +568,7 @@ func (rt *Router) recordQuery(key, uri string) {
 
 // recordServe credits one answered query to the replica that served it —
 // the per-key share ledger behind /fleetz's key_serves, which is how an
-// operator (and the E1 experiment) verifies a replicated terrain's load
+// operator (and TestFleetChurnSoak) verifies a replicated terrain's load
 // actually spreads.
 func (rt *Router) recordServe(key, addr string) {
 	rt.mu.Lock()

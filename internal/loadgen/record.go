@@ -12,7 +12,7 @@ import (
 // percentiles in Extra.
 type Record struct {
 	// Experiment is the experiment id and Variant the measured
-	// configuration inside it (e.g. "F1", "fleet-3").
+	// configuration inside it (e.g. "soak", "fleet-3").
 	Experiment string `json:"experiment"`
 	Variant    string `json:"variant"`
 	// WallMS is the measured wall clock in milliseconds.

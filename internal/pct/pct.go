@@ -149,7 +149,7 @@ type LeafVisibility struct {
 }
 
 // Phase2Stats summarizes the per-layer behaviour of phase 2 for the
-// experiments (Figure 1/F1 sharing and T-series work measurements).
+// experiments (Figure 1/FG1 sharing and T-series work measurements).
 type Phase2Stats struct {
 	Depth int
 	// Nodes is the number of tree nodes processed at this depth.
