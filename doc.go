@@ -17,7 +17,9 @@
 // work is proportional to (n + k) polylog n — n input edges, k visible
 // output pieces — rather than to the number of pairwise edge crossings.
 // Sequential and brute-force baselines are included for comparison and
-// verification.
+// verification. Every exact solver emits the same bytes, so a default
+// request names that answer and its plan runs the cheapest kernel,
+// sequential-tree; ParallelHulls runs the paper's algorithm.
 //
 //	tr, _ := terrainhsr.Generate(terrainhsr.GenParams{Kind: "fractal", Rows: 64, Cols: 64, Seed: 42})
 //	res, _ := terrainhsr.Solve(tr, terrainhsr.Options{})

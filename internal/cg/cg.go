@@ -188,18 +188,23 @@ func stitch(out, rels []Relation, lo, hi float64) []Relation {
 }
 
 // VisibleSpans converts the relations of segment s into the visible spans
-// (the ClipAbove analogue over the persistent tree). s is a whole edge, so
-// its own heights are its edge's.
+// (the ClipAbove analogue over the persistent tree), one VisibleSpan per
+// relation above the profile.
 func VisibleSpans(rels []Relation, s geom.Seg2) []envelope.Span {
 	s = s.Canon()
 	var out []envelope.Span
 	for _, r := range rels {
-		if !r.Above {
-			continue
+		if r.Above {
+			out = append(out, VisibleSpan(r, s))
 		}
-		out = append(out, envelope.Span{X1: r.X1, Z1: s.ZAt(r.X1), X2: r.X2, Z2: s.ZAt(r.X2)})
 	}
 	return out
+}
+
+// VisibleSpan is the visible span of canonical segment s over relation r's
+// x-range. s is a whole edge, so its own heights are its edge's.
+func VisibleSpan(r Relation, s geom.Seg2) envelope.Span {
+	return envelope.Span{X1: r.X1, Z1: s.ZAt(r.X1), X2: r.X2, Z2: s.ZAt(r.X2)}
 }
 
 // VisibleRuns appends to runs the splice runs carrying the visible

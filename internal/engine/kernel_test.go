@@ -9,9 +9,9 @@ import (
 	"terrainhsr/internal/tile"
 )
 
-// TestPlanKernelChoice pins the one kernel rule of Executor.Plan: a tiled
-// plan of a parallel request runs sequential-tree in its tiles, at any
-// worker share, and every other plan runs the requested algorithm.
+// TestPlanKernelChoice pins the one kernel rule of Executor.Plan: every
+// plan of a parallel request runs sequential-tree, tiled at any worker
+// share or monolithic, and every other request runs its named algorithm.
 func TestPlanKernelChoice(t *testing.T) {
 	// A 2x2 tile grid: workers 2 give each tile a share of 1, workers 4 a
 	// share of 2 and workers 16 a share of 8.
@@ -47,9 +47,9 @@ func TestPlanKernelChoice(t *testing.T) {
 		check(what("coherent"), p, "coherent", AlgoSequentialTree)
 	}
 
-	// Monolithic plans keep the requested kernel.
-	check("monolithic", plan(resident, Request{Workers: 1}), "monolithic", AlgoParallel)
-	check("monolithic frame", plan(resident, Request{Workers: 1, Perspective: true, Eyes: eye}), "batched", AlgoParallel)
+	// Monolithic plans of a parallel request run sequential-tree too.
+	check("monolithic", plan(resident, Request{Workers: 1}), "monolithic", AlgoSequentialTree)
+	check("monolithic frame", plan(resident, Request{Workers: 1, Perspective: true, Eyes: eye}), "batched", AlgoSequentialTree)
 	// Explicitly named algorithms other than parallel keep their own.
 	for _, algo := range []string{AlgoParallelHulls, AlgoParallelCopying, AlgoSequential, AlgoSequentialTree} {
 		check("tiled "+algo, plan(resident, Request{Algorithm: algo, Workers: 2, TileCells: 1}), "tiled", algo)

@@ -96,10 +96,9 @@ type Plan struct {
 	// Bands and TileCols are the tile-grid dimensions when Tiled.
 	Bands, TileCols int
 	// Kernel is the algorithm every solve of the plan runs: the requested
-	// one, except that a tiled plan of a parallel request runs
-	// sequential-tree in its tiles. All exact algorithms emit the same
-	// bytes, so for them the request's algorithm names a result contract
-	// and Kernel the code path that meets it.
+	// one, except that a parallel request runs sequential-tree. All exact
+	// algorithms emit the same bytes, so for them the request's algorithm
+	// names a result contract and Kernel the code path that meets it.
 	Kernel string
 	// Level is the LOD pyramid level the plan solves (0 = finest or no
 	// pyramid), LevelCount the number of levels available (0 when the
@@ -221,12 +220,13 @@ func (e *Executor) Plan(req Request) (*Plan, error) {
 	if p.Kernel == "" {
 		p.Kernel = AlgoParallel
 	}
-	if p.Tiled && p.Kernel == AlgoParallel {
+	if p.Kernel == AlgoParallel {
 		// The paper's kernel charges 5.9x to 9.4x sequential-tree's work
-		// (TH5), and no measured tile solve has had the workers to repay it
-		// (ALGORITHM.md, "Kernel choice"). Both emit the same bytes.
+		// (TH5), and no measured solve, tiled or monolithic, has had the
+		// workers to repay it (ALGORITHM.md, "Kernel choice"). Both emit the
+		// same bytes.
 		p.Kernel = AlgoSequentialTree
-		p.reasons = append(p.reasons, "tile kernel sequential-tree: same bytes as parallel for less work")
+		p.reasons = append(p.reasons, "kernel sequential-tree: same bytes as parallel for less work")
 	}
 	return p, nil
 }

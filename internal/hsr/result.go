@@ -89,9 +89,9 @@ func ComparePieces(a, b VisiblePiece) int {
 // algorithms: the depth order (the separator-tree step) and the ordered
 // image segments. A Prepared from Prepare is immutable and safe for
 // concurrent reuse across solves. One filled by PrepareInto is backed by
-// storage its caller reuses, such as a tile's set-up arena: it is neither
-// immutable nor shareable, and it is valid only until that storage is
-// prepared into again or released.
+// storage its caller reuses, such as a tile's or a perspective frame's
+// set-up arena: it is neither immutable nor shareable, and it is valid only
+// until that storage is prepared into again or released.
 type Prepared struct {
 	t   *terrain.Terrain
 	ord *order.Result

@@ -94,8 +94,10 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 			ctr.Crossings += st.Crossings
 			res.Crossings += st.Crossings
 			cost += st.Steps + st.HullQueries
-			for _, sp := range cg.VisibleSpans(rels, s) {
-				res.Pieces = append(res.Pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos], Span: sp})
+			for _, r := range rels {
+				if r.Above {
+					res.Pieces = append(res.Pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos], Span: cg.VisibleSpan(r, s)})
+				}
 			}
 			runs := cg.VisibleRuns(o, o.Scratch.Runs[:0], rels, s, int32(pos))
 			o.Scratch.Runs = runs

@@ -215,7 +215,7 @@ func TestModeVocabulary(t *testing.T) {
 		eye        terrainhsr.Point
 		kernel     string
 	}{
-		{"plain grid under the threshold", "batched", terrainhsr.ServerOptions{}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}, "parallel"},
+		{"plain grid under the threshold", "batched", terrainhsr.ServerOptions{}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}, "sequential-tree"},
 		{"TileCells 1", "batched-tiled", terrainhsr.ServerOptions{TileCells: 1}, false, terrainhsr.Point{X: -8, Y: 6, Z: 20}, "sequential-tree"},
 		{"store level over the residency budget", "out-of-core",
 			terrainhsr.ServerOptions{ResidencyBudget: 100_000}, true, terrainhsr.Point{X: -10, Y: 20, Z: 40}, "sequential-tree"},

@@ -75,8 +75,8 @@ type CostLedger struct {
 	K         int   `json:"k"`
 	Crossings int64 `json:"crossings,omitempty"`
 	// Kernel is the algorithm whose solve charged the terms below and
-	// produced the pieces: the plan's kernel (engine.Plan.Kernel), which a
-	// tiled plan may choose differently from the requested algorithm.
+	// produced the pieces: the plan's kernel (engine.Plan.Kernel), which
+	// differs from the requested algorithm for parallel requests.
 	// Empty for cache hits and coalesced waits; a session replay names the
 	// kernel that solved the frame it replays.
 	Kernel string `json:"kernel,omitempty"`

@@ -144,7 +144,12 @@ type Algorithm string
 
 const (
 	// Parallel is the paper's output-sensitive parallel algorithm
-	// (persistent profile trees, summary pruning). The default.
+	// (persistent profile trees, summary pruning). The default. As a
+	// request it names the answer, the bytes every exact algorithm emits;
+	// the plan names the kernel that computes it. Every plan of a Parallel
+	// request runs SequentialTree, whose charged work is 5.9x to 9.4x
+	// smaller (ALGORITHM.md, "Kernel choice"); ParallelHulls still runs the
+	// paper's kernel.
 	Parallel Algorithm = "parallel"
 	// ParallelHulls is the same algorithm with the exact hull-augmented
 	// ACG pruning of Lemmas 3.3-3.6.
@@ -201,7 +206,10 @@ func checkServed(a Algorithm) error {
 
 // Options configures Solve.
 type Options struct {
-	// Algorithm defaults to Parallel.
+	// Algorithm defaults to Parallel. It names the answer; the plan names
+	// the kernel that solves (Parallel runs SequentialTree, every other
+	// algorithm runs itself). All exact algorithms emit the same bytes, so
+	// only Result's charged work and phase accounting tell kernels apart.
 	Algorithm Algorithm
 	// Workers bounds the goroutine count for parallel algorithms
 	// (0 = all CPUs).
@@ -324,7 +332,9 @@ func runPlanned(e *engine.Executor, req engine.Request) ([]engine.Outcome, *engi
 	return outs, plan, nil
 }
 
-// Algorithm returns the solver that produced this result.
+// Algorithm returns the algorithm the result was requested with: the name
+// of the answer, not always of the kernel that solved (see
+// Options.Algorithm).
 func (r *Result) Algorithm() Algorithm { return r.algo }
 
 // N returns the input size (terrain edges).

@@ -1,9 +1,12 @@
 package terrainhsr
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"terrainhsr/internal/engine"
 )
 
 func genTest(t *testing.T, kind string, rows, cols int, seed int64) *Terrain {
@@ -33,8 +36,78 @@ func TestSolveDefaultAlgorithm(t *testing.T) {
 	if res.TimeOnPRAM(4) <= 0 {
 		t.Fatal("missing PRAM time")
 	}
-	if !strings.Contains(res.PhaseSummary(), "phase1") {
+	hulls, err := Solve(tr, Options{Algorithm: ParallelHulls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(hulls.PhaseSummary(), "phase1") {
 		t.Fatal("phase summary missing phase1")
+	}
+}
+
+// TestDefaultSolvesRunPlanKernel: a default Solve, Solver.Solve and
+// BatchSolver frame each run the kernel their plan names (sequential-tree,
+// whose one accounting phase carries its name, not the paper's phase1), and
+// answer with the bytes of ParallelHulls, which runs the paper's kernel.
+func TestDefaultSolvesRunPlanKernel(t *testing.T) {
+	tr := genTest(t, "massive", 24, 24, 1)
+	eyes := testEyes(tr, 2)
+	planKernel := func(req engine.Request) string {
+		t.Helper()
+		p, err := engine.New(tr.t, engine.Config{}).Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Kernel
+	}
+	check := func(what, kernel string, got, want *Result) {
+		t.Helper()
+		if kernel != string(SequentialTree) {
+			t.Fatalf("%s: plan kernel %q, want %q", what, kernel, SequentialTree)
+		}
+		if sum := got.PhaseSummary(); !strings.Contains(sum, kernel) || strings.Contains(sum, "phase1") {
+			t.Fatalf("%s: phases do not name the plan's kernel %s:\n%s", what, kernel, sum)
+		}
+		if got.Algorithm() != Parallel {
+			t.Fatalf("%s: algorithm %q, want %q", what, got.Algorithm(), Parallel)
+		}
+		piecesEqual(t, what, got.Pieces(), want.Pieces())
+	}
+
+	single := singleRequest(Options{}, neverTile)
+	want, err := Solve(tr, Options{Algorithm: ParallelHulls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Solve(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Solve", planKernel(single), got, want)
+	sv, err := NewSolver(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = sv.Solve(Options{}); err != nil {
+		t.Fatal(err)
+	}
+	check("Solver.Solve", planKernel(single), got, want)
+
+	bs, err := NewBatchSolver(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFrames, err := bs.Solve(eyes, BatchOptions{Options: Options{Algorithm: ParallelHulls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := bs.Solve(eyes, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := planKernel(batchRequest(BatchOptions{}, eyes, neverTile))
+	for i := range frames {
+		check(fmt.Sprintf("BatchSolver frame %d", i), kernel, frames[i], wantFrames[i])
 	}
 }
 
