@@ -11,11 +11,14 @@ import (
 // This file is the batch/multi-viewpoint solve engine: one terrain, many
 // perspective eye points — the viewshed-grid and flyover workloads — solved
 // as a stream with amortized shared state instead of independent one-shot
-// pipelines. Three costs are amortized across frames:
+// pipelines. Four costs are amortized across frames:
 //
 //   - Topology: the triangle and edge tables are built and validated once;
 //     each frame only maps the vertices through its perspective transform
 //     (terrain.TransformShared) instead of re-deriving adjacency.
+//   - Depth order: each frame prepares its view's depth order into a pooled
+//     set-up arena (hsr.PrepareArena) that keeps its buffers between
+//     frames, and the frame's algorithm solves that prepared order.
 //   - Tree arenas: the persistent profile-tree storage that dominates a
 //     solve's allocations is drawn from a pool and rewound between frames
 //     (hsr.OpsPool), so steady-state frames run nearly allocation-free.

@@ -15,6 +15,7 @@ import (
 	"os"
 	"strings"
 
+	"terrainhsr/internal/engine"
 	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/vis"
@@ -27,7 +28,7 @@ func main() {
 	rows := flag.Int("rows", 48, "grid rows when generating")
 	cols := flag.Int("cols", 48, "grid cols when generating")
 	seed := flag.Int64("seed", 1, "seed when generating")
-	algo := flag.String("algo", "parallel", "parallel | parallel-hulls | sequential")
+	algo := flag.String("algo", engine.AlgoParallel, strings.Join(engine.Algorithms(), " | "))
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 	width := flag.Int("width", 1000, "SVG width in pixels")
 	hidden := flag.Bool("hidden", true, "draw the occluded wireframe faintly")
@@ -47,17 +48,11 @@ func main() {
 		log.Fatalf("hsrview: %v", err)
 	}
 
-	var res *hsr.Result
-	switch *algo {
-	case "parallel":
-		res, err = hsr.ParallelOS(t, hsr.OSOptions{Workers: *workers})
-	case "parallel-hulls":
-		res, err = hsr.ParallelOS(t, hsr.OSOptions{Workers: *workers, WithHulls: true})
-	case "sequential":
-		res, err = hsr.Sequential(t)
-	default:
-		log.Fatalf("hsrview: unknown algorithm %q", *algo)
+	prep, err := hsr.Prepare(t)
+	if err != nil {
+		log.Fatalf("hsrview: prepare: %v", err)
 	}
+	res, err := engine.Dispatch(prep, *algo, *workers, nil)
 	if err != nil {
 		log.Fatalf("hsrview: solve: %v", err)
 	}

@@ -2,9 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"terrainhsr/internal/hsr"
-	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
 )
 
@@ -20,30 +21,31 @@ const (
 	AlgoAllPairs        = "all-pairs"
 )
 
+// algorithms lists every name Dispatch runs, in the order Algorithms
+// reports them.
+var algorithms = []string{
+	AlgoParallel, AlgoParallelHulls, AlgoParallelCopying,
+	AlgoSequential, AlgoSequentialTree, AlgoBruteForce, AlgoAllPairs,
+}
+
+// Algorithms lists the algorithm names Dispatch runs.
+func Algorithms() []string { return slices.Clone(algorithms) }
+
+// checkAlgorithm rejects a name Dispatch does not run, listing the ones it
+// does.
+func checkAlgorithm(algo string) error {
+	if slices.Contains(algorithms, algo) {
+		return nil
+	}
+	return fmt.Errorf("terrainhsr: unknown algorithm %q (known: %s)", algo, strings.Join(algorithms, ", "))
+}
+
 // Dispatch is the single algorithm dispatch every solve in the module routes
-// through, so a new algorithm is added in exactly one place. prepare
-// supplies the depth order lazily: the order-free quadratic baselines never
-// pay for (or fail on) it, and cached preparations are passed through
-// unchanged. pool, when non-nil, supplies recycled tree arenas to the
-// algorithms that use persistent trees; it never changes the computed
-// pieces.
-func Dispatch(tt *terrain.Terrain, prepare func() (*hsr.Prepared, error), algo string, workers int, pool *hsr.OpsPool) (*hsr.Result, error) {
-	if algo == "" {
-		algo = AlgoParallel
-	}
-	switch algo {
-	case AlgoBruteForce:
-		return hsr.BruteForce(tt)
-	case AlgoAllPairs:
-		return hsr.AllPairs(tt)
-	case AlgoParallel, AlgoParallelHulls, AlgoParallelCopying, AlgoSequential, AlgoSequentialTree:
-	default:
-		return nil, fmt.Errorf("terrainhsr: unknown algorithm %q", algo)
-	}
-	prep, err := prepare()
-	if err != nil {
-		return nil, err
-	}
+// through, so a new algorithm is added in exactly one place. Every
+// algorithm runs on the prepared depth order prep. pool, when non-nil,
+// supplies recycled tree arenas to the algorithms that use persistent
+// trees; it never changes the computed pieces.
+func Dispatch(prep *hsr.Prepared, algo string, workers int, pool *hsr.OpsPool) (*hsr.Result, error) {
 	switch algo {
 	case AlgoParallel:
 		return prep.ParallelOS(hsr.OSOptions{Workers: workers, Pool: pool})
@@ -53,16 +55,21 @@ func Dispatch(tt *terrain.Terrain, prepare func() (*hsr.Prepared, error), algo s
 		return prep.ParallelSimple(workers)
 	case AlgoSequential:
 		return prep.Sequential()
-	default: // AlgoSequentialTree; the first switch rejected everything else.
+	case AlgoSequentialTree:
 		return prep.SequentialTreePooled(false, pool)
+	case AlgoBruteForce:
+		return prep.BruteForce()
+	case AlgoAllPairs:
+		return prep.AllPairs()
 	}
+	return nil, checkAlgorithm(algo) // every name it accepts returned above
 }
 
 // TileSolver is the SolveFunc of every tiled plan: it runs kernel in each
 // tile through Dispatch, on the depth order the tile's set-up arena
-// prepares, drawing tree arenas from pool.
+// prepared, drawing tree arenas from pool.
 func TileSolver(kernel string, pool *hsr.OpsPool) tile.SolveFunc {
-	return func(sub *terrain.Terrain, prepare func() (*hsr.Prepared, error), workers int) (*hsr.Result, error) {
-		return Dispatch(sub, prepare, kernel, workers, pool)
+	return func(prep *hsr.Prepared, workers int) (*hsr.Result, error) {
+		return Dispatch(prep, kernel, workers, pool)
 	}
 }

@@ -215,11 +215,42 @@ func TestFramesNoError(t *testing.T) {
 	}
 }
 
-func TestDispatchRejectsUnknownAlgorithm(t *testing.T) {
+// TestPlanRejectsUnknownAlgorithm checks that Plan rejects an unknown
+// algorithm on monolithic, tiled and paged executors before it builds a
+// tile partition or prepares a depth order, and that Dispatch rejects one
+// too.
+func TestPlanRejectsUnknownAlgorithm(t *testing.T) {
 	grid := testGrid(t)
-	_, err := Dispatch(grid, func() (*hsr.Prepared, error) { panic("must not prepare") }, "zbuffer", 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Fatalf("err = %v, want unknown algorithm", err)
+	for _, tc := range []struct {
+		name      string
+		e         *Executor
+		tileCells int
+		mode      string
+	}{
+		{"monolithic", New(grid, Config{}), -1, "monolithic"},
+		{"tiled", New(grid, Config{}), 1, "tiled"},
+		{"paged", NewPaged(&tile.PagedGrid{Rows: 8, Cols: 8, Cell: 1, Src: newArraySource(9, 9, pagedTestHeights)}, Config{}, "why"), 0, "out-of-core"},
+	} {
+		req := Request{Algorithm: "zbuffer", TileCells: tc.tileCells}
+		if _, err := tc.e.Plan(req); err == nil || !strings.Contains(err.Error(), `terrainhsr: unknown algorithm "zbuffer"`) {
+			t.Fatalf("%s: err = %v, want unknown algorithm", tc.name, err)
+		}
+		if tc.e.part != nil || tc.e.tileErr != nil || tc.e.prep != nil || tc.e.prepErr != nil {
+			t.Fatalf("%s: the rejected plan built a partition or prepared", tc.name)
+		}
+		// The same request with a known algorithm takes the route the
+		// rejection cut short.
+		req.Algorithm = AlgoSequential
+		if plan, err := tc.e.Plan(req); err != nil || plan.Mode() != tc.mode {
+			t.Fatalf("%s: plan %v, err %v; want mode %s", tc.name, plan, err, tc.mode)
+		}
+	}
+	prep, err := hsr.Prepare(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Dispatch(prep, "zbuffer", 1, nil); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Fatalf("Dispatch err = %v, want unknown algorithm", err)
 	}
 }
 

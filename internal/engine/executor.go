@@ -7,7 +7,6 @@ import (
 
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hsr"
-	"terrainhsr/internal/order"
 	"terrainhsr/internal/parallel"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
@@ -194,28 +193,27 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 		}
 		return Outcome{Res: res, Tile: st}, nil
 	}
-	tt, err := e.terrainView(view)
-	if err != nil {
-		return Outcome{}, err
-	}
-	prepare := func() (*hsr.Prepared, error) {
+	var prep *hsr.Prepared
+	if view == nil {
 		if err := e.EnsurePrepared(); err != nil {
-			return nil, err
+			return Outcome{}, err
 		}
-		return e.prep, nil
+		prep = e.prep
+	} else {
+		tt, err := e.terrainView(view)
+		if err != nil {
+			return Outcome{}, err
+		}
+		// The arena lives until the solve returns; no result points into it.
+		a := framePool.Get().(*hsr.PrepareArena)
+		defer framePool.Put(a)
+		if prep, err = a.Prepare(tt); err != nil {
+			return Outcome{}, err
+		}
 	}
-	if view != nil {
-		// The arena lives until the result no longer points into it.
-		s := framePool.Get().(*frameSetup)
-		defer framePool.Put(s)
-		s.t, prepare = tt, s.prepare
-	}
-	res, err := Dispatch(tt, prepare, plan.Kernel, plan.WorkersPerFrame, e.pool)
+	res, err := Dispatch(prep, plan.Kernel, plan.WorkersPerFrame, e.pool)
 	if err != nil {
 		return Outcome{}, err
-	}
-	if view != nil {
-		res.Order = nil // it points into the frame's arena
 	}
 	if emit != nil {
 		for _, p := range res.Pieces {
@@ -228,37 +226,12 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 	return Outcome{Res: res}, nil
 }
 
-// frameSetup is the set-up arena of one monolithic perspective frame: the
-// frame's prepared depth order and the working memory that computes it, as
-// in a tile's set-up arena. solveView takes an arena from framePool for the
-// frame's solve and puts it back once the result's Order, which points into
-// it, is cleared, so no result (cached ones included) holds arena storage.
-// An arena keeps the capacity of the largest frame it has served, so a
+// framePool holds the set-up arenas of monolithic perspective frames. An
+// arena keeps the capacity of the largest frame it has prepared, so a
 // steady stream of frames prepares without allocating; the pool lets idle
 // arenas go at garbage collection. The canonical view instead shares the
 // executor's immutable preparation.
-type frameSetup struct {
-	// t is the frame's perspective terrain, set before each solve.
-	t    *terrain.Terrain
-	prep hsr.Prepared
-	osc  order.Scratch
-	// prepare is Dispatch's accessor of the frame's depth order, bound once
-	// per arena so that handing it to a solve allocates nothing.
-	prepare func() (*hsr.Prepared, error)
-}
-
-var framePool = sync.Pool{New: func() any { return newFrameSetup() }}
-
-func newFrameSetup() *frameSetup {
-	s := new(frameSetup)
-	s.prepare = func() (*hsr.Prepared, error) {
-		if err := hsr.PrepareInto(&s.prep, s.t, &s.osc); err != nil {
-			return nil, err
-		}
-		return &s.prep, nil
-	}
-	return s
-}
+var framePool = sync.Pool{New: func() any { return new(hsr.PrepareArena) }}
 
 // Sink consumes streamed visible pieces; returning an error aborts the
 // solve.

@@ -36,8 +36,7 @@ func frameEyes(cells, n int) []geom.Pt3 {
 // concurrently, each preparing into a pooled frame arena, twice so the
 // second batch reuses arenas the first one grew, and checks every frame
 // against a fresh hsr.Prepare of the same view: same pieces, crossings and
-// counters. Each result comes back with a nil Order, since its order lived
-// in an arena that is recycled.
+// counters.
 func TestFrameSetupConcurrentMatchesPrepare(t *testing.T) {
 	const cells = 16
 	tt := frameTerrain(t, workload.Massive, cells)
@@ -59,7 +58,7 @@ func TestFrameSetupConcurrentMatchesPrepare(t *testing.T) {
 			if kernel == "" {
 				kernel = AlgoSequentialTree
 			}
-			if want[i], err = Dispatch(vt, func() (*hsr.Prepared, error) { return prep, nil }, kernel, 2, nil); err != nil {
+			if want[i], err = Dispatch(prep, kernel, 2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -79,9 +78,6 @@ func TestFrameSetupConcurrentMatchesPrepare(t *testing.T) {
 			for i, oc := range outs {
 				what := fmt.Sprintf("%s round %d frame %d", plan.Kernel, round, i)
 				got, w := oc.Res, want[i]
-				if got.Order != nil {
-					t.Fatalf("%s: result keeps an Order that points into its frame arena", what)
-				}
 				if !slices.Equal(got.Pieces, w.Pieces) {
 					t.Fatalf("%s: %d pieces differ from the unpooled solve's %d", what, len(got.Pieces), len(w.Pieces))
 				}
@@ -103,10 +99,10 @@ func TestFrameSetupAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newFrameSetup()
-	s.t = vt
+	a := framePool.Get().(*hsr.PrepareArena)
+	defer framePool.Put(a)
 	prepare := func() {
-		if _, err := s.prepare(); err != nil {
+		if _, err := a.Prepare(vt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ const DefaultTileCells = 262144
 // Request describes one solve as every public entry point expresses it.
 type Request struct {
 	// Algorithm names the solver ("" selects the default parallel
-	// algorithm); validation happens at dispatch.
+	// algorithm); Plan rejects a name Dispatch does not run.
 	Algorithm string
 	// Workers is the total worker budget (0 = all CPUs).
 	Workers int
@@ -163,8 +163,16 @@ func (p *Plan) addReason(format string, args ...any) {
 // the plan: the pipeline (paged executors always tile; resident grids tile
 // at or above the TileCells threshold), the frame schedule, the
 // worker-budget split and the kernel. It is the one place a query's route
-// is decided.
+// is decided, so it rejects an unknown algorithm before it tiles or
+// prepares anything.
 func (e *Executor) Plan(req Request) (*Plan, error) {
+	algo := req.Algorithm
+	if algo == "" {
+		algo = AlgoParallel
+	}
+	if err := checkAlgorithm(algo); err != nil {
+		return nil, err
+	}
 	if err := req.checkFinite(); err != nil {
 		return nil, err
 	}
@@ -216,10 +224,7 @@ func (e *Executor) Plan(req Request) (*Plan, error) {
 			p.addReason("frames serialized to keep residency at one band")
 		}
 	}
-	p.Kernel = req.Algorithm
-	if p.Kernel == "" {
-		p.Kernel = AlgoParallel
-	}
+	p.Kernel = algo
 	if p.Kernel == AlgoParallel {
 		// The paper's kernel charges 5.9x to 9.4x sequential-tree's work
 		// (TH5), and no measured solve, tiled or monolithic, has had the

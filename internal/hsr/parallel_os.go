@@ -53,7 +53,7 @@ func ParallelOS(t *terrain.Terrain, opt OSOptions) (*Result, error) {
 
 // ParallelOS runs the paper's algorithm on the prepared order.
 func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
-	res := &Result{N: prep.t.NumEdges(), Order: prep.ord, Acct: &pram.Accounting{}}
+	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 
 	tree := pct.New(prep.segs, prep.ord.EdgeOrder)
 	res.Phase1 = tree.BuildPhase1(opt.Workers, res.Acct)

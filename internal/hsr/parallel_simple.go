@@ -25,7 +25,7 @@ func ParallelSimple(t *terrain.Terrain, workers int) (*Result, error) {
 
 // ParallelSimple runs the copying parallelization on the prepared order.
 func (prep *Prepared) ParallelSimple(workers int) (*Result, error) {
-	res := &Result{N: prep.t.NumEdges(), Order: prep.ord, Acct: &pram.Accounting{}}
+	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 
 	tree := pct.New(prep.segs, prep.ord.EdgeOrder)
 	res.Phase1 = tree.BuildPhase1(workers, res.Acct)

@@ -40,8 +40,6 @@ type Result struct {
 	Counters metrics.Counters
 	// Acct is the PRAM phase accounting (nil for algorithms that bypass it).
 	Acct *pram.Accounting
-	// Order is the depth order used.
-	Order *order.Result
 	// Phase1 and Phase2 hold per-layer statistics when the algorithm runs
 	// through the PCT.
 	Phase1 []pct.Phase1Stats
@@ -87,11 +85,12 @@ func ComparePieces(a, b VisiblePiece) int {
 
 // Prepared bundles the view-dependent preprocessing shared by all
 // algorithms: the depth order (the separator-tree step) and the ordered
-// image segments. A Prepared from Prepare is immutable and safe for
-// concurrent reuse across solves. One filled by PrepareInto is backed by
-// storage its caller reuses, such as a tile's or a perspective frame's
-// set-up arena: it is neither immutable nor shareable, and it is valid only
-// until that storage is prepared into again or released.
+// image segments. Every algorithm runs on one. A Prepared from Prepare is
+// immutable and safe for concurrent reuse across solves. One returned by a
+// PrepareArena is backed by the arena's storage, such as that of a tile's
+// or a perspective frame's set-up arena: it is neither immutable nor
+// shareable, and it is valid only until the arena prepares again or is
+// released.
 type Prepared struct {
 	t   *terrain.Terrain
 	ord *order.Result
@@ -104,19 +103,36 @@ type Prepared struct {
 // Prepare computes the depth order for a terrain once, for repeated solves.
 func Prepare(t *terrain.Terrain) (*Prepared, error) {
 	p := new(Prepared)
-	if err := PrepareInto(p, t, new(order.Scratch)); err != nil {
+	if err := p.prepare(t, new(order.Scratch)); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// PrepareInto makes p the preparation Prepare(t) returns, reusing the
-// storage of p's depth order and segment table and the working memory sc,
-// so a caller that prepares terrains of similar size in a loop allocates
-// nothing once the buffers have grown. Every Result solved from p refers to
-// that storage through its Order field. On error p's contents are
-// unspecified.
-func PrepareInto(p *Prepared, t *terrain.Terrain, sc *order.Scratch) error {
+// PrepareArena is reusable storage for one preparation at a time: the
+// depth order, its segment table and the working memory that computes
+// them. A set-up arena that prepares terrains of similar size in a loop
+// embeds one and allocates nothing once the buffers have grown. The zero
+// value is ready to use.
+type PrepareArena struct {
+	prep Prepared
+	sc   order.Scratch
+}
+
+// Prepare makes the arena's preparation the one Prepare(t) returns and
+// returns it. The result is backed by the arena (see Prepared); no Result
+// solved from it refers to the arena's storage. On error the arena's
+// contents are unspecified.
+func (a *PrepareArena) Prepare(t *terrain.Terrain) (*Prepared, error) {
+	if err := a.prep.prepare(t, &a.sc); err != nil {
+		return nil, err
+	}
+	return &a.prep, nil
+}
+
+// prepare makes p the preparation of t, reusing the storage of p's depth
+// order and segment table and the working memory sc.
+func (p *Prepared) prepare(t *terrain.Terrain, sc *order.Scratch) error {
 	if t == nil || t.NumEdges() == 0 {
 		return fmt.Errorf("hsr: empty terrain")
 	}
@@ -134,12 +150,7 @@ func PrepareInto(p *Prepared, t *terrain.Terrain, sc *order.Scratch) error {
 	return nil
 }
 
-// Order exposes the cached depth order.
-func (p *Prepared) Order() *order.Result { return p.ord }
-
-// Terrain exposes the terrain the preparation was computed for, so callers
-// dispatching over a Prepared can also reach the order-free baselines
-// (BruteForce, AllPairs).
+// Terrain exposes the terrain the preparation was computed for.
 func (p *Prepared) Terrain() *terrain.Terrain { return p.t }
 
 // clipOne computes the visible spans of edge pos against profile p, whose

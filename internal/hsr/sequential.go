@@ -27,7 +27,7 @@ func Sequential(t *terrain.Terrain) (*Result, error) {
 
 // Sequential runs the Reif-Sen sweep on the prepared order.
 func (prep *Prepared) Sequential() (*Result, error) {
-	res := &Result{N: prep.t.NumEdges(), Order: prep.ord, Acct: &pram.Accounting{}}
+	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 	var profile envelope.Profile
 	var maxTask, total int64
 	for pos, seg := range prep.segs {
@@ -67,7 +67,12 @@ func BruteForce(t *terrain.Terrain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{N: prep.t.NumEdges(), Order: prep.ord}
+	return prep.BruteForce()
+}
+
+// BruteForce runs the ground-truth reference on the prepared order.
+func (prep *Prepared) BruteForce() (*Result, error) {
+	res := &Result{N: prep.t.NumEdges()}
 	for pos := range prep.segs {
 		env := prep.segs.BuildUpperEnvelope(prep.segs[:pos], 0)
 		spans, crossings, steps := clipOne(prep.segs, pos, env)
@@ -95,7 +100,12 @@ func AllPairs(t *terrain.Terrain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{N: prep.t.NumEdges(), Order: prep.ord}
+	return prep.AllPairs()
+}
+
+// AllPairs runs the intersection-sensitive baseline on the prepared order.
+func (prep *Prepared) AllPairs() (*Result, error) {
+	res := &Result{N: prep.t.NumEdges()}
 	// Pay for all pairwise crossings in the image plane.
 	segs := prep.segs
 	var pairTests, found int64
@@ -118,7 +128,7 @@ func AllPairs(t *terrain.Terrain) (*Result, error) {
 	res.IntersectionsI = found
 
 	// Then resolve visibility (sequentially, as its authors would).
-	seqRes, err := Sequential(t)
+	seqRes, err := prep.Sequential()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package hsr
 
 import (
+	"sync"
+
 	"terrainhsr/internal/cg"
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/metrics"
@@ -39,8 +41,13 @@ func (prep *Prepared) SequentialTreePooled(withHulls bool, pool *OpsPool) (*Resu
 	return prep.sequentialTree(withHulls, pool)
 }
 
+// pieceBufs recycles sequentialTree's piece buffers: a sweep appends into
+// one and returns an exact-size copy, so its pieces are allocated once
+// rather than grown by doubling, and no Result aliases a buffer.
+var pieceBufs = sync.Pool{New: func() any { return new([]VisiblePiece) }}
+
 func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, error) {
-	res := &Result{N: prep.t.NumEdges(), Order: prep.ord, Acct: &pram.Accounting{}}
+	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 	var o *profiletree.Ops
 	if pool != nil {
 		ops := pool.acquire(1, withHulls)
@@ -60,6 +67,9 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 	// Shapes, aggregates and counters are those of path copying (see package
 	// persist). The pool's Reset returns the Ops to the persistent mode.
 	o.P.InPlace = true
+	buf := pieceBufs.Get().(*[]VisiblePiece)
+	defer pieceBufs.Put(buf)
+	pieces := (*buf)[:0]
 	var profile profiletree.Tree
 	var ctr metrics.Counters
 	var maxTask, total int64
@@ -75,7 +85,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 			cost++
 			switch {
 			case !covered:
-				res.Pieces = append(res.Pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos],
+				pieces = append(pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos],
 					Span: envelope.Span{X1: x, Z1: zLo, X2: x, Z2: zHi}})
 			case zHi > z+1e-9:
 				z1 := zLo
@@ -84,7 +94,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 					res.Crossings++
 					ctr.Crossings++
 				}
-				res.Pieces = append(res.Pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos],
+				pieces = append(pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos],
 					Span: envelope.Span{X1: x, Z1: z1, X2: x, Z2: zHi}})
 			}
 		} else {
@@ -96,7 +106,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 			cost += st.Steps + st.HullQueries
 			for _, r := range rels {
 				if r.Above {
-					res.Pieces = append(res.Pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos], Span: cg.VisibleSpan(r, s)})
+					pieces = append(pieces, VisiblePiece{Edge: prep.ord.EdgeOrder[pos], Span: cg.VisibleSpan(r, s)})
 				}
 			}
 			runs := cg.VisibleRuns(o, o.Scratch.Runs[:0], rels, s, int32(pos))
@@ -112,10 +122,14 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 			maxTask = cost
 		}
 	}
-	ctr.Spans = int64(len(res.Pieces))
+	ctr.Spans = int64(len(pieces))
 	res.Counters = ctr
 	res.Counters.TreeAllocs = o.Arena.Allocs
 	res.Acct.AddPhase("sequential-tree", len(prep.segs), maxTask, total)
-	sortPieces(res.Pieces)
+	sortPieces(pieces)
+	if len(pieces) > 0 {
+		res.Pieces = append(make([]VisiblePiece, 0, len(pieces)), pieces...)
+	}
+	*buf = pieces[:0] // keep the grown capacity for the next sweep
 	return res, nil
 }

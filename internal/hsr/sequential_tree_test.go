@@ -1,6 +1,7 @@
 package hsr
 
 import (
+	"slices"
 	"testing"
 
 	"terrainhsr/internal/workload"
@@ -60,5 +61,27 @@ func TestSequentialTreeOracle(t *testing.T) {
 func TestSequentialTreeEmpty(t *testing.T) {
 	if _, err := SequentialTree(nil, false); err == nil {
 		t.Fatal("nil terrain accepted")
+	}
+}
+
+// TestSequentialTreePiecesOwnStorage checks that a sweep returns its pieces
+// in an exact-size slice of their own: a later sweep, which reuses the
+// pooled piece buffer, leaves an earlier result's pieces untouched.
+func TestSequentialTreePiecesOwnStorage(t *testing.T) {
+	first, err := SequentialTree(genT(t, workload.Fractal, 16, 16, 2), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Pieces) == 0 || cap(first.Pieces) != len(first.Pieces) {
+		t.Fatalf("%d pieces in a slice of capacity %d, want exact size", len(first.Pieces), cap(first.Pieces))
+	}
+	want := slices.Clone(first.Pieces)
+	for seed := int64(3); seed < 6; seed++ {
+		if _, err := SequentialTree(genT(t, workload.Massive, 16, 16, seed), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(first.Pieces, want) {
+		t.Fatal("a later sweep rewrote an earlier result's pieces")
 	}
 }

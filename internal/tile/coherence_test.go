@@ -1,12 +1,9 @@
 package tile
 
 import (
-	"math"
 	"testing"
 
-	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/geom"
-	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/workload"
 )
 
@@ -98,94 +95,6 @@ func TestConeCheckSoundness(t *testing.T) {
 	}
 	if coneTotal*2 < exactTotal {
 		t.Fatalf("cone confirmed only %d of %d exact culls; too conservative to be useful", coneTotal, exactTotal)
-	}
-}
-
-// TestSeedNilIsNoOp pins that a nil seed leaves the solve untouched:
-// byte-identical pieces and stats with and without the field set.
-func TestSeedNilIsNoOp(t *testing.T) {
-	tr := genGrid(t, workload.Massive, 40, 40, 3)
-	p, err := NewPartition(40, 40, Spec{TileRows: 10, TileCols: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, sa, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, sb, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Pieces) != len(b.Pieces) || zeroTimings(sa) != zeroTimings(sb) {
-		t.Fatalf("nil seed changed the solve: %d vs %d pieces, %+v vs %+v", len(a.Pieces), len(b.Pieces), sa, sb)
-	}
-	for i := range a.Pieces {
-		if a.Pieces[i] != b.Pieces[i] {
-			t.Fatalf("piece %d differs under nil seed", i)
-		}
-	}
-}
-
-// TestSeedClipsLikeFront checks the seed semantics: solving with a seed
-// envelope equals solving without it and then clipping every piece against
-// the seed — pointwise, sampled along each piece (the envelope's byte
-// representation is not merge-order-associative, so byte comparison would
-// overconstrain; visibility is what the seed contract promises).
-func TestSeedClipsLikeFront(t *testing.T) {
-	tr := genGrid(t, workload.Massive, 40, 40, 5)
-	p, err := NewPartition(40, 40, Spec{TileRows: 10, TileCols: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A seed profile covering the left half of the image at a height that
-	// hides part of the terrain.
-	seed := envelope.Edges(nil).BuildUpperEnvelope([]geom.Seg2{
-		{A: geom.Pt2{X: -100, Z: 3}, B: geom.Pt2{X: 20, Z: 3}},
-	}, envelope.NoEdge)
-
-	plain, _, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, sst, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: clip the plain result's pieces against the seed.
-	var want []hsr.VisiblePiece
-	for _, pc := range plain.Pieces {
-		want, _ = appendClipped(want, pc, seed)
-	}
-	sortVisible(want)
-	if len(want) != len(seeded.Pieces) {
-		t.Fatalf("seeded solve has %d pieces, clip-after reference %d", len(seeded.Pieces), len(want))
-	}
-	for i := range want {
-		a, b := want[i], seeded.Pieces[i]
-		if a.Edge != b.Edge {
-			t.Fatalf("piece %d: edge %d vs %d", i, a.Edge, b.Edge)
-		}
-		if math.Abs(a.Span.X1-b.Span.X1) > 1e-9 || math.Abs(a.Span.X2-b.Span.X2) > 1e-9 ||
-			math.Abs(a.Span.Z1-b.Span.Z1) > 1e-9 || math.Abs(a.Span.Z2-b.Span.Z2) > 1e-9 {
-			t.Fatalf("piece %d: %+v vs %+v", i, a.Span, b.Span)
-		}
-	}
-	if sst.EnvelopeSize == 0 {
-		t.Fatal("seeded solve reports empty final envelope")
-	}
-
-	// A seed covering everything suppresses all output and all solving.
-	total := envelope.Edges(nil).BuildUpperEnvelope([]geom.Seg2{
-		{A: geom.Pt2{X: -1e6, Z: 1e6}, B: geom.Pt2{X: 1e6, Z: 1e6}},
-	}, envelope.NoEdge)
-	none, nst, err := Solve(Resident{tr}, p, seqSolve, Options{Workers: 1, Seed: total})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none.Pieces) != 0 || nst.TilesSolved != 0 {
-		t.Fatalf("total seed left %d pieces, %d solved tiles", len(none.Pieces), nst.TilesSolved)
 	}
 }
 

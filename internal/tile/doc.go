@@ -1,10 +1,11 @@
 // Package tile partitions a grid terrain into overlapping row×col tiles and
 // computes the visible scene tile by tile, so that peak memory scales with a
 // tile band instead of the whole terrain. It is the massive-terrain layer on
-// top of the paper's algorithm (Gupta–Sen, IPPS 1998): each tile is solved
-// by an ordinary hidden-surface solver supplied as a callback, and the
-// per-tile answers are merged into a scene equivalent to the monolithic
-// solve.
+// top of the paper's algorithm (Gupta–Sen, IPPS 1998): each tile's
+// sub-terrain is extracted and its depth order prepared in a pooled set-up
+// arena, an ordinary hidden-surface solver supplied as a callback
+// (SolveFunc) solves that prepared order, and the per-tile answers are
+// merged into a scene equivalent to the monolithic solve.
 //
 // The decomposition follows the I/O-efficient visibility literature
 // (Haverkort–Toma's tiled viewsheds over massive grids) adapted to the

@@ -6,7 +6,6 @@ import (
 
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hsr"
-	"terrainhsr/internal/order"
 	"terrainhsr/internal/terrain"
 )
 
@@ -16,11 +15,10 @@ import (
 // edge lists that number them, the local-to-global edge maps, and the depth
 // order with its segment table. solveTile takes an arena from setupPool
 // before extract and puts it back once the tile's owned pieces carry global
-// edge ids, so nothing built in it may outlive the tile: the sub-terrain,
-// its Prepared and the Order of the kernel's Result all point into it. An
-// arena keeps the capacity of the largest tile it has served, so a steady
-// stream of tiles sets up without allocating; the pool lets idle arenas go
-// at garbage collection.
+// edge ids, so nothing built in it may outlive the tile: the sub-terrain
+// and its Prepared point into it. An arena keeps the capacity of the
+// largest tile it has served, so a steady stream of tiles sets up without
+// allocating; the pool lets idle arenas go at garbage collection.
 type setup struct {
 	// halo is haloRanges' per-row cell-column ranges.
 	halo [][2]int
@@ -34,26 +32,10 @@ type setup struct {
 	terr terrain.Terrain
 	tsc  terrain.Scratch
 	sub  subTerrain
-
-	prep hsr.Prepared
-	osc  order.Scratch
-	// prepare is the SolveFunc's accessor of the tile's depth order, bound
-	// once per arena so that handing it to a solve allocates nothing.
-	prepare func() (*hsr.Prepared, error)
+	prep hsr.PrepareArena
 }
 
-var setupPool = sync.Pool{New: func() any { return newSetup() }}
-
-func newSetup() *setup {
-	s := new(setup)
-	s.prepare = func() (*hsr.Prepared, error) {
-		if err := hsr.PrepareInto(&s.prep, &s.terr, &s.osc); err != nil {
-			return nil, err
-		}
-		return &s.prep, nil
-	}
-	return s
-}
+var setupPool = sync.Pool{New: func() any { return new(setup) }}
 
 // resize returns s with length n, reusing its storage when it is large
 // enough. The contents are unspecified.

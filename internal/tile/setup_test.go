@@ -14,11 +14,7 @@ import (
 
 // arenaSolve runs sequential-tree on the depth order of the tile's set-up
 // arena, as serving does.
-func arenaSolve(_ *terrain.Terrain, prepare func() (*hsr.Prepared, error), _ int) (*hsr.Result, error) {
-	prep, err := prepare()
-	if err != nil {
-		return nil, err
-	}
+func arenaSolve(prep *hsr.Prepared, _ int) (*hsr.Result, error) {
 	return prep.SequentialTree(false)
 }
 
@@ -27,7 +23,8 @@ func arenaSolve(_ *terrain.Terrain, prepare func() (*hsr.Prepared, error), _ int
 // hsr.Prepare, the allocating path the arena replaced. Pieces come back in
 // the new table's edge numbering, which is the arena's only if the arena's
 // edge table is right.
-func freshSolve(sub *terrain.Terrain, _ func() (*hsr.Prepared, error), _ int) (*hsr.Result, error) {
+func freshSolve(arena *hsr.Prepared, _ int) (*hsr.Result, error) {
+	sub := arena.Terrain()
 	tt, err := terrain.New(sub.Verts, sub.Tris)
 	if err != nil {
 		return nil, err
@@ -111,9 +108,6 @@ func sameResult(got, want *hsr.Result) error {
 	if got.Crossings != want.Crossings || got.Counters != want.Counters {
 		return fmt.Errorf("crossings %d counters %+v, want %d %+v", got.Crossings, got.Counters, want.Crossings, want.Counters)
 	}
-	if got.Order != nil {
-		return fmt.Errorf("a tiled result carries a depth order")
-	}
 	return nil
 }
 
@@ -194,13 +188,14 @@ func TestSetupAllocationFree(t *testing.T) {
 	ivs := cellIntervals(ys)
 	_, _, c0, c1 := p.TileCells(b, c)
 	owned := ownedIV(ys, r0, r1, c0, c1)
-	s := newSetup()
+	s := new(setup)
 	setUp := func() {
 		s.halo = haloRanges(ivs, owned, s.halo)
-		if _, err := extract(l, p, b, c, r0, r1, s.halo, s); err != nil {
+		sub, err := extract(l, p, b, c, r0, r1, s.halo, s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.prepare(); err != nil {
+		if _, err := s.prep.Prepare(sub.t); err != nil {
 			t.Fatal(err)
 		}
 	}

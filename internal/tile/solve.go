@@ -16,17 +16,14 @@ import (
 	"terrainhsr/internal/terrain"
 )
 
-// SolveFunc solves one tile sub-terrain with the given intra-tile worker
-// budget and returns its visible scene (in the sub-terrain's local edge
-// numbering). prepare computes the sub-terrain's depth order into the
-// tile's set-up arena, so a solve that needs the order takes it from there
-// and one that needs none never pays for it. Both sub and the prepared
-// value belong to the arena: they are valid only during the call, and the
-// returned Result's Pieces must not refer to them. The caller supplies the
-// function, closing over the algorithm choice and any tree-arena pools;
-// package tile stays agnostic of which hidden-surface algorithm runs inside
-// a tile.
-type SolveFunc func(sub *terrain.Terrain, prepare func() (*hsr.Prepared, error), workers int) (*hsr.Result, error)
+// SolveFunc solves one tile with the given intra-tile worker budget and
+// returns its visible scene (in the sub-terrain's local edge numbering).
+// prep is the sub-terrain's depth order, prepared in the tile's set-up
+// arena: it and its terrain are valid only during the call, and the
+// returned Result must not refer to them. The caller supplies the function,
+// closing over the algorithm choice and any tree-arena pools; package tile
+// stays agnostic of which hidden-surface algorithm runs inside a tile.
+type SolveFunc func(prep *hsr.Prepared, workers int) (*hsr.Result, error)
 
 // Options configures a tiled solve.
 type Options struct {
@@ -46,13 +43,6 @@ type Options struct {
 	// canonically yields exactly the pieces a materializing solve returns.
 	// An Emit error aborts the solve.
 	Emit func(p hsr.VisiblePiece) error
-	// Seed, when non-empty, initializes the front envelope: the solve
-	// behaves as if an occluder with this silhouette stood in front of the
-	// whole terrain, culling and clipping against it exactly as against
-	// earlier bands. Callers that already hold the profile of terrain in
-	// front (a flyover session, a stacked solve) pass it here instead of
-	// re-deriving it. The seed is read, never mutated.
-	Seed envelope.Profile
 	// Coherence, when non-nil, activates frame-coherent verify-then-reuse
 	// and verdict recording; see the Coherence type.
 	Coherence *Coherence
@@ -143,7 +133,7 @@ func Solve(l Lattice, p *Partition, solve SolveFunc, opt Options) (*hsr.Result, 
 	if co != nil {
 		co.prepare(p.NumTiles())
 	}
-	bs := &bandState{emit: opt.Emit, front: opt.Seed, co: co, cols: p.NumCols}
+	bs := &bandState{emit: opt.Emit, co: co, cols: p.NumCols}
 	solveStart := l.meter()
 	bandStart := solveStart
 	for b := 0; b < p.NumBands; b++ {
@@ -398,11 +388,14 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 	if err != nil {
 		return nil, err
 	}
-	res, err := solve(sub.t, s.prepare, workers)
+	prep, err := s.prep.Prepare(sub.t)
 	if err != nil {
 		return nil, err
 	}
-	res.Order = nil // it points into the arena
+	res, err := solve(prep, workers)
+	if err != nil {
+		return nil, err
+	}
 	oc := &tileOutcome{counters: res.Counters, crossings: res.Crossings, verifyFailed: verifyFailed}
 	for _, pc := range res.Pieces {
 		if !sub.owned[pc.Edge] {

@@ -21,11 +21,7 @@ func genGrid(t *testing.T, kind workload.Kind, rows, cols int, seed int64) *terr
 
 // seqSolve is the trusted tile-solver callback for the tests. It solves on
 // the depth order of the tile's set-up arena, as serving does.
-func seqSolve(_ *terrain.Terrain, prepare func() (*hsr.Prepared, error), _ int) (*hsr.Result, error) {
-	prep, err := prepare()
-	if err != nil {
-		return nil, err
-	}
+func seqSolve(prep *hsr.Prepared, _ int) (*hsr.Result, error) {
 	return prep.Sequential()
 }
 
