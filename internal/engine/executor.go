@@ -146,26 +146,20 @@ func frameView(req Request, i int) *geom.PerspectiveTransform {
 	return &geom.PerspectiveTransform{Eye: req.Eyes[i], MinDepth: req.MinDepth}
 }
 
-// terrainView maps the resident terrain through a frame's perspective
-// (vertex-only; the triangle and edge tables are shared). A nil view is the
-// canonical view: the terrain itself.
-func (e *Executor) terrainView(view *geom.PerspectiveTransform) (*terrain.Terrain, error) {
-	if view == nil {
-		return e.t, nil
-	}
-	return e.t.TransformShared(view.Apply)
-}
-
 // lattice returns the tile lattice of one view (nil = canonical): the paged
 // grid seen through the view, which transforms vertices as they page in, or
-// the resident terrain mapped through it.
+// the resident terrain mapped through it (vertex-only; the triangle and edge
+// tables are shared).
 func (e *Executor) lattice(view *geom.PerspectiveTransform) (tile.Lattice, error) {
 	if e.paged != nil {
 		g := *e.paged
 		g.View = view
 		return &g, nil
 	}
-	tt, err := e.terrainView(view)
+	if view == nil {
+		return tile.Resident{T: e.t}, nil
+	}
+	tt, err := e.t.TransformShared(view.Apply)
 	if err != nil {
 		return nil, err
 	}
@@ -200,14 +194,14 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 		}
 		prep = e.prep
 	} else {
-		tt, err := e.terrainView(view)
-		if err != nil {
+		// The arena lives until the solve returns; no result points into it.
+		a := framePool.Get().(*frameArena)
+		defer framePool.Put(a)
+		if err := e.t.TransformSharedInto(&a.view, view.Apply); err != nil {
 			return Outcome{}, err
 		}
-		// The arena lives until the solve returns; no result points into it.
-		a := framePool.Get().(*hsr.PrepareArena)
-		defer framePool.Put(a)
-		if prep, err = a.Prepare(tt); err != nil {
+		var err error
+		if prep, err = a.prep.Prepare(&a.view); err != nil {
 			return Outcome{}, err
 		}
 	}
@@ -226,12 +220,21 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 	return Outcome{Res: res}, nil
 }
 
+// frameArena is the set-up arena of one monolithic perspective frame: the
+// terrain mapped through the frame's view, whose vertex table it owns (the
+// triangle and edge tables are the executor's, shared), and the depth order
+// prepared from it.
+type frameArena struct {
+	view terrain.Terrain
+	prep hsr.PrepareArena
+}
+
 // framePool holds the set-up arenas of monolithic perspective frames. An
 // arena keeps the capacity of the largest frame it has prepared, so a
-// steady stream of frames prepares without allocating; the pool lets idle
-// arenas go at garbage collection. The canonical view instead shares the
-// executor's immutable preparation.
-var framePool = sync.Pool{New: func() any { return new(hsr.PrepareArena) }}
+// steady stream of frames transforms and prepares without allocating; the
+// pool lets idle arenas go at garbage collection. The canonical view instead
+// shares the executor's immutable preparation.
+var framePool = sync.Pool{New: func() any { return new(frameArena) }}
 
 // Sink consumes streamed visible pieces; returning an error aborts the
 // solve.

@@ -89,26 +89,26 @@ func TestFrameSetupConcurrentMatchesPrepare(t *testing.T) {
 	}
 }
 
-// TestFrameSetupAllocationFree pins that a warm frame arena prepares a
-// perspective frame without allocating: the depth order, its working
-// memory and the segment table all reuse the arena's storage.
+// TestFrameSetupAllocationFree pins that a warm frame arena sets up a
+// perspective frame without allocating: the transformed vertex table, the
+// depth order, its working memory and the segment table all reuse the
+// arena's storage.
 func TestFrameSetupAllocationFree(t *testing.T) {
 	tt := frameTerrain(t, workload.Massive, 24)
 	view := &geom.PerspectiveTransform{Eye: frameEyes(24, 1)[0]}
-	vt, err := tt.TransformShared(view.Apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := framePool.Get().(*hsr.PrepareArena)
+	a := framePool.Get().(*frameArena)
 	defer framePool.Put(a)
-	prepare := func() {
-		if _, err := a.Prepare(vt); err != nil {
+	setUp := func() {
+		if err := tt.TransformSharedInto(&a.view, view.Apply); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.prep.Prepare(&a.view); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prepare() // grow the buffers
-	if n := testing.AllocsPerRun(20, prepare); n != 0 {
-		t.Fatalf("warm frame prepare allocates %v times, want 0", n)
+	setUp() // grow the buffers
+	if n := testing.AllocsPerRun(20, setUp); n != 0 {
+		t.Fatalf("warm frame set-up allocates %v times, want 0", n)
 	}
 }
 

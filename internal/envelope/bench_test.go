@@ -22,6 +22,7 @@ func BenchmarkBuildUpperEnvelope(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		segs := benchSegs(n, 1)
 		b.Run(fmt.Sprintf("m=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				none.BuildUpperEnvelope(segs, 0)
 			}
@@ -32,9 +33,24 @@ func BenchmarkBuildUpperEnvelope(b *testing.B) {
 func BenchmarkMerge(b *testing.B) {
 	a := none.BuildUpperEnvelope(benchSegs(1<<12, 1), 0)
 	c := none.BuildUpperEnvelope(benchSegs(1<<12, 2), 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		none.Merge(a, c)
+	}
+}
+
+// BenchmarkMergeInto is BenchmarkMerge into one reused buffer, the way the
+// tile band barrier merges each band into the front: no allocation once the
+// buffer has grown.
+func BenchmarkMergeInto(b *testing.B) {
+	a := none.BuildUpperEnvelope(benchSegs(1<<12, 1), 0)
+	c := none.BuildUpperEnvelope(benchSegs(1<<12, 2), 0)
+	var dst Profile
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = none.MergeStatsInto(dst, a, c)
 	}
 }
 

@@ -107,12 +107,15 @@ func (e Edges) CrossX(pa, pb Piece) (x float64, ok bool) {
 // FromSegment returns the profile consisting of the single segment s
 // attributed to edge. Segments that are vertical in the image contribute
 // nothing to an upper envelope and yield an empty profile.
-func FromSegment(s geom.Seg2, edge int32) Profile {
+func FromSegment(s geom.Seg2, edge int32) Profile { return appendSegment(nil, s, edge) }
+
+// appendSegment appends FromSegment(s, edge)'s piece, if any, to dst.
+func appendSegment(dst Profile, s geom.Seg2, edge int32) Profile {
 	s = s.Canon()
 	if s.IsVerticalImage() {
-		return nil
+		return dst
 	}
-	return Profile{{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z, Edge: edge}}
+	return append(dst, Piece{X1: s.A.X, Z1: s.A.Z, X2: s.B.X, Z2: s.B.Z, Edge: edge})
 }
 
 // Size returns the number of pieces.
@@ -240,15 +243,24 @@ func (e Edges) Merge(a, b Profile) Profile {
 }
 
 // MergeStats is Merge with sweep statistics.
-func (e Edges) MergeStats(a, b Profile) (Profile, Stats) {
+func (e Edges) MergeStats(a, b Profile) (Profile, Stats) { return e.MergeStatsInto(nil, a, b) }
+
+// MergeStatsInto is MergeStats writing the merged profile over dst's
+// storage, which it grows as needed; a caller that merges into the same
+// buffer in a loop allocates nothing once it has grown. dst must not share
+// storage with a or b.
+func (e Edges) MergeStatsInto(dst, a, b Profile) (Profile, Stats) {
 	var st Stats
+	out := dst[:0]
+	if cap(out) < len(a)+len(b) {
+		out = make(Profile, 0, len(a)+len(b))
+	}
 	if len(a) == 0 {
-		return append(Profile(nil), b...), st
+		return append(out, b...), st
 	}
 	if len(b) == 0 {
-		return append(Profile(nil), a...), st
+		return append(out, a...), st
 	}
-	out := make(Profile, 0, len(a)+len(b))
 	var i, j int
 	// Sweep over elementary intervals delimited by the union of breakpoints.
 	x := math.Min(a[0].X1, b[0].X1)
@@ -364,14 +376,45 @@ func (e Edges) emitMax(out Profile, pa, pb Piece, lo, hi float64, st *Stats) Pro
 // Edge attribution uses the segment indices offset by base, so segs[i] is
 // edge base+i of e (or any segments under a nil e).
 func (e Edges) BuildUpperEnvelope(segs []geom.Seg2, base int32) Profile {
+	return e.BuildUpperEnvelopeInto(nil, segs, base, new(BuildScratch))
+}
+
+// BuildScratch is the working memory of BuildUpperEnvelopeInto: per level of
+// the divide-and-conquer, the ping-pong pair of profiles that holds the two
+// halves' envelopes while they are merged. The zero value is ready to use,
+// and a BuildScratch keeps its capacity from one build to the next.
+type BuildScratch struct {
+	levels [][2]Profile
+}
+
+// BuildUpperEnvelopeInto is BuildUpperEnvelope writing the envelope over
+// dst's storage and its intermediate envelopes into sc, so a caller that
+// builds into the same buffers in a loop allocates nothing once they have
+// grown. It returns exactly BuildUpperEnvelope's pieces and edge ids. dst
+// must not share storage with sc.
+func (e Edges) BuildUpperEnvelopeInto(dst Profile, segs []geom.Seg2, base int32, sc *BuildScratch) Profile {
+	return e.build(dst, segs, base, sc, 0)
+}
+
+// build writes the envelope of segs over dst, keeping the halves' envelopes
+// in sc's pair at level depth. It splits where the recursive definition
+// splits, so every merge sees the same inputs.
+func (e Edges) build(dst Profile, segs []geom.Seg2, base int32, sc *BuildScratch, depth int) Profile {
 	switch len(segs) {
 	case 0:
-		return nil
+		return dst[:0]
 	case 1:
-		return FromSegment(segs[0], base)
+		return appendSegment(dst[:0], segs[0], base)
 	}
+	if depth == len(sc.levels) {
+		sc.levels = append(sc.levels, [2]Profile{})
+	}
+	// Deeper levels may grow sc.levels, so index it afresh after each call.
 	mid := len(segs) / 2
-	l := e.BuildUpperEnvelope(segs[:mid], base)
-	r := e.BuildUpperEnvelope(segs[mid:], base+int32(mid))
-	return e.Merge(l, r)
+	l := e.build(sc.levels[depth][0], segs[:mid], base, sc, depth+1)
+	sc.levels[depth][0] = l
+	r := e.build(sc.levels[depth][1], segs[mid:], base+int32(mid), sc, depth+1)
+	sc.levels[depth][1] = r
+	out, _ := e.MergeStatsInto(dst, l, r)
+	return out
 }

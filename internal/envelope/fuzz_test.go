@@ -3,6 +3,7 @@ package envelope
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"terrainhsr/internal/geom"
@@ -23,8 +24,11 @@ func decodeSegs(data []byte) []geom.Seg2 {
 }
 
 // FuzzEnvelopeMerge checks, for arbitrary segment sets, that the balanced
-// divide-and-conquer envelope (a) validates structurally and (b) agrees
-// with the brute-force pointwise maximum away from breakpoints.
+// divide-and-conquer envelope (a) validates structurally, (b) agrees with
+// the brute-force pointwise maximum away from breakpoints, and (c) comes
+// out piece for piece the same from the recursive build and from
+// BuildUpperEnvelopeInto and MergeStatsInto on buffers an earlier build
+// left dirty, under the segments' edge table and under the nil one.
 func FuzzEnvelopeMerge(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 10, 0, 0, 1, 2, 0, 5, 0, 20, 0, 255, 0})
 	f.Add(make([]byte, 64))
@@ -36,6 +40,7 @@ func FuzzEnvelopeMerge(f *testing.F) {
 		if err := env.Validate(); err != nil {
 			t.Fatalf("invalid envelope: %v", err)
 		}
+		checkIntoIdentity(t, segs)
 		lo, hi, ok := env.XRange()
 		if !ok {
 			return
@@ -88,6 +93,28 @@ func FuzzClipAbove(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkIntoIdentity builds segs' envelope, and merges its two halves'
+// envelopes, into buffers dirtied by the reversed set's build, and compares
+// them with the allocating recursive build and MergeStats.
+func checkIntoIdentity(t *testing.T, segs []geom.Seg2) {
+	rev := slices.Clone(segs)
+	slices.Reverse(rev)
+	mid := len(segs) / 3
+	for _, e := range []Edges{segs, nil} {
+		var sc BuildScratch
+		dst := e.BuildUpperEnvelopeInto(nil, rev, 0, &sc)
+		dst = e.BuildUpperEnvelopeInto(dst, segs, 0, &sc)
+		if want := refBuild(e, segs, 0); !slices.Equal(dst, want) {
+			t.Fatalf("nil table %v: reused build has %d pieces, recursive build %d", e == nil, len(dst), len(want))
+		}
+		a, b := refBuild(e, segs[:mid], 0), refBuild(e, segs[mid:], int32(mid))
+		want, wantSt := e.MergeStats(a, b)
+		if got, st := e.MergeStatsInto(dst, a, b); !slices.Equal(got, want) || st != wantSt {
+			t.Fatalf("nil table %v: reused merge has %d pieces %+v, MergeStats %d %+v", e == nil, len(got), st, len(want), wantSt)
+		}
+	}
 }
 
 func bruteMax(segs []geom.Seg2, x float64) (float64, bool) {

@@ -1,8 +1,6 @@
 package profiletree
 
 import (
-	"math"
-
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hull"
@@ -129,19 +127,19 @@ func (o *Ops) agg(pc envelope.Piece, l, r *Node) Agg {
 	a := Agg{
 		X1:   pc.X1,
 		X2:   pc.X2,
-		ZMin: math.Min(pc.Z1, pc.Z2),
-		ZMax: math.Max(pc.Z1, pc.Z2),
+		ZMin: min(pc.Z1, pc.Z2),
+		ZMax: max(pc.Z1, pc.Z2),
 	}
 	if l != nil {
 		a.X1 = l.Agg.X1
-		a.ZMin = math.Min(a.ZMin, l.Agg.ZMin)
-		a.ZMax = math.Max(a.ZMax, l.Agg.ZMax)
+		a.ZMin = min(a.ZMin, l.Agg.ZMin)
+		a.ZMax = max(a.ZMax, l.Agg.ZMax)
 		a.HasGap = a.HasGap || l.Agg.HasGap || pc.X1 > l.Agg.X2+geom.Eps
 	}
 	if r != nil {
 		a.X2 = r.Agg.X2
-		a.ZMin = math.Min(a.ZMin, r.Agg.ZMin)
-		a.ZMax = math.Max(a.ZMax, r.Agg.ZMax)
+		a.ZMin = min(a.ZMin, r.Agg.ZMin)
+		a.ZMax = max(a.ZMax, r.Agg.ZMax)
 		a.HasGap = a.HasGap || r.Agg.HasGap || r.Agg.X1 > pc.X2+geom.Eps
 	}
 	if o.WithHulls {

@@ -216,7 +216,7 @@ func (t *Terrain) HeightAt(x, y float64) (float64, bool) {
 // Transform returns a copy of the terrain with every vertex mapped by f.
 // The triangulation is rebuilt so orientations and adjacency stay valid.
 func (t *Terrain) Transform(f func(geom.Pt3) (geom.Pt3, error)) (*Terrain, error) {
-	verts, err := t.transformVerts(f)
+	verts, err := t.transformVerts(nil, f)
 	if err != nil {
 		return nil, err
 	}
@@ -241,26 +241,44 @@ func (t *Terrain) Transform(f func(geom.Pt3) (geom.Pt3, error)) (*Terrain, error
 // stay valid as long as neither is mutated (Terrain values are treated as
 // immutable throughout the library).
 func (t *Terrain) TransformShared(f func(geom.Pt3) (geom.Pt3, error)) (*Terrain, error) {
-	verts, err := t.transformVerts(f)
-	if err != nil {
+	nt := new(Terrain)
+	if err := t.TransformSharedInto(nt, f); err != nil {
 		return nil, err
-	}
-	nt := &Terrain{Verts: verts, Tris: t.Tris, Edges: t.Edges, GridRows: t.GridRows, GridCols: t.GridCols}
-	for i, tr := range nt.Tris {
-		a, b, c := nt.PlanPt(tr[0]), nt.PlanPt(tr[1]), nt.PlanPt(tr[2])
-		cr := geom.Cross(a, b, c)
-		if math.Abs(cr) <= geom.Eps {
-			return nil, fmt.Errorf("terrain: triangle %d degenerate in plan view", i)
-		}
-		if cr < 0 {
-			return nil, fmt.Errorf("terrain: transform flips plan orientation of triangle %d", i)
-		}
 	}
 	return nt, nil
 }
 
-func (t *Terrain) transformVerts(f func(geom.Pt3) (geom.Pt3, error)) ([]geom.Pt3, error) {
-	verts := make([]geom.Pt3, len(t.Verts))
+// TransformSharedInto makes dst the terrain TransformShared returns, writing
+// the mapped vertices over dst's vertex table, so a caller that transforms
+// into the same terrain in a loop allocates nothing once the table has
+// grown. dst must own its vertex table: transforming into a terrain whose
+// vertices another terrain shares would overwrite them. On error dst's
+// contents are unspecified.
+func (t *Terrain) TransformSharedInto(dst *Terrain, f func(geom.Pt3) (geom.Pt3, error)) error {
+	verts, err := t.transformVerts(dst.Verts, f)
+	if err != nil {
+		return err
+	}
+	*dst = Terrain{Verts: verts, Tris: t.Tris, Edges: t.Edges, GridRows: t.GridRows, GridCols: t.GridCols}
+	for i, tr := range dst.Tris {
+		a, b, c := dst.PlanPt(tr[0]), dst.PlanPt(tr[1]), dst.PlanPt(tr[2])
+		cr := geom.Cross(a, b, c)
+		if math.Abs(cr) <= geom.Eps {
+			return fmt.Errorf("terrain: triangle %d degenerate in plan view", i)
+		}
+		if cr < 0 {
+			return fmt.Errorf("terrain: transform flips plan orientation of triangle %d", i)
+		}
+	}
+	return nil
+}
+
+// transformVerts maps every vertex through f, writing over dst's storage.
+func (t *Terrain) transformVerts(dst []geom.Pt3, f func(geom.Pt3) (geom.Pt3, error)) ([]geom.Pt3, error) {
+	if cap(dst) < len(t.Verts) {
+		dst = make([]geom.Pt3, len(t.Verts))
+	}
+	verts := dst[:len(t.Verts)]
 	for i, v := range t.Verts {
 		q, err := f(v)
 		if err != nil {

@@ -2,6 +2,7 @@ package terrain
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"terrainhsr/internal/geom"
@@ -323,5 +324,41 @@ func TestTransformSharedRejectsFlipsAndDegeneracy(t *testing.T) {
 	pt := geom.PerspectiveTransform{Eye: geom.Pt3{X: 5, Y: 0, Z: 0}, MinDepth: 0.5}
 	if _, err := tr.TransformShared(pt.Apply); err == nil {
 		t.Fatal("behind-eye vertex accepted")
+	}
+}
+
+// TestTransformSharedIntoReusesVertexTable checks that transforming into a
+// terrain that holds another, larger terrain's vertices gives exactly
+// TransformShared's terrain, in that terrain's own vertex storage.
+func TestTransformSharedIntoReusesVertexTable(t *testing.T) {
+	small, err := Grid{Rows: 4, Cols: 3, Dx: 1, Dy: 1,
+		H: func(i, j int) float64 { return float64(i+j) * 0.2 }}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := Grid{Rows: 7, Cols: 6, Dx: 1, Dy: 1,
+		H: func(i, j int) float64 { return float64(i*j) * 0.3 }}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := geom.PerspectiveTransform{Eye: geom.Pt3{X: -10, Y: 2, Z: 5}, MinDepth: 0.5}
+	var dst Terrain
+	if err := big.TransformSharedInto(&dst, pt.Apply); err != nil {
+		t.Fatal(err)
+	}
+	storage := &dst.Verts[0]
+	if err := small.TransformSharedInto(&dst, pt.Apply); err != nil {
+		t.Fatal(err)
+	}
+	want, err := small.TransformShared(pt.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &dst.Verts[0] != storage {
+		t.Fatal("TransformSharedInto reallocated a large enough vertex table")
+	}
+	if !slices.Equal(dst.Verts, want.Verts) || &dst.Tris[0] != &small.Tris[0] || &dst.Edges[0] != &small.Edges[0] ||
+		dst.GridRows != want.GridRows || dst.GridCols != want.GridCols {
+		t.Fatalf("reused transform differs from TransformShared's terrain")
 	}
 }

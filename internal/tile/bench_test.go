@@ -21,7 +21,7 @@ import (
 // sixth of the way in by a tall wall with three notches), drawn from the
 // workload's terrain seed and ingested like the store's finest level. It
 // repeats hsrperf's ridgeDEM draw for draw, and nothing checks that the two
-// stay in step (ROADMAP item 9 records moving both onto one generator).
+// stay in step (ROADMAP item 4 records moving both onto one generator).
 func coldRidge(tb testing.TB) *terrain.Terrain {
 	tb.Helper()
 	const n = 97

@@ -3,7 +3,6 @@ package tile
 import (
 	"math"
 
-	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/geom"
 )
 
@@ -165,9 +164,6 @@ type Coherence struct {
 	Out []Verdict
 	// Stats receives this frame's reuse counters.
 	Stats ReuseStats
-	// Final receives the solve's final front envelope (including any seed),
-	// for callers that carry it across frames.
-	Final envelope.Profile
 }
 
 // reusable reports whether tile ti's prior verdict is eligible for cone
@@ -189,5 +185,4 @@ func (co *Coherence) prepare(tiles int) {
 		}
 	}
 	co.Stats = ReuseStats{}
-	co.Final = nil
 }

@@ -55,12 +55,11 @@ func TestConeCheckSoundness(t *testing.T) {
 		var stats Stats
 		for b := 0; b < p.NumBands; b++ {
 			r0, r1 := p.BandRows(b)
-			ys, err := bandYs(lat, p.Cols, r0, r1)
-			if err != nil {
+			if err := bs.tables.fill(lat, p.Cols, r0, r1); err != nil {
 				t.Fatal(err)
 			}
-			ivs := cellIntervals(ys)
-			outcomes := make([]*tileOutcome, p.NumCols)
+			ys, ivs := bs.tables.ys, bs.tables.ivs
+			outcomes := make([]tileOutcome, p.NumCols)
 			for c := 0; c < p.NumCols; c++ {
 				_, _, c0, c1 := p.TileCells(b, c)
 				owned := ownedIV(ys, r0, r1, c0, c1)
@@ -76,14 +75,12 @@ func TestConeCheckSoundness(t *testing.T) {
 					if cone {
 						coneTotal++
 					}
-					outcomes[c] = &tileOutcome{culled: true}
+					outcomes[c] = tileOutcome{culled: true}
 					continue
 				}
-				oc, err := solveTile(lat, p, b, c, ys, ivs, bs.front, seqSolve, 1, false, nil)
-				if err != nil {
+				if err := solveTile(lat, p, b, c, ys, ivs, bs.front, seqSolve, 1, false, nil, &outcomes[c]); err != nil {
 					t.Fatal(err)
 				}
-				outcomes[c] = oc
 			}
 			if err := bs.finishBand(b, outcomes, &stats); err != nil {
 				t.Fatal(err)
@@ -149,9 +146,6 @@ func TestCoherentSolveIdenticalAndVerdictsRecorded(t *testing.T) {
 		}
 		if co.Stats.TilesResolved != cst.TilesSolved {
 			t.Fatalf("frame %d: %d resolved vs %d solved", f, co.Stats.TilesResolved, cst.TilesSolved)
-		}
-		if got := co.Final.Size(); got != cst.EnvelopeSize {
-			t.Fatalf("frame %d: Final has %d pieces, stats say %d", f, got, cst.EnvelopeSize)
 		}
 		if f > 0 && co.Stats.TilesReused+co.Stats.VerifyFailures == 0 {
 			t.Fatalf("frame %d: no verification attempted despite prior verdicts", f)

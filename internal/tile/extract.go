@@ -29,48 +29,55 @@ func (a yiv) intersects(b yiv, pad float64) bool {
 	return a.lo <= b.hi+pad && b.lo <= a.hi+pad
 }
 
-// bandYs computes the canonical y of every vertex in rows [r0, r1] (all
-// columns), indexed [i-r0][j]. It reads no heights, so it is what lets
-// halos and cull boxes be computed for tiles that are never read; it is
-// recomputed per perspective frame.
-func bandYs(l Lattice, cols, r0, r1 int) ([][]float64, error) {
-	out := make([][]float64, r1-r0+1)
-	flat := make([]float64, (r1-r0+1)*(cols+1))
+// bandTables is one band's Y table and cell intervals. Each table's rows
+// index one flat buffer sized with resize, so a solve refills them band
+// after band without allocating.
+type bandTables struct {
+	// ys[i-r0][j] is the canonical y of vertex (i, j) of band rows
+	// [r0, r1]; ivs[i-r0][j] is the canonical-y interval of cell (i, j).
+	ys     [][]float64
+	ivs    [][]yiv
+	yFlat  []float64
+	ivFlat []yiv
+}
+
+// fill computes the tables of vertex rows [r0, r1] (all columns) over t's
+// storage. It reads no heights, so it is what lets halos and cull boxes be
+// computed for tiles that are never read; it is recomputed per perspective
+// frame.
+func (t *bandTables) fill(l Lattice, cols, r0, r1 int) error {
+	rows := r1 - r0 + 1
+	t.yFlat = resize(t.yFlat, rows*(cols+1))
+	t.ys = resize(t.ys, rows)
 	for i := r0; i <= r1; i++ {
-		row := flat[(i-r0)*(cols+1) : (i-r0+1)*(cols+1)]
+		row := t.yFlat[(i-r0)*(cols+1) : (i-r0+1)*(cols+1)]
 		for j := range row {
 			y, err := l.y(i, j)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			row[j] = y
 		}
-		out[i-r0] = row
+		t.ys[i-r0] = row
 	}
-	return out, nil
-}
-
-// cellIntervals computes the canonical-y interval of every cell of the
-// band whose Y table is ys, indexed [row-r0][col].
-func cellIntervals(ys [][]float64) [][]yiv {
-	cols := len(ys[0]) - 1
-	out := make([][]yiv, len(ys)-1)
-	for i := range out {
-		row := make([]yiv, cols)
+	t.ivFlat = resize(t.ivFlat, (rows-1)*cols)
+	t.ivs = resize(t.ivs, rows-1)
+	for i := range t.ivs {
+		row := t.ivFlat[i*cols : (i+1)*cols]
 		for j := range row {
 			// The cell's four corner vertices.
-			a := ys[i][j]
-			b := ys[i][j+1]
-			c := ys[i+1][j]
-			d := ys[i+1][j+1]
+			a := t.ys[i][j]
+			b := t.ys[i][j+1]
+			c := t.ys[i+1][j]
+			d := t.ys[i+1][j+1]
 			row[j] = yiv{
 				lo: math.Min(math.Min(a, b), math.Min(c, d)),
 				hi: math.Max(math.Max(a, b), math.Max(c, d)),
 			}
 		}
-		out[i] = row
+		t.ivs[i] = row
 	}
-	return out
+	return nil
 }
 
 // ownedIV returns the canonical-y interval of the owned vertex rectangle

@@ -181,11 +181,11 @@ func TestSetupAllocationFree(t *testing.T) {
 	l := Resident{tr}
 	const b, c = 1, 1
 	r0, r1 := p.BandRows(b)
-	ys, err := bandYs(l, p.Cols, r0, r1)
-	if err != nil {
+	var bt bandTables
+	if err := bt.fill(l, p.Cols, r0, r1); err != nil {
 		t.Fatal(err)
 	}
-	ivs := cellIntervals(ys)
+	ys, ivs := bt.ys, bt.ivs
 	_, _, c0, c1 := p.TileCells(b, c)
 	owned := ownedIV(ys, r0, r1, c0, c1)
 	s := new(setup)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,7 +21,8 @@ import (
 // returns its visible scene (in the sub-terrain's local edge numbering).
 // prep is the sub-terrain's depth order, prepared in the tile's set-up
 // arena: it and its terrain are valid only during the call, and the
-// returned Result must not refer to them. The caller supplies the function,
+// returned Result must not refer to them, and its Pieces belong to the
+// caller, which rewrites them in place. The caller supplies the function,
 // closing over the algorithm choice and any tree-arena pools; package tile
 // stays agnostic of which hidden-surface algorithm runs inside a tile.
 type SolveFunc func(prep *hsr.Prepared, workers int) (*hsr.Result, error)
@@ -133,32 +135,32 @@ func Solve(l Lattice, p *Partition, solve SolveFunc, opt Options) (*hsr.Result, 
 	if co != nil {
 		co.prepare(p.NumTiles())
 	}
-	bs := &bandState{emit: opt.Emit, co: co, cols: p.NumCols}
+	bs := bandPool.Get().(*bandState)
+	defer bs.release()
+	bs.start(opt.Emit, co, p.NumCols)
 	solveStart := l.meter()
 	bandStart := solveStart
 	for b := 0; b < p.NumBands; b++ {
 		bsp := beginBand(opt.Trace, &stats)
 		r0, r1 := p.BandRows(b)
-		ys, err := bandYs(l, p.Cols, r0, r1)
-		if err != nil {
+		if err := bs.tables.fill(l, p.Cols, r0, r1); err != nil {
 			return nil, stats, err
 		}
-		ivs := cellIntervals(ys)
-
-		outcomes := make([]*tileOutcome, p.NumCols)
-		errs := make([]error, p.NumCols)
+		ys, ivs := bs.tables.ys, bs.tables.ivs
+		outcomes := resize(bs.outcomes, p.NumCols)
+		errs := resize(bs.errs, p.NumCols)
+		clear(outcomes)
+		clear(errs)
+		bs.outcomes, bs.errs = outcomes, errs
 		var failed atomic.Bool
 		parallel.ForDynamic(tileWorkers, p.NumCols, 1, func(_, c int) {
 			if failed.Load() {
 				return
 			}
-			oc, err := solveTile(l, p, b, c, ys, ivs, bs.front, solve, subWorkers, opt.NoCull, co)
-			if err != nil {
+			if err := solveTile(l, p, b, c, ys, ivs, bs.front, solve, subWorkers, opt.NoCull, co, &outcomes[c]); err != nil {
 				errs[c] = err
 				failed.Store(true)
-				return
 			}
-			outcomes[c] = oc
 		})
 		for c, err := range errs {
 			if err != nil {
@@ -226,17 +228,52 @@ func (bsp bandSpan) end(b int, stats *Stats, mergeStart time.Time, mergeDur time
 	)
 }
 
-// bandState carries the cross-band accumulator of a tiled solve — the front
-// envelope, the clipped output (or per-band emission), and the global
-// counters.
+// bandState is the working memory of one tiled solve: the cross-band
+// accumulator — the front envelope, the clipped output (or per-band
+// emission) and the global counters — and every buffer of the band loop.
+// Solve takes one from bandPool and puts it back when it returns. Each
+// buffer keeps the capacity of the largest band (the output, of the largest
+// scene) it has served, so a warm solve allocates only its returned result
+// and the kernel's per-tile output. Nothing a solve returns points into a
+// bandState: result copies the output out.
 type bandState struct {
-	front     envelope.Profile // silhouette of all earlier bands
+	// front is the silhouette of all earlier bands. finishBand merges the
+	// band silhouette band (built with the scratch env) into back and swaps
+	// the two, so front is only rewritten between bands.
+	front, back, band envelope.Profile
+	env               envelope.BuildScratch
+	// segs holds the band's silhouette segments, tables its Y table and
+	// cell intervals, outcomes and errs its per-tile results.
+	segs     []geom.Seg2
+	tables   bandTables
+	outcomes []tileOutcome
+	errs     []error
+	// out accumulates the clipped pieces: the whole scene, or one band
+	// when streaming.
 	out       []hsr.VisiblePiece
 	counters  metrics.Counters
 	crossings int64
 	emit      func(p hsr.VisiblePiece) error
 	co        *Coherence // verdict recording + reuse counters; may be nil
 	cols      int        // tile columns per band, for verdict indexing
+}
+
+var bandPool = sync.Pool{New: func() any { return new(bandState) }}
+
+// start resets the accumulator for a new solve, keeping the buffers.
+func (bs *bandState) start(emit func(hsr.VisiblePiece) error, co *Coherence, cols int) {
+	bs.front, bs.out = bs.front[:0], bs.out[:0]
+	bs.counters, bs.crossings = metrics.Counters{}, 0
+	bs.emit, bs.co, bs.cols = emit, co, cols
+}
+
+// release drops the solve's references — the caller's callbacks and the
+// tiles' kernel output — and returns bs to bandPool.
+func (bs *bandState) release() {
+	bs.emit, bs.co = nil, nil
+	clear(bs.outcomes)
+	clear(bs.errs)
+	bandPool.Put(bs)
 }
 
 // finishBand is the band barrier: clip each tile's owned pieces against the
@@ -246,9 +283,10 @@ type bandState struct {
 // active it also classifies every tile — culled, hidden (solved but every
 // owned piece clipped away), or visible — and sums the reuse counters, all
 // on this single sequential path so no atomics are needed.
-func (bs *bandState) finishBand(b int, outcomes []*tileOutcome, stats *Stats) error {
-	var bandSegs []geom.Seg2
-	for c, oc := range outcomes {
+func (bs *bandState) finishBand(b int, outcomes []tileOutcome, stats *Stats) error {
+	bandSegs := bs.segs[:0]
+	for c := range outcomes {
+		oc := &outcomes[c]
 		if oc.culled {
 			stats.TilesCulled++
 			bs.recordVerdict(b, c, VerdictCulled, oc)
@@ -297,8 +335,11 @@ func (bs *bandState) finishBand(b int, outcomes []*tileOutcome, stats *Stats) er
 		// The front's pieces come from no edge table, so the nil Edges
 		// evaluates them on their own endpoints.
 		var own envelope.Edges
-		bs.front = own.Merge(bs.front, own.BuildUpperEnvelope(bandSegs, envelope.NoEdge))
+		bs.band = own.BuildUpperEnvelopeInto(bs.band, bandSegs, envelope.NoEdge, &bs.env)
+		bs.back, _ = own.MergeStatsInto(bs.back, bs.front, bs.band)
+		bs.front, bs.back = bs.back, bs.front
 	}
+	bs.segs = bandSegs
 	return nil
 }
 
@@ -324,17 +365,15 @@ func (bs *bandState) recordVerdict(b, c int, v Verdict, oc *tileOutcome) {
 	}
 }
 
-// result finalizes the accumulated scene after the last band.
+// result finalizes the accumulated scene after the last band. A
+// materializing solve returns an exact-size copy of the pooled output (nil
+// for an empty scene); a streaming one returns no pieces.
 func (bs *bandState) result(numEdges int, stats *Stats) *hsr.Result {
 	stats.EnvelopeSize = bs.front.Size()
-	if bs.co != nil {
-		bs.co.Final = bs.front
-	}
-	out := bs.out
-	if bs.emit != nil {
-		out = nil
-	} else {
-		sortVisible(out)
+	var out []hsr.VisiblePiece
+	if bs.emit == nil && len(bs.out) > 0 {
+		sortVisible(bs.out)
+		out = slices.Clone(bs.out)
 	}
 	return &hsr.Result{
 		N:         numEdges,
@@ -358,8 +397,9 @@ func sortVisible(ps []hsr.VisiblePiece) {
 // tile's frame-invariant world box, so a tile's vertices are requested only
 // when it survives both. front is read-only here (it is only rewritten
 // between bands, after the band barrier). A solved tile sets up in an arena
-// drawn from setupPool for the duration of the call.
-func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence) (*tileOutcome, error) {
+// drawn from setupPool for the duration of the call. The outcome is written
+// to oc.
+func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence, oc *tileOutcome) error {
 	r0, r1, c0, c1 := p.TileCells(b, c)
 	verifyFailed := false
 	if co != nil && !noCull && co.reusable(b*p.NumCols+c) {
@@ -368,7 +408,8 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 		// new eye, skip even the extent scan. A cone pass implies the exact
 		// check below passes too, so the outcome is identical either way.
 		if lo, hi, z, ok := co.Bounds[b*p.NumCols+c].Cone(co.Eye, co.MinDepth); ok && front.CoversAbove(lo, hi, z) {
-			return &tileOutcome{culled: true, reused: true}, nil
+			*oc = tileOutcome{culled: true, reused: true}
+			return nil
 		}
 		verifyFailed = true
 	}
@@ -377,7 +418,8 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 		if z, ok := l.zBound(r0, r1, c0, c1); ok && front.CoversAbove(owned.lo, owned.hi, z) {
 			// Everything the tile could contribute lies on or below the
 			// silhouette of the terrain in front of it: skip the solve.
-			return &tileOutcome{culled: true, verifyFailed: verifyFailed}, nil
+			*oc = tileOutcome{culled: true, verifyFailed: verifyFailed}
+			return nil
 		}
 	}
 	// The set-up arena lives until the owned pieces carry global ids.
@@ -386,25 +428,28 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 	s.halo = haloRanges(ivs, owned, s.halo)
 	sub, err := extract(l, p, b, c, r0, r1, s.halo, s)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	prep, err := s.prep.Prepare(sub.t)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err := solve(prep, workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	oc := &tileOutcome{counters: res.Counters, crossings: res.Crossings, verifyFailed: verifyFailed}
+	// The tile owns the kernel's pieces: keep the owned ones in place, in
+	// global edge numbering.
+	kept := res.Pieces[:0]
 	for _, pc := range res.Pieces {
 		if !sub.owned[pc.Edge] {
 			continue // a halo edge: some other tile owns and reports it
 		}
 		pc.Edge = sub.globalEdge[pc.Edge]
-		oc.pieces = append(oc.pieces, pc)
+		kept = append(kept, pc)
 	}
-	return oc, nil
+	*oc = tileOutcome{pieces: kept, counters: res.Counters, crossings: res.Crossings, verifyFailed: verifyFailed}
+	return nil
 }
 
 // appendClipped appends the portions of piece pc that lie strictly above the
