@@ -19,8 +19,8 @@ import (
 // node its path copies made; sequential-tree runs its tree in place, so
 // there it is bounded by the largest profile (plus one run batch).
 //
-// Acquired Ops are always in the persistent mode (persist.Ops.Reset clears
-// the in-place mode a sequential-tree solve sets), so a ParallelOS solve
+// Acquired Ops are always in the persistent mode (profiletree.Ops.Reset
+// clears the in-place mode a sequential-tree solve sets), so a ParallelOS solve
 // after a sequential-tree one on the same pool shares profiles as usual.
 //
 // Pooled Ops are keyed by the WithHulls mode, since hull aggregation is

@@ -65,7 +65,7 @@ func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, er
 	// splices rewrite the profile's nodes and recycle the covered ones, and
 	// the solve holds about as many nodes as the largest profile has pieces.
 	// Shapes, aggregates and counters are those of path copying (see package
-	// persist). The pool's Reset returns the Ops to the persistent mode.
+	// profiletree). The pool's Reset returns the Ops to the persistent mode.
 	o.P.InPlace = true
 	buf := pieceBufs.Get().(*[]VisiblePiece)
 	defer pieceBufs.Put(buf)

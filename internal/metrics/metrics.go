@@ -19,8 +19,8 @@ type Counters struct {
 	// TreeOps counts persistent-tree node visits (split/join/search).
 	TreeOps int64
 	// TreeAllocs counts tree node writes: nodes created, and path nodes
-	// copied or, in the in-place mode sequential-tree runs (persist.Ops
-	// InPlace), rewritten. For a persistent solve it is the memory side of
+	// copied or, in the in-place mode sequential-tree runs its profile tree
+	// in (profiletree.Nodes.InPlace), rewritten. For a persistent solve it is the memory side of
 	// persistence (experiment F3); in place it counts writes, not live
 	// nodes, and keeps the value path copying would give.
 	TreeAllocs int64

@@ -1,21 +1,18 @@
 // Package persist implements the path-copying persistent balanced tree the
 // paper takes from Driscoll, Sarnak, Sleator and Tarjan ("Make the
 // data-structures persistent", ref [6]) and uses to share the convex chains
-// and visible portions of profiles across nodes of a PCT layer.
+// of profiles across nodes of a PCT layer.
 //
 // The tree is a persistent treap over a sequence: nodes are immutable, every
 // update (split/join) copies the O(log n) nodes along the affected path, and
 // all older versions remain valid. Each node carries a user-defined subtree
-// aggregate recomputed only for newly created nodes, which is how the
-// profile tree maintains bounding summaries and convex hulls per subtree.
+// aggregate recomputed only for newly created nodes; the hull chains (package
+// hull) keep their end points that way.
 //
-// Nodes are immutable only outside the in-place mode (Ops.InPlace). A
-// caller that keeps just the current version of its trees, as the
-// sequential sweep keeps just the current profile, may instead have the
-// same operations rewrite the path nodes and recycle dropped nodes. A
-// treap's shape is a pure function of its sequence and its priorities, and
-// a rewrite reuses the priority a copy would take, so both modes build the
-// same shapes with the same aggregates and the same allocation counts.
+// The trees here are persistent only, and they hold the hull chains. The
+// profiles have a treap of their own (package profiletree) that follows the
+// same discipline, draws its priorities from the same Arena, computes its
+// summaries without a callback and can also run in place.
 //
 // Allocation is tracked per Arena. Arenas are confined to one goroutine
 // (one per worker); persistent nodes, once created, are immutable and may be

@@ -48,7 +48,10 @@ func (a *Arena) Reseed(seed uint64) {
 	a.rng = seed
 }
 
-func (a *Arena) nextPrio() uint64 {
+// NextPrio draws the next treap priority from the arena's stream. Trees
+// built on one arena (here and in package profiletree) draw from it in the
+// order their nodes are created.
+func (a *Arena) NextPrio() uint64 {
 	// xorshift64*
 	x := a.rng
 	x ^= x >> 12
@@ -58,8 +61,8 @@ func (a *Arena) nextPrio() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Node is a treap node over values of type T with subtree aggregate A. It is
-// immutable unless the Ops that made it runs in place (Ops.InPlace).
+// Node is an immutable treap node over values of type T with subtree
+// aggregate A.
 type Node[T, A any] struct {
 	Val  T
 	Agg  A
@@ -85,82 +88,37 @@ const slabNodes = 1024
 // may allocate through the same arena (e.g. hull chains).
 //
 // Nodes are carved out of slabs owned by the Ops. Like the Arena, an Ops is
-// confined to one goroutine. In the default, persistent mode the nodes it
-// creates are immutable and may be shared freely; in place (InPlace) they
-// are not.
+// confined to one goroutine; the nodes it creates are immutable and may be
+// shared freely.
 type Ops[T, A any] struct {
 	Arena *Arena
 	// Agg computes the subtree aggregate for a node with value v and
 	// children l, r (either may be nil).
 	Agg func(v T, l, r *Node[T, A]) A
-	// InPlace switches Join, SplitBy and SplitRank from path copying to
-	// rewriting the path's nodes, and makes Drop recycle nodes. It is for a
-	// caller that owns its trees outright and never reads a version again
-	// once it has been passed to an operation: every input is consumed. The
-	// shapes, aggregates and Arena.Allocs counts are those of the persistent
-	// mode, since a treap's shape is a function of its values and priorities
-	// alone and each rewrite is charged where a copy would be. Reset
-	// returns the Ops to the persistent mode.
-	InPlace bool
 
 	slabs [][]Node[T, A]
-	cur   int         // slab currently carved from
-	used  int         // nodes handed out of slabs[cur]
-	free  *Node[T, A] // dropped nodes, linked through L; alloc draws here first
+	cur   int // slab currently carved from
+	used  int // nodes handed out of slabs[cur]
 }
 
 // NewNode creates a node with a fresh priority.
 func (o *Ops[T, A]) NewNode(v T, l, r *Node[T, A]) *Node[T, A] {
-	return o.make(v, l, r, o.Arena.nextPrio())
+	return o.make(v, l, r, o.Arena.NextPrio())
 }
 
 // Reset rewinds the slab allocator so the Ops can be reused for another
 // solve without reallocating: retained slabs are carved from again, from the
 // start. Every node previously created through o is invalidated — the caller
 // must guarantee that no tree from before the Reset is referenced afterwards.
-// Reset also empties the free list and returns the Ops to the persistent
-// mode. Rewound slabs are not zeroed, so memory referenced by stale nodes
-// stays reachable until overwritten. The retained footprint is bounded by the
-// largest solve the Ops has served: in the persistent mode by the nodes that
-// solve copied, in place by its largest live tree (plus one operation's
-// dropped material), since dropped nodes are carved again. Per-worker scratch
-// kept beside an Ops (profiletree.Scratch, the crossing queries' buffers) is
-// retained on the same terms: bounded by the largest query it has served.
+// Rewound slabs are not zeroed, so memory referenced by stale nodes stays
+// reachable until overwritten. The retained slabs hold as many nodes as the
+// largest solve the Ops has served created.
 func (o *Ops[T, A]) Reset() {
 	o.cur, o.used = 0, 0
-	o.free = nil
-	o.InPlace = false
-}
-
-// Carved returns the number of slab nodes handed out since the last Reset:
-// the high-water mark of the nodes o's trees (and, in place, its free list)
-// have held. The slabs it retains hold Carved rounded up to whole slabs. It
-// is a test and diagnostic accessor.
-func (o *Ops[T, A]) Carved() int {
-	return o.cur*slabNodes + o.used
-}
-
-// Drop hands back a tree the caller owns outright and will not read again.
-// In place its nodes go on the free list that node creation draws from
-// first; in the persistent mode, where other versions may share them, Drop
-// does nothing. Drop charges no allocation: each node is dropped at most
-// once, so the walk is paid for by the node's creation.
-func (o *Ops[T, A]) Drop(t *Node[T, A]) {
-	if !o.InPlace || t == nil {
-		return
-	}
-	o.Drop(t.L)
-	o.Drop(t.R)
-	t.L, t.R = o.free, nil
-	o.free = t
 }
 
 // alloc hands out the next node slot, growing the slab list on demand.
 func (o *Ops[T, A]) alloc() *Node[T, A] {
-	if n := o.free; n != nil {
-		o.free = n.L
-		return n
-	}
 	if o.cur < len(o.slabs) && o.used < slabNodes {
 		n := &o.slabs[o.cur][o.used]
 		o.used++
@@ -184,22 +142,13 @@ func (o *Ops[T, A]) make(v T, l, r *Node[T, A], prio uint64) *Node[T, A] {
 	return n
 }
 
-// remake returns t's value and priority over the children l, r: a copy of t
-// in the persistent mode, t itself rewritten in place. Both are charged as
-// one allocation.
+// remake returns a copy of t's value and priority over the children l, r.
 func (o *Ops[T, A]) remake(t, l, r *Node[T, A]) *Node[T, A] {
-	if !o.InPlace {
-		return o.make(t.Val, l, r, t.prio)
-	}
-	o.Arena.Allocs++
-	t.L, t.R = l, r
-	t.size = int32(1 + Size(l) + Size(r))
-	t.Agg = o.Agg(t.Val, l, r)
-	return t
+	return o.make(t.Val, l, r, t.prio)
 }
 
 // Join concatenates two sequences (all of l before all of r), copying the
-// merge path (rewriting it in place).
+// merge path.
 func (o *Ops[T, A]) Join(l, r *Node[T, A]) *Node[T, A] {
 	switch {
 	case l == nil:
@@ -264,7 +213,7 @@ func (o *Ops[T, A]) Build(vals []T) *Node[T, A] {
 		return o.make(it.val, it.l, it.r, it.prio)
 	}
 	for _, v := range vals {
-		it := item{val: v, prio: o.Arena.nextPrio()}
+		it := item{val: v, prio: o.Arena.NextPrio()}
 		var last *Node[T, A]
 		for len(stack) > 0 && stack[len(stack)-1].prio < it.prio {
 			top := stack[len(stack)-1]

@@ -203,14 +203,14 @@ func TestFirstLast(t *testing.T) {
 
 func TestArenaReset(t *testing.T) {
 	a := NewArena(77)
-	p1 := a.nextPrio()
-	p2 := a.nextPrio()
+	p1 := a.NextPrio()
+	p2 := a.NextPrio()
 	a.Allocs = 9
 	a.Reset()
 	if a.Allocs != 0 {
 		t.Fatalf("Allocs after reset: %d", a.Allocs)
 	}
-	if q1, q2 := a.nextPrio(), a.nextPrio(); q1 != p1 || q2 != p2 {
+	if q1, q2 := a.NextPrio(), a.NextPrio(); q1 != p1 || q2 != p2 {
 		t.Fatal("priority stream did not restart from the seed")
 	}
 }

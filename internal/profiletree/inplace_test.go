@@ -45,9 +45,9 @@ func sameNodes(p, q *Node) string {
 	case p == nil && q == nil:
 		return ""
 	case p == nil || q == nil:
-		return fmt.Sprintf("nil vs non-nil (sizes %d, %d)", persist.Size(p), persist.Size(q))
-	case p.Val != q.Val || persist.Size(p) != persist.Size(q):
-		return fmt.Sprintf("piece %+v (size %d) vs %+v (size %d)", p.Val, persist.Size(p), q.Val, persist.Size(q))
+		return fmt.Sprintf("nil vs non-nil (sizes %d, %d)", size(p), size(q))
+	case p.Val != q.Val || size(p) != size(q):
+		return fmt.Sprintf("piece %+v (size %d) vs %+v (size %d)", p.Val, size(p), q.Val, size(q))
 	}
 	pa, qa := p.Agg, q.Agg
 	if pa.X1 != qa.X1 || pa.X2 != qa.X2 || pa.ZMin != qa.ZMin || pa.ZMax != qa.ZMax || pa.HasGap != qa.HasGap {

@@ -26,9 +26,6 @@ type Hulls struct {
 	Lower, Upper hull.Chain
 }
 
-// Node is a persistent profile-tree node; its value is one profile piece.
-type Node = persist.Node[envelope.Piece, Agg]
-
 // Tree is a (possibly empty) profile. Trees are immutable and operations
 // return new trees sharing structure, unless the Ops runs in place
 // (P.InPlace): then each operation consumes the trees it is given.
@@ -37,12 +34,13 @@ type Tree struct {
 }
 
 // Size returns the number of pieces.
-func (t Tree) Size() int { return persist.Size(t.Root) }
+func (t Tree) Size() int { return size(t.Root) }
 
 // Ops bundles the arena-bound operations and a worker's reusable working
 // memory. One Ops per worker goroutine.
 type Ops struct {
-	P         *persist.Ops[envelope.Piece, Agg]
+	// P is the node store; P.InPlace selects the in-place mode.
+	P         Nodes
 	H         *hull.Ops
 	WithHulls bool
 	Arena     *persist.Arena
@@ -85,10 +83,7 @@ type Scratch struct {
 // NewOps creates profile-tree operations allocating from arena. withHulls
 // selects the exact hull-augmented pruning of the paper's ACG.
 func NewOps(arena *persist.Arena, withHulls bool) *Ops {
-	o := &Ops{Arena: arena, WithHulls: withHulls}
-	o.H = hull.NewOps(arena)
-	o.P = &persist.Ops[envelope.Piece, Agg]{Arena: arena, Agg: o.agg}
-	return o
+	return &Ops{Arena: arena, WithHulls: withHulls, H: hull.NewOps(arena)}
 }
 
 // Reset rewinds the ops for reuse by another solve: the arena restarts its
@@ -96,12 +91,12 @@ func NewOps(arena *persist.Arena, withHulls bool) *Ops {
 // the chain-pair slab are carved again from the start. Every tree previously
 // built through o is invalidated; callers must drop all references to such
 // trees first. This is what lets a worker pool amortize tree allocation
-// across a batch of solves. The profile tree returns to the persistent mode
-// (persist.Ops.Reset). The query Scratch keeps its capacity: each query
-// overwrites it anyway.
+// across a batch of solves. The profile tree returns to the persistent
+// mode. The query Scratch keeps its capacity: each query overwrites it
+// anyway.
 func (o *Ops) Reset() {
 	o.Arena.Reset()
-	o.P.Reset()
+	o.P.reset()
 	o.H.P.Reset()
 	o.nHulls = 0
 }
@@ -123,51 +118,16 @@ func (o *Ops) newHulls(lower, upper hull.Chain) *Hulls {
 	return h
 }
 
-func (o *Ops) agg(pc envelope.Piece, l, r *Node) Agg {
-	a := Agg{
-		X1:   pc.X1,
-		X2:   pc.X2,
-		ZMin: min(pc.Z1, pc.Z2),
-		ZMax: max(pc.Z1, pc.Z2),
-	}
-	if l != nil {
-		a.X1 = l.Agg.X1
-		a.ZMin = min(a.ZMin, l.Agg.ZMin)
-		a.ZMax = max(a.ZMax, l.Agg.ZMax)
-		a.HasGap = a.HasGap || l.Agg.HasGap || pc.X1 > l.Agg.X2+geom.Eps
-	}
-	if r != nil {
-		a.X2 = r.Agg.X2
-		a.ZMin = min(a.ZMin, r.Agg.ZMin)
-		a.ZMax = max(a.ZMax, r.Agg.ZMax)
-		a.HasGap = a.HasGap || r.Agg.HasGap || r.Agg.X1 > pc.X2+geom.Eps
-	}
-	if o.WithHulls {
-		p1 := geom.Pt2{X: pc.X1, Z: pc.Z1}
-		p2 := geom.Pt2{X: pc.X2, Z: pc.Z2}
-		lower := hull.Build2(o.H, p1, p2, true)
-		upper := hull.Build2(o.H, p1, p2, false)
-		if l != nil {
-			lower = o.H.MergeDisjoint(l.Agg.Lower, lower)
-			upper = o.H.MergeDisjoint(l.Agg.Upper, upper)
-		}
-		if r != nil {
-			lower = o.H.MergeDisjoint(lower, r.Agg.Lower)
-			upper = o.H.MergeDisjoint(upper, r.Agg.Upper)
-		}
-		a.Hulls = o.newHulls(lower, upper)
-	}
-	return a
-}
-
 // FromProfile builds a tree from a slice profile in O(n) tree nodes.
 func (o *Ops) FromProfile(p envelope.Profile) Tree {
-	return Tree{Root: o.P.Build(p)}
+	return Tree{Root: o.build(p)}
 }
 
 // ToProfile materializes the tree as a slice profile.
 func ToProfile(t Tree) envelope.Profile {
-	return envelope.Profile(persist.Slice(t.Root))
+	out := make(envelope.Profile, 0, t.Size())
+	forEach(t.Root, func(pc envelope.Piece) { out = append(out, pc) })
+	return out
 }
 
 // Eval returns the profile value at x, mirroring envelope.Profile.Eval
@@ -195,22 +155,22 @@ func (o *Ops) Eval(t Tree, x float64) (float64, bool) {
 // of width <= Eps are dropped. In place, the straddling piece's node is
 // recycled for its halves.
 func (o *Ops) SplitAtX(t Tree, x float64) (Tree, Tree) {
-	l, r := o.P.SplitBy(t.Root, func(pc envelope.Piece) bool { return pc.X1 < x })
+	l, r := o.splitBefore(t.Root, x)
 	// The last piece of l may extend past x.
 	if l != nil {
-		last := persist.Last(l)
+		last := lastPiece(l)
 		if last.X2 > x+geom.Eps {
-			lInit, straddling := o.P.SplitRank(l, persist.Size(l)-1)
-			o.P.Drop(straddling)
+			lInit, straddling := o.splitRank(l, size(l)-1)
+			o.drop(straddling)
 			zAt := o.Edges.ZAt(last, x)
 			leftPart := envelope.Piece{X1: last.X1, Z1: last.Z1, X2: x, Z2: zAt, Edge: last.Edge}
 			rightPart := envelope.Piece{X1: x, Z1: zAt, X2: last.X2, Z2: last.Z2, Edge: last.Edge}
 			if leftPart.Width() > geom.Eps {
-				lInit = o.P.Join(lInit, o.P.NewNode(leftPart, nil, nil))
+				lInit = o.join(lInit, o.make(leftPart, nil, nil, o.Arena.NextPrio()))
 			}
 			l = lInit
 			if rightPart.Width() > geom.Eps {
-				r = o.P.Join(o.P.NewNode(rightPart, nil, nil), r)
+				r = o.join(o.make(rightPart, nil, nil, o.Arena.NextPrio()), r)
 			}
 		}
 	}
@@ -219,7 +179,7 @@ func (o *Ops) SplitAtX(t Tree, x float64) (Tree, Tree) {
 
 // Join concatenates two profiles (a entirely left of b).
 func (o *Ops) Join(a, b Tree) Tree {
-	return Tree{Root: o.P.Join(a.Root, b.Root)}
+	return Tree{Root: o.join(a.Root, b.Root)}
 }
 
 // Run is a maximal interval where new material rises above the profile,
@@ -243,10 +203,10 @@ func (o *Ops) Splice(t Tree, runs []Run) Tree {
 	for _, run := range runs {
 		left, midRight := o.SplitAtX(rest, run.X1)
 		covered, right := o.SplitAtX(midRight, run.X2)
-		o.P.Drop(covered.Root)
+		o.drop(covered.Root)
 		acc = o.Join(acc, left)
 		if len(run.Pieces) > 0 {
-			acc = o.Join(acc, Tree{Root: o.P.Build(run.Pieces)})
+			acc = o.Join(acc, Tree{Root: o.build(run.Pieces)})
 		}
 		rest = right
 	}

@@ -201,7 +201,7 @@ func TestHullAggConsistent(t *testing.T) {
 			return
 		}
 		var pts []geom.Pt2
-		persist.ForEach(n, func(pc envelope.Piece) {
+		forEach(n, func(pc envelope.Piece) {
 			pts = append(pts, geom.P2(pc.X1, pc.Z1), geom.P2(pc.X2, pc.Z2))
 		})
 		for q := 0; q < 10; q++ {
