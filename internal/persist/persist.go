@@ -253,14 +253,6 @@ func At[T, A any](t *Node[T, A], i int) T {
 	}
 }
 
-// First and Last return the extreme values of a non-empty subtree.
-func First[T, A any](t *Node[T, A]) T {
-	for t.L != nil {
-		t = t.L
-	}
-	return t.Val
-}
-
 // Last returns the final value of a non-empty subtree.
 func Last[T, A any](t *Node[T, A]) T {
 	for t.R != nil {

@@ -115,7 +115,7 @@ func TestSplitBy(t *testing.T) {
 	if Size(l) != 17 || Size(r) != 33 {
 		t.Fatalf("sizes %d %d", Size(l), Size(r))
 	}
-	if Last[int, sumAgg](l) != 16 || First[int, sumAgg](r) != 17 {
+	if Last[int, sumAgg](l) != 16 || At(r, 0) != 17 {
 		t.Fatalf("boundary values wrong")
 	}
 	// Edge cases: all / none.
@@ -196,8 +196,8 @@ func TestAllocCounting(t *testing.T) {
 func TestFirstLast(t *testing.T) {
 	ops := intOps(NewArena(9))
 	tr := ops.Build([]int{5, 6, 7})
-	if First[int, sumAgg](tr) != 5 || Last[int, sumAgg](tr) != 7 {
-		t.Fatal("First/Last wrong")
+	if Last[int, sumAgg](tr) != 7 {
+		t.Fatal("Last wrong")
 	}
 }
 

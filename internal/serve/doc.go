@@ -29,9 +29,17 @@
 // shortest round-tripping decimal, with an exponent (and no leading zero
 // in it) only for non-zero magnitudes below 1e-6 or at least 1e21. The
 // bytes equal json.Marshal of a terrainhsr.Piece; appendPiece produces
-// them without reflection. Pieces go to the connection in fixed-size
-// chunks, and every pass or frame is flushed before the fields that follow
-// it. Float parameters must be finite; NaN and infinities are a 400.
+// them without reflection. A visible vertex ends about four pieces, so
+// most coordinates repeat: the writer formats each distinct float64 (keyed
+// by its bits, so 0 and -0 stay apart) once per response, across all the
+// passes or frames of that response, and copies the bytes for every
+// repeat. The bytes are unchanged by this. Nothing is carried from one
+// response to the next but storage: the writer, with its chunk buffer,
+// memo table and byte arena, comes from a sync.Pool and goes back to it
+// when the response ends, however it ends. Pieces go to the connection in
+// fixed-size chunks, and every pass or frame is flushed before the fields
+// that follow it. Float parameters must be finite; NaN and infinities are
+// a 400.
 //
 // The package also owns the -terrain / -store spec parsing (BuildTerrain,
 // ParseStoreSpec) so the serving binary, the load generator and the tests

@@ -288,6 +288,8 @@ func (h *handler) writeViewshedJSON(w http.ResponseWriter, resp viewshedResponse
 		return
 	}
 	pw := newPieceWriter(w, 4)
+	defer pw.release()
+	pw.memo.reserve(r.K())
 	var streamErr error
 	r.EachPiece(func(p terrainhsr.Piece) bool {
 		streamErr = pw.piece(p)
@@ -320,12 +322,14 @@ func (h *handler) writeViewshedJSON(w http.ResponseWriter, resp viewshedResponse
 func (h *handler) viewshedProgressive(w http.ResponseWriter, base terrainhsr.Query) {
 	firstPass, passOpen := true, false
 	pw := newPieceWriter(w, 8)
+	defer pw.release()
 	err := h.srv.QueryProgressive(base,
 		func(p terrainhsr.ProgressivePass) error {
 			// The previous pass's pieces go out before anything else.
 			if err := pw.flush(); err != nil {
 				return err
 			}
+			pw.memo.reserve(p.Result.Result.K())
 			h.observe(p.Result, p.Elapsed)
 			h.logQuery(base.Trace, p.Result, base.TerrainID, p.Elapsed)
 			// Per-pass timing comes from the server: the pass's own answer
@@ -706,6 +710,7 @@ type flyoverFrameMeta struct {
 func (h *handler) flyoverJSON(w http.ResponseWriter, base terrainhsr.Query, path []terrainhsr.Point) {
 	wrote := false
 	pw := newPieceWriter(w, 8)
+	defer pw.release()
 	openFrame := func(i int, eye terrainhsr.Point) error {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/json")
