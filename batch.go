@@ -20,8 +20,9 @@ import (
 //     set-up arena (hsr.PrepareArena) that keeps its buffers between
 //     frames, and the frame's algorithm solves that prepared order.
 //   - Tree arenas: the persistent profile-tree storage that dominates a
-//     solve's allocations is drawn from a pool and rewound between frames
-//     (hsr.OpsPool), so steady-state frames run nearly allocation-free.
+//     solve's allocations is drawn from the kernels' own pool in package
+//     hsr and rewound between solves, so steady-state frames run nearly
+//     allocation-free.
 //   - Scheduling: frames and intra-frame workers share one bounded budget
 //     (FrameWorkers x Workers-per-frame), so a batch saturates the machine
 //     without oversubscribing it.

@@ -37,6 +37,18 @@ func benchTerrain(b *testing.B, kind workload.Kind, rc int, seed int64) *terrain
 	return t
 }
 
+// mustPrepare prepares t's depth order or fails; the benchmarks call it
+// inside their timed loops, as cmd/hsrbench times preparation with each
+// solve.
+func mustPrepare(tb testing.TB, t *terrain.Terrain) *hsr.Prepared {
+	tb.Helper()
+	p, err := hsr.Prepare(t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 // BenchmarkT1_Depth measures the paper's parallel-time claim (Theorem 3.1,
 // O(log^4 n) depth): reported metric depth/log2(n)^3 should stay bounded as
 // n grows across sub-benchmarks.
@@ -46,7 +58,7 @@ func BenchmarkT1_Depth(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", t.NumEdges()), func(b *testing.B) {
 			var depth int64
 			for i := 0; i < b.N; i++ {
-				r, err := hsr.ParallelOS(t, hsr.OSOptions{})
+				r, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,7 +80,7 @@ func BenchmarkT2_Work(b *testing.B) {
 			var work int64
 			var k int
 			for i := 0; i < b.N; i++ {
-				r, err := hsr.ParallelOS(t, hsr.OSOptions{})
+				r, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -96,7 +108,7 @@ func BenchmarkT3_OutputSensitivity(b *testing.B) {
 			var work int64
 			var k int
 			for i := 0; i < b.N; i++ {
-				r, err := hsr.ParallelOS(t, hsr.OSOptions{})
+				r, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -115,7 +127,7 @@ func BenchmarkT4_Speedup(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hsr.ParallelOS(t, hsr.OSOptions{Workers: workers}); err != nil {
+				if _, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,21 +142,21 @@ func BenchmarkT5_VsSequential(b *testing.B) {
 	t := benchTerrain(b, workload.Fractal, 64, 1)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hsr.Sequential(t); err != nil {
+			if _, err := mustPrepare(b, t).Sequential(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sequential-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hsr.SequentialTree(t, false); err != nil {
+			if _, err := mustPrepare(b, t).SequentialTree(false); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel-os", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hsr.ParallelOS(t, hsr.OSOptions{}); err != nil {
+			if _, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -220,7 +232,7 @@ func BenchmarkF1_Sharing(b *testing.B) {
 	t := benchTerrain(b, workload.Fractal, 64, 1)
 	var held, alloc int64
 	for i := 0; i < b.N; i++ {
-		r, err := hsr.ParallelOS(t, hsr.OSOptions{})
+		r, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +277,7 @@ func BenchmarkF3_Persistence(b *testing.B) {
 		var allocs int64
 		var k int
 		for i := 0; i < b.N; i++ {
-			r, err := hsr.ParallelOS(t, hsr.OSOptions{})
+			r, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -277,7 +289,7 @@ func BenchmarkF3_Persistence(b *testing.B) {
 		var copied int64
 		var k int
 		for i := 0; i < b.N; i++ {
-			r, err := hsr.ParallelSimple(t, 0)
+			r, err := mustPrepare(b, t).ParallelSimple(0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,14 +312,14 @@ func BenchmarkA1_NoPersistence(b *testing.B) {
 	}
 	b.Run("persistent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hsr.ParallelOS(t, hsr.OSOptions{}); err != nil {
+			if _, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("copying", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hsr.ParallelSimple(t, 0); err != nil {
+			if _, err := mustPrepare(b, t).ParallelSimple(0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -326,7 +338,7 @@ func BenchmarkA2_NoHulls(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				r, err := hsr.ParallelOS(t, hsr.OSOptions{WithHulls: hulls})
+				r, err := mustPrepare(b, t).ParallelOS(hsr.OSOptions{WithHulls: hulls})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,8 +33,18 @@ func gen(p workload.Params) *terrain.Terrain {
 	return t
 }
 
+// prep prepares t's depth order or dies. Experiments call it inside their
+// timed spans, so wall-clock columns include the preparation.
+func prep(t *terrain.Terrain) *hsr.Prepared {
+	p, err := hsr.Prepare(t)
+	if err != nil {
+		log.Fatalf("hsrbench: prepare: %v", err)
+	}
+	return p
+}
+
 func mustOS(t *terrain.Terrain, workers int, hulls bool) *hsr.Result {
-	r, err := hsr.ParallelOS(t, hsr.OSOptions{Workers: workers, WithHulls: hulls})
+	r, err := prep(t).ParallelOS(hsr.OSOptions{Workers: workers, WithHulls: hulls})
 	if err != nil {
 		log.Fatalf("hsrbench: ParallelOS: %v", err)
 	}
@@ -42,7 +52,7 @@ func mustOS(t *terrain.Terrain, workers int, hulls bool) *hsr.Result {
 }
 
 func mustSeq(t *terrain.Terrain) *hsr.Result {
-	r, err := hsr.Sequential(t)
+	r, err := prep(t).Sequential()
 	if err != nil {
 		log.Fatalf("hsrbench: Sequential: %v", err)
 	}
@@ -112,7 +122,7 @@ func expTH3(quick bool) {
 	for _, h := range []float64{0.5, 2, 4, 8, 16, 32} {
 		t := gen(workload.Params{Kind: workload.Ridge, Rows: rc, Cols: rc, Seed: 3, Amplitude: 4, RidgeHeight: h})
 		r := mustOS(t, 0, false)
-		ap, err := hsr.AllPairs(t)
+		ap, err := prep(t).AllPairs()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -172,7 +182,7 @@ func expTH5(quick bool) {
 		r := mustOS(t, 0, false)
 		wallPar := time.Since(start)
 		start = time.Now()
-		st, err := hsr.SequentialTree(t, false)
+		st, err := prep(t).SequentialTree(false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -342,7 +352,7 @@ func expFG3(quick bool) {
 	for _, rc := range sizes {
 		t := gen(workload.Params{Kind: workload.Fractal, Rows: rc, Cols: rc, Seed: 1, Amplitude: 5})
 		r := mustOS(t, 0, false)
-		simple, err := hsr.ParallelSimple(t, 0)
+		simple, err := prep(t).ParallelSimple(0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -371,7 +381,7 @@ func expA1(quick bool) {
 		r := mustOS(t, 0, false)
 		wallOS := time.Since(start)
 		start = time.Now()
-		simple, err := hsr.ParallelSimple(t, 0)
+		simple, err := prep(t).ParallelSimple(0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("hsrview: prepare: %v", err)
 	}
-	res, err := engine.Dispatch(prep, *algo, *workers, nil)
+	res, err := engine.Dispatch(prep, *algo, *workers)
 	if err != nil {
 		log.Fatalf("hsrview: solve: %v", err)
 	}

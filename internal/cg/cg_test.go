@@ -189,54 +189,3 @@ func TestQueryStepsLogarithmicOnPrunable(t *testing.T) {
 		t.Fatalf("average short-segment query visited %.1f nodes on a %d-piece profile", avg, tr.Size())
 	}
 }
-
-func TestFirstCrossing(t *testing.T) {
-	o := profiletree.NewOps(persist.NewArena(20), false)
-	p := envelope.Profile{{X1: 0, Z1: 10, X2: 10, Z2: 0, Edge: 0}}
-	tr := o.FromProfile(p)
-	s := geom.S2(0, 0, 10, 10)
-	c, ok := FirstCrossing(o, tr, s, envelope.NoEdge, 0)
-	if !ok {
-		t.Fatal("crossing not found")
-	}
-	if math.Abs(c.X-5) > 1e-9 || !c.Entering {
-		t.Fatalf("first crossing wrong: %+v", c)
-	}
-	// From beyond the crossing: none left.
-	if _, ok := FirstCrossing(o, tr, s, envelope.NoEdge, 6); ok {
-		t.Fatal("phantom crossing after fromX")
-	}
-	// Segment entirely above: no crossing at all.
-	if _, ok := FirstCrossing(o, tr, geom.S2(0, 50, 10, 60), envelope.NoEdge, 0); ok {
-		t.Fatal("crossing reported for clear segment")
-	}
-}
-
-func TestAllCrossingsAlternate(t *testing.T) {
-	o := profiletree.NewOps(persist.NewArena(21), false)
-	// Two teeth; a horizontal segment crosses in and out twice.
-	p := envelope.Profile{
-		{X1: 0, Z1: 0, X2: 2, Z2: 8, Edge: 0},
-		{X1: 2, Z1: 8, X2: 4, Z2: 0, Edge: 1},
-		{X1: 4, Z1: 0, X2: 6, Z2: 8, Edge: 2},
-		{X1: 6, Z1: 8, X2: 8, Z2: 0, Edge: 3},
-	}
-	tr := o.FromProfile(p)
-	s := geom.S2(0, 4, 8, 4)
-	cs := AllCrossings(o, tr, s, envelope.NoEdge)
-	if len(cs) != 4 {
-		t.Fatalf("expected 4 crossings, got %d: %+v", len(cs), cs)
-	}
-	for i := 1; i < len(cs); i++ {
-		if cs[i].X <= cs[i-1].X {
-			t.Fatal("crossings not ordered")
-		}
-		if cs[i].Entering == cs[i-1].Entering {
-			t.Fatal("crossings do not alternate")
-		}
-	}
-	// First must be a dive (segment starts visible at z=4 above z=0 start).
-	if cs[0].Entering {
-		t.Fatalf("first crossing should leave visibility: %+v", cs[0])
-	}
-}

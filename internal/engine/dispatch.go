@@ -42,21 +42,20 @@ func checkAlgorithm(algo string) error {
 
 // Dispatch is the single algorithm dispatch every solve in the module routes
 // through, so a new algorithm is added in exactly one place. Every
-// algorithm runs on the prepared depth order prep. pool, when non-nil,
-// supplies recycled tree arenas to the algorithms that use persistent
-// trees; it never changes the computed pieces.
-func Dispatch(prep *hsr.Prepared, algo string, workers int, pool *hsr.OpsPool) (*hsr.Result, error) {
+// algorithm runs on the prepared depth order prep; the tree kernels draw
+// their arenas from package hsr's own pool.
+func Dispatch(prep *hsr.Prepared, algo string, workers int) (*hsr.Result, error) {
 	switch algo {
 	case AlgoParallel:
-		return prep.ParallelOS(hsr.OSOptions{Workers: workers, Pool: pool})
+		return prep.ParallelOS(hsr.OSOptions{Workers: workers})
 	case AlgoParallelHulls:
-		return prep.ParallelOS(hsr.OSOptions{Workers: workers, WithHulls: true, Pool: pool})
+		return prep.ParallelOS(hsr.OSOptions{Workers: workers, WithHulls: true})
 	case AlgoParallelCopying:
 		return prep.ParallelSimple(workers)
 	case AlgoSequential:
 		return prep.Sequential()
 	case AlgoSequentialTree:
-		return prep.SequentialTreePooled(false, pool)
+		return prep.SequentialTree(false)
 	case AlgoBruteForce:
 		return prep.BruteForce()
 	case AlgoAllPairs:
@@ -67,9 +66,9 @@ func Dispatch(prep *hsr.Prepared, algo string, workers int, pool *hsr.OpsPool) (
 
 // TileSolver is the SolveFunc of every tiled plan: it runs kernel in each
 // tile through Dispatch, on the depth order the tile's set-up arena
-// prepared, drawing tree arenas from pool.
-func TileSolver(kernel string, pool *hsr.OpsPool) tile.SolveFunc {
+// prepared.
+func TileSolver(kernel string) tile.SolveFunc {
 	return func(prep *hsr.Prepared, workers int) (*hsr.Result, error) {
-		return Dispatch(prep, kernel, workers, pool)
+		return Dispatch(prep, kernel, workers)
 	}
 }

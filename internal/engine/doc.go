@@ -30,12 +30,13 @@
 //     visible scene is never held twice (nor, for tiled plans, even once).
 //
 // The executor also owns the per-terrain amortized state the adapters used
-// to carry individually: the canonical-view depth order (hsr.Prepare), the
-// tile partition, and the shared profile-tree arena pool. Every algorithm
-// solves a prepared depth order through Dispatch: the canonical view the
-// cached one, a monolithic perspective frame one prepared in a pooled
-// hsr.PrepareArena, and a tile the one its set-up arena prepared (see
-// TileSolver). Every tiled plan
+// to carry individually: the canonical-view depth order (hsr.Prepare) and
+// the tile partition. The profile-tree arenas are the kernels' own: package
+// hsr recycles them through one pool that every executor's solves share.
+// Every algorithm solves a prepared depth order through Dispatch: the
+// canonical view the cached one, a monolithic perspective frame one
+// prepared in a pooled hsr.PrepareArena, and a tile the one its set-up
+// arena prepared (see TileSolver). Every tiled plan
 // — in-core, out-of-core, or a session frame — runs the one banded
 // pipeline, tile.Solve, over the lattice the executor picks per frame: the
 // resident terrain (perspective-transformed for the frame) or the paged

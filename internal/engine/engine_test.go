@@ -249,7 +249,7 @@ func TestPlanRejectsUnknownAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Dispatch(prep, "zbuffer", 1, nil); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+	if _, err := Dispatch(prep, "zbuffer", 1); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Fatalf("Dispatch err = %v, want unknown algorithm", err)
 	}
 }

@@ -24,14 +24,13 @@ type Config struct {
 
 // Executor runs any Plan for one terrain under one worker budget. It lazily
 // builds — and then shares across every solve, frame and tile — the
-// expensive per-terrain state: the canonical-view depth order, the tile
-// partition, and the profile-tree arena pool. An Executor is safe for
-// concurrent use.
+// expensive per-terrain state: the canonical-view depth order and the tile
+// partition. The profile-tree arenas are not per-terrain: the kernels draw
+// them from package hsr's one pool. An Executor is safe for concurrent use.
 type Executor struct {
 	t     *terrain.Terrain
 	paged *tile.PagedGrid // out-of-core backing; exactly one of t/paged is set
 	cfg   Config
-	pool  *hsr.OpsPool
 
 	// pagedReason explains why the terrain is paged; every plan carries it.
 	pagedReason string
@@ -51,7 +50,7 @@ type Executor struct {
 
 // New builds an executor for a terrain.
 func New(t *terrain.Terrain, cfg Config) *Executor {
-	return &Executor{t: t, cfg: cfg, pool: hsr.NewOpsPool()}
+	return &Executor{t: t, cfg: cfg}
 }
 
 // NewPaged builds an out-of-core executor over a paged grid whose View field
@@ -59,7 +58,7 @@ func New(t *terrain.Terrain, cfg Config) *Executor {
 // and tiled; reason — typically "estimated N MB resident exceeds budget
 // M MB" — explains the routing in Plan.Explain.
 func NewPaged(g *tile.PagedGrid, cfg Config, reason string) *Executor {
-	return &Executor{paged: g, cfg: cfg, pool: hsr.NewOpsPool(), pagedReason: reason}
+	return &Executor{paged: g, cfg: cfg, pagedReason: reason}
 }
 
 // EnsurePrepared computes (once) the canonical-view depth order, surfacing
@@ -179,7 +178,7 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 		if err != nil {
 			return Outcome{}, err
 		}
-		res, st, err := tile.Solve(lat, e.part, TileSolver(plan.Kernel, e.pool), tile.Options{
+		res, st, err := tile.Solve(lat, e.part, TileSolver(plan.Kernel), tile.Options{
 			Workers: plan.WorkersPerFrame, NoCull: e.cfg.NoCull, Emit: emit, Coherence: co, Trace: req.Trace,
 		})
 		if err != nil {
@@ -205,7 +204,7 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 			return Outcome{}, err
 		}
 	}
-	res, err := Dispatch(prep, plan.Kernel, plan.WorkersPerFrame, e.pool)
+	res, err := Dispatch(prep, plan.Kernel, plan.WorkersPerFrame)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -58,7 +58,7 @@ func TestFrameSetupConcurrentMatchesPrepare(t *testing.T) {
 			if kernel == "" {
 				kernel = AlgoSequentialTree
 			}
-			if want[i], err = Dispatch(prep, kernel, 2, nil); err != nil {
+			if want[i], err = Dispatch(prep, kernel, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -79,10 +79,10 @@ func TestFrameSetupConcurrentMatchesPrepare(t *testing.T) {
 				what := fmt.Sprintf("%s round %d frame %d", plan.Kernel, round, i)
 				got, w := oc.Res, want[i]
 				if !slices.Equal(got.Pieces, w.Pieces) {
-					t.Fatalf("%s: %d pieces differ from the unpooled solve's %d", what, len(got.Pieces), len(w.Pieces))
+					t.Fatalf("%s: %d pieces differ from the freshly prepared solve's %d", what, len(got.Pieces), len(w.Pieces))
 				}
 				if got.Crossings != w.Crossings || got.Counters != w.Counters {
-					t.Fatalf("%s: crossings %d counters %+v, unpooled %d %+v", what, got.Crossings, got.Counters, w.Crossings, w.Counters)
+					t.Fatalf("%s: crossings %d counters %+v, freshly prepared %d %+v", what, got.Crossings, got.Counters, w.Crossings, w.Counters)
 				}
 			}
 		}

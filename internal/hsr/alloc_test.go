@@ -16,12 +16,9 @@ import (
 func TestPooledSolveAllocBudget(t *testing.T) {
 	const budget = 4400
 	tr := genT(t, workload.Fractal, 24, 24, 1)
-	prep, err := Prepare(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prep := prepT(t, tr)
 	for _, workers := range []int{1, 2} {
-		opt := OSOptions{Workers: workers, Pool: NewOpsPool()}
+		opt := OSOptions{Workers: workers}
 		if _, err := prep.ParallelOS(opt); err != nil { // fill the pool
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func BenchmarkParallelOSPooled(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			opt := OSOptions{Workers: workers, Pool: NewOpsPool()}
+			opt := OSOptions{Workers: workers}
 			if _, err := prep.ParallelOS(opt); err != nil {
 				b.Fatal(err)
 			}

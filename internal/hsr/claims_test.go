@@ -52,7 +52,7 @@ func fractalSweep(t *testing.T) []claimRun {
 				claimErr = err
 				return
 			}
-			r, err := ParallelOS(tr, OSOptions{})
+			r, err := prepT(t, tr).ParallelOS(OSOptions{})
 			if err != nil {
 				claimErr = err
 				return
@@ -195,11 +195,11 @@ func TestClaimTH3WorkTracksK(t *testing.T) {
 	var ks, is, works []float64
 	for _, h := range []float64{0.5, 2, 4, 8, 16, 32} {
 		tr := ridge(t, 24, h)
-		r, err := ParallelOS(tr, OSOptions{})
+		r, err := prepT(t, tr).ParallelOS(OSOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ap, err := AllPairs(tr)
+		ap, err := prepT(t, tr).AllPairs()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +229,11 @@ func TestClaimTH3BeatsIntersectionSensitive(t *testing.T) {
 	var ns, os, ap []float64
 	for _, rc := range []int{12, 16, 20, 24} {
 		tr := ridge(t, rc, 32)
-		r, err := ParallelOS(tr, OSOptions{})
+		r, err := prepT(t, tr).ParallelOS(OSOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := AllPairs(tr)
+		base, err := prepT(t, tr).AllPairs()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestClaimTH5WithinPolylogOfSequential(t *testing.T) {
 	const allowed = 2.0
 	runs := fractalSweep(t)
 	got := sweepExponent(runs, log2n, func(c claimRun) float64 {
-		st, err := SequentialTree(c.t, false)
+		st, err := prepT(t, c.t).SequentialTree(false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestClaimA1CopyingCostsMoreStorage(t *testing.T) {
 	const minExp, minRatio = 0.25, 3.0
 	runs := fractalSweep(t)
 	ratio := func(c claimRun) float64 {
-		simple, err := ParallelSimple(c.t, 0)
+		simple, err := prepT(t, c.t).ParallelSimple(0)
 		if err != nil {
 			t.Fatal(err)
 		}

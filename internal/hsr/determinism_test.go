@@ -32,6 +32,7 @@ func TestPooledSolveDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	emptyPool()
 	baseline, err := prep.ParallelOS(OSOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -50,19 +51,21 @@ func TestPooledSolveDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// Pools pre-loaded with arenas of every seed history a live server
+	// A pool pre-loaded with arenas of every seed history a live server
 	// might have accumulated.
 	for seed := uint64(1); seed <= 20; seed++ {
-		pool := NewOpsPool()
+		emptyPool()
 		pool.release([]*profiletree.Ops{profiletree.NewOps(persist.NewArena(seed*12345), false)})
-		check("pooled seed", OSOptions{Workers: 1, Pool: pool})
+		check("pooled seed", OSOptions{Workers: 1})
 	}
 	// Worker count must not change the bytes either: dynamic scheduling
 	// assigns nodes to arenas unpredictably.
 	for _, w := range []int{2, 3, 8} {
+		emptyPool()
+		check("fresh workers", OSOptions{Workers: w})
+		servePool(t, prep)
 		for i := 0; i < 5; i++ {
-			check("workers", OSOptions{Workers: w})
-			check("pooled workers", OSOptions{Workers: w, Pool: NewOpsPool()})
+			check("pooled workers", OSOptions{Workers: w})
 		}
 	}
 }

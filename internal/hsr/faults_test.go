@@ -14,7 +14,7 @@ import (
 
 func solveAllAndCompare(t *testing.T, tr *terrain.Terrain, label string) {
 	t.Helper()
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", label, err)
 	}
@@ -22,9 +22,9 @@ func solveAllAndCompare(t *testing.T, tr *terrain.Terrain, label string) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"simple", func() (*Result, error) { return ParallelSimple(tr, 4) }},
-		{"os", func() (*Result, error) { return ParallelOS(tr, OSOptions{Workers: 4}) }},
-		{"os-hulls", func() (*Result, error) { return ParallelOS(tr, OSOptions{Workers: 4, WithHulls: true}) }},
+		{"simple", func() (*Result, error) { return prepT(t, tr).ParallelSimple(4) }},
+		{"os", func() (*Result, error) { return prepT(t, tr).ParallelOS(OSOptions{Workers: 4}) }},
+		{"os-hulls", func() (*Result, error) { return prepT(t, tr).ParallelOS(OSOptions{Workers: 4, WithHulls: true}) }},
 	} {
 		res, err := f.run()
 		if err != nil {
@@ -132,7 +132,7 @@ func TestDeepOcclusionStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzSequentialTreeOracle checks the serving kernel on small random
-// terrains from every generator: a fresh and a pooled sequential-tree solve
-// must give the same bytes, those bytes must equal ParallelOS's in the same
+// terrains from every generator: a sequential-tree solve on an emptied pool
+// and one after the pool has served both kernels in both hull modes must
+// give the same bytes, those bytes must equal ParallelOS's in the same
 // pruning mode, and the pieces must pass the first-principles ray oracle on
 // 60 sampled columns.
 func FuzzSequentialTreeOracle(f *testing.F) {
@@ -18,7 +19,6 @@ func FuzzSequentialTreeOracle(f *testing.F) {
 	}
 	f.Add(uint8(0), uint8(0), uint8(0), int64(0), false)
 	f.Add(uint8(7), uint8(10), uint8(10), int64(-3), true)
-	pool := NewOpsPool()
 	f.Fuzz(func(t *testing.T, kind, rows, cols uint8, seed int64, hulls bool) {
 		p := workload.Params{
 			Kind: workload.Kinds[int(kind)%len(workload.Kinds)],
@@ -34,11 +34,13 @@ func FuzzSequentialTreeOracle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
+		emptyPool()
 		fresh, err := prep.SequentialTree(hulls)
 		if err != nil {
 			t.Fatalf("%+v hulls=%v: %v", p, hulls, err)
 		}
-		pooled, err := prep.SequentialTreePooled(hulls, pool)
+		servePool(t, prep)
+		pooled, err := prep.SequentialTree(hulls)
 		if err != nil {
 			t.Fatalf("%+v hulls=%v: pooled: %v", p, hulls, err)
 		}

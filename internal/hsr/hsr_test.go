@@ -19,7 +19,7 @@ func genT(t *testing.T, kind workload.Kind, rows, cols int, seed int64) *terrain
 
 func TestSequentialBasics(t *testing.T) {
 	tr := genT(t, workload.Sinusoid, 6, 6, 1)
-	res, err := Sequential(tr)
+	res, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 	for _, kind := range []workload.Kind{workload.Fractal, workload.Sinusoid, workload.Ridge, workload.TiltedUp, workload.TiltedDown, workload.Rough, workload.Steps} {
 		for seed := int64(0); seed < 3; seed++ {
 			tr := genT(t, kind, 5, 5, seed)
-			seq, err := Sequential(tr)
+			seq, err := prepT(t, tr).Sequential()
 			if err != nil {
 				t.Fatalf("%s/%d: %v", kind, seed, err)
 			}
-			bf, err := BruteForce(tr)
+			bf, err := prepT(t, tr).BruteForce()
 			if err != nil {
 				t.Fatalf("%s/%d: %v", kind, seed, err)
 			}
@@ -61,11 +61,11 @@ func TestParallelSimpleMatchesSequential(t *testing.T) {
 	for _, kind := range workload.Kinds {
 		for _, workers := range []int{1, 4} {
 			tr := genT(t, kind, 7, 6, 42)
-			seq, err := Sequential(tr)
+			seq, err := prepT(t, tr).Sequential()
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
-			par, err := ParallelSimple(tr, workers)
+			par, err := prepT(t, tr).ParallelSimple(workers)
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
@@ -78,11 +78,11 @@ func TestParallelSimpleMatchesSequential(t *testing.T) {
 
 func TestParallelSimpleLargerTerrainAgainstSequential(t *testing.T) {
 	tr := genT(t, workload.Fractal, 16, 16, 7)
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ParallelSimple(tr, 8)
+	par, err := prepT(t, tr).ParallelSimple(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestRidgeOcclusionShrinksOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Sequential(open)
+	ro, err := prepT(t, open).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := Sequential(wall)
+	rw, err := prepT(t, wall).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRidgeOcclusionShrinksOutput(t *testing.T) {
 
 func TestTiltedUpMostlyVisible(t *testing.T) {
 	tr := genT(t, workload.TiltedUp, 8, 8, 5)
-	res, err := Sequential(tr)
+	res, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTiltedUpMostlyVisible(t *testing.T) {
 
 func TestAllPairsCountsIntersections(t *testing.T) {
 	tr := genT(t, workload.Rough, 6, 6, 9)
-	ap, err := AllPairs(tr)
+	ap, err := prepT(t, tr).AllPairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAllPairsCountsIntersections(t *testing.T) {
 		t.Fatalf("I=%d want %d", ap.IntersectionsI, want)
 	}
 	// Same visibility as Sequential.
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +155,24 @@ func TestAllPairsCountsIntersections(t *testing.T) {
 	}
 }
 
+// prepT prepares tr for a solve, failing the test on error.
+func prepT(t testing.TB, tr *terrain.Terrain) *Prepared {
+	t.Helper()
+	prep, err := Prepare(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep
+}
+
+// TestEmptyTerrainRejected: every algorithm solves a prepared order, and
+// preparation rejects a terrain without edges.
 func TestEmptyTerrainRejected(t *testing.T) {
-	if _, err := Sequential(nil); err == nil {
+	if _, err := Prepare(nil); err == nil {
 		t.Fatal("nil terrain should error")
 	}
-	if _, err := ParallelSimple(nil, 2); err == nil {
-		t.Fatal("nil terrain should error")
-	}
-	if _, err := BruteForce(nil); err == nil {
-		t.Fatal("nil terrain should error")
+	if _, err := Prepare(&terrain.Terrain{}); err == nil {
+		t.Fatal("edgeless terrain should error")
 	}
 }
 
@@ -175,7 +184,7 @@ func TestVerticalEdgesAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sequential(tr)
+	res, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +201,7 @@ func TestVerticalEdgesAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Sequential(tr2)
+	res2, err := prepT(t, tr2).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +219,11 @@ func TestVerticalEdgesAccounted(t *testing.T) {
 
 func TestEquivalentDetectsDifference(t *testing.T) {
 	tr := genT(t, workload.Fractal, 5, 5, 1)
-	a, err := Sequential(tr)
+	a, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sequential(tr)
+	b, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +239,8 @@ func TestEquivalentDetectsDifference(t *testing.T) {
 
 func TestSimilarLength(t *testing.T) {
 	tr := genT(t, workload.Sinusoid, 5, 5, 2)
-	a, _ := Sequential(tr)
-	b, _ := ParallelSimple(tr, 4)
+	a, _ := prepT(t, tr).Sequential()
+	b, _ := prepT(t, tr).ParallelSimple(4)
 	if err := SimilarLength(a, b, 1e-6); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +248,7 @@ func TestSimilarLength(t *testing.T) {
 
 func TestCrossingsArePlausible(t *testing.T) {
 	tr := genT(t, workload.Fractal, 8, 8, 13)
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +261,11 @@ func TestCrossingsArePlausible(t *testing.T) {
 
 func TestVisibleLengthPositiveAndStable(t *testing.T) {
 	tr := genT(t, workload.Steps, 6, 6, 21)
-	a, err := Sequential(tr)
+	a, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sequential(tr)
+	b, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}

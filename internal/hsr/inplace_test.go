@@ -35,8 +35,8 @@ func piecesFingerprint(ps []VisiblePiece) uint64 {
 // pieces on a fixed set of solves to the values the path-copying sweep
 // produced before the profile ran in place: rewriting a node is charged
 // where copying it was, and the treap shapes are the same, so TreeOps,
-// TreeAllocs, Work, k and every piece bit must not move. Fresh and pooled
-// solves are both checked.
+// TreeAllocs, Work, k and every piece bit must not move. A solve on an
+// emptied pool and one on the Ops it left behind are both checked.
 func TestSequentialTreeInPlaceCounters(t *testing.T) {
 	cases := []struct {
 		kind                      workload.Kind
@@ -54,17 +54,17 @@ func TestSequentialTreeInPlaceCounters(t *testing.T) {
 		{workload.Rough, 16, 16, 5, true, 64781, 64781, 78519, 190, 0x31a246a80001c0af},
 		{workload.Massive, 40, 40, 1, false, 13528, 13528, 38061, 769, 0x508436b82f137a24},
 	}
-	pool := NewOpsPool()
 	for _, c := range cases {
 		prep, err := Prepare(genT(t, c.kind, c.rows, c.cols, c.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
+		emptyPool()
 		fresh, err := prep.SequentialTree(c.hulls)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := prep.SequentialTreePooled(c.hulls, pool)
+		pooled, err := prep.SequentialTree(c.hulls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,29 +85,34 @@ func TestSequentialTreeInPlaceCounters(t *testing.T) {
 
 // TestOpsPoolSequentialTreeThenParallel: a sequential-tree solve sets its
 // pooled Ops in place, and the pool must hand it back persistent. A
-// ParallelOS solve on the same pool then matches a fresh unpooled one byte
-// for byte, and a profile version stays intact after a later splice.
+// ParallelOS solve after it, and after a solve in the other hull mode,
+// matches one on an emptied pool byte for byte, and a profile version
+// stays intact after a later splice.
 func TestOpsPoolSequentialTreeThenParallel(t *testing.T) {
 	prep, err := Prepare(genT(t, workload.Fractal, 12, 12, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, hulls := range []bool{false, true} {
+		emptyPool()
 		fresh, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := NewOpsPool()
-		if _, err := prep.SequentialTreePooled(hulls, pool); err != nil {
+		emptyPool()
+		if _, err := prep.SequentialTree(hulls); err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls, Pool: pool})
+		if _, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: !hulls}); err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls})
 		if err != nil {
 			t.Fatal(err)
 		}
 		piecesIdentical(t, "parallel after sequential-tree on one pool", fresh.Pieces, pooled.Pieces)
 
-		if _, err := prep.SequentialTreePooled(hulls, pool); err != nil {
+		if _, err := prep.SequentialTree(hulls); err != nil {
 			t.Fatal(err)
 		}
 		ops := pool.acquire(1, hulls)
@@ -139,16 +144,16 @@ func TestSequentialTreeInPlaceFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewOpsPool()
-	res, err := prep.SequentialTreePooled(false, pool)
+	emptyPool()
+	res, err := prep.SequentialTree(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Counters.TreeAllocs != 163001 {
 		t.Fatalf("TreeAllocs = %d, want the path-copying count 163001", res.Counters.TreeAllocs)
 	}
-	// The solve's Ops is the pool's only one; read it before an acquire
-	// rewinds it.
+	// The solve's Ops is the emptied pool's only one; read it before an
+	// acquire rewinds it.
 	o := pool.free[hullIdx(false)][0]
 	if carved, budget := o.P.Carved(), 2*(217+2); carved > budget {
 		t.Fatalf("solve carved %d tree nodes, budget %d", carved, budget)

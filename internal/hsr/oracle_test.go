@@ -26,11 +26,11 @@ func TestOracleAllSolvers(t *testing.T) {
 		}
 		ys := sampleColumns(r, tr, 9, 80)
 		solvers := map[string]func() (*Result, error){
-			"sequential": func() (*Result, error) { return Sequential(tr) },
-			"bruteforce": func() (*Result, error) { return BruteForce(tr) },
-			"simple":     func() (*Result, error) { return ParallelSimple(tr, 4) },
-			"os":         func() (*Result, error) { return ParallelOS(tr, OSOptions{Workers: 4}) },
-			"os-hulls":   func() (*Result, error) { return ParallelOS(tr, OSOptions{Workers: 4, WithHulls: true}) },
+			"sequential": func() (*Result, error) { return prepT(t, tr).Sequential() },
+			"bruteforce": func() (*Result, error) { return prepT(t, tr).BruteForce() },
+			"simple":     func() (*Result, error) { return prepT(t, tr).ParallelSimple(4) },
+			"os":         func() (*Result, error) { return prepT(t, tr).ParallelOS(OSOptions{Workers: 4}) },
+			"os-hulls":   func() (*Result, error) { return prepT(t, tr).ParallelOS(OSOptions{Workers: 4, WithHulls: true}) },
 		}
 		for name, run := range solvers {
 			res, err := run()
@@ -50,7 +50,7 @@ func TestOracleDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sequential(tr)
+	res, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestOracleParallelOSRandomTerrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ParallelOS(tr, OSOptions{Workers: 3})
+		res, err := prepT(t, tr).ParallelOS(OSOptions{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,8 @@ import (
 	"terrainhsr/internal/metrics"
 	"terrainhsr/internal/parallel"
 	"terrainhsr/internal/pct"
-	"terrainhsr/internal/persist"
 	"terrainhsr/internal/pram"
 	"terrainhsr/internal/profiletree"
-	"terrainhsr/internal/terrain"
 )
 
 // OSOptions configures the output-sensitive parallel algorithm.
@@ -25,33 +23,20 @@ type OSOptions struct {
 	// results, cheaper constants, weaker worst-case query bounds (ablation
 	// A2 measures the difference).
 	WithHulls bool
-	// Pool, when non-nil, supplies recycled per-worker tree arenas instead
-	// of freshly allocated ones, amortizing node storage across repeated
-	// solves (the batch engine's main lever). The visible output is
-	// identical with or without a pool.
-	Pool *OpsPool
 }
 
 // ParallelOS runs the paper's output-sensitive parallel hidden-surface
-// removal. Phase 1 builds the PCT's intermediate profiles (Lemma 3.1).
-// Phase 2 walks the PCT top-down, layer by layer; at each internal node the
-// right child's prefix profile is derived from the parent's by querying the
-// left child's intermediate profile against it (Chazelle-Guibas style
-// crossing queries, Lemma 3.6) and splicing in only the visible runs —
-// every discovered crossing and every spliced breakpoint is a vertex of the
-// final image, which is what bounds the work by O((n + k) polylog n)
-// (Theorem 3.1). Prefix profiles are persistent trees, so the profiles of a
-// layer share all unchanged structure (the paper's persistent ACG,
-// Figure 3).
-func ParallelOS(t *terrain.Terrain, opt OSOptions) (*Result, error) {
-	prep, err := Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return prep.ParallelOS(opt)
-}
-
-// ParallelOS runs the paper's algorithm on the prepared order.
+// removal on the prepared order. Phase 1 builds the PCT's intermediate
+// profiles (Lemma 3.1). Phase 2 walks the PCT top-down, layer by layer; at
+// each internal node the right child's prefix profile is derived from the
+// parent's by querying the left child's intermediate profile against it
+// (Chazelle-Guibas style crossing queries, Lemma 3.6) and splicing in only
+// the visible runs — every discovered crossing and every spliced breakpoint
+// is a vertex of the final image, which is what bounds the work by
+// O((n + k) polylog n) (Theorem 3.1). Prefix profiles are persistent trees,
+// so the profiles of a layer share all unchanged structure (the paper's
+// persistent ACG, Figure 3). Each worker builds them in Ops drawn from the
+// package's tree-arena pool.
 func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 
@@ -67,18 +52,10 @@ func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 	}
 	// Per-worker arenas and ops: nodes are immutable after creation, so
 	// trees built by one worker may be read by any other in later layers.
-	var ops []*profiletree.Ops
-	if opt.Pool != nil {
-		ops = opt.Pool.acquire(workers, opt.WithHulls)
-		// No tree outlives this solve: pieces are copied into the result,
-		// so the slabs may be rewound by the next acquire.
-		defer opt.Pool.release(ops)
-	} else {
-		ops = make([]*profiletree.Ops, workers)
-		for w := range ops {
-			ops[w] = profiletree.NewOps(persist.NewArena(0x5eed+uint64(w)*0x9e37), opt.WithHulls)
-		}
-	}
+	// No tree outlives this solve: pieces are copied into the result, so
+	// the slabs may be rewound by the next acquire.
+	ops := pool.acquire(workers, opt.WithHulls)
+	defer pool.release(ops)
 	for _, o := range ops {
 		o.Edges = prep.segs
 	}

@@ -11,11 +11,11 @@ func TestParallelOSMatchesSequentialAllKinds(t *testing.T) {
 		for _, hulls := range []bool{false, true} {
 			for seed := int64(0); seed < 2; seed++ {
 				tr := genT(t, kind, 7, 6, seed)
-				seq, err := Sequential(tr)
+				seq, err := prepT(t, tr).Sequential()
 				if err != nil {
 					t.Fatalf("%s/%d: %v", kind, seed, err)
 				}
-				os, err := ParallelOS(tr, OSOptions{Workers: 4, WithHulls: hulls})
+				os, err := prepT(t, tr).ParallelOS(OSOptions{Workers: 4, WithHulls: hulls})
 				if err != nil {
 					t.Fatalf("%s/%d: %v", kind, seed, err)
 				}
@@ -29,12 +29,12 @@ func TestParallelOSMatchesSequentialAllKinds(t *testing.T) {
 
 func TestParallelOSLargerFractal(t *testing.T) {
 	tr := genT(t, workload.Fractal, 16, 16, 21)
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, hulls := range []bool{false, true} {
-		os, err := ParallelOS(tr, OSOptions{Workers: 8, WithHulls: hulls})
+		os, err := prepT(t, tr).ParallelOS(OSOptions{Workers: 8, WithHulls: hulls})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestParallelOSWorkerCountsAgree(t *testing.T) {
 	tr := genT(t, workload.Rough, 10, 10, 3)
 	var results []*Result
 	for _, w := range []int{1, 2, 8} {
-		r, err := ParallelOS(tr, OSOptions{Workers: w})
+		r, err := prepT(t, tr).ParallelOS(OSOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func TestParallelOSOutputSensitiveWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := ParallelOS(occluded, OSOptions{Workers: 4})
+	os, err := prepT(t, occluded).ParallelOS(OSOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simple, err := ParallelSimple(occluded, 4)
+	simple, err := prepT(t, occluded).ParallelSimple(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestParallelOSCrossingsMatchSequential(t *testing.T) {
 	// totals (image vertex events) should agree to within the events
 	// attributable to span endpoints.
 	tr := genT(t, workload.Fractal, 10, 10, 8)
-	seq, err := Sequential(tr)
+	seq, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := ParallelOS(tr, OSOptions{Workers: 4})
+	os, err := prepT(t, tr).ParallelOS(OSOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +117,15 @@ func TestParallelOSCrossingsMatchSequential(t *testing.T) {
 }
 
 func TestParallelOSEmptyTerrain(t *testing.T) {
-	if _, err := ParallelOS(nil, OSOptions{}); err == nil {
+	var a PrepareArena
+	if _, err := a.Prepare(nil); err == nil {
 		t.Fatal("nil terrain should error")
 	}
 }
 
 func TestParallelOSAccountingSane(t *testing.T) {
 	tr := genT(t, workload.Sinusoid, 12, 12, 2)
-	os, err := ParallelOS(tr, OSOptions{Workers: 4})
+	os, err := prepT(t, tr).ParallelOS(OSOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package hsr
 import (
 	"terrainhsr/internal/pct"
 	"terrainhsr/internal/pram"
-	"terrainhsr/internal/terrain"
 )
 
 // ParallelSimple runs the copying parallelization of Reif-Sen: phase 1
@@ -15,15 +14,6 @@ import (
 // at each of the log n layers — the precise inefficiency the paper's
 // persistent, intersection-driven phase 2 removes. It doubles as the A1
 // "no persistence" ablation.
-func ParallelSimple(t *terrain.Terrain, workers int) (*Result, error) {
-	prep, err := Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return prep.ParallelSimple(workers)
-}
-
-// ParallelSimple runs the copying parallelization on the prepared order.
 func (prep *Prepared) ParallelSimple(workers int) (*Result, error) {
 	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"terrainhsr/internal/profiletree"
 	"terrainhsr/internal/workload"
 )
 
@@ -35,34 +36,55 @@ func piecesIdentical(t *testing.T, label string, a, b []VisiblePiece) {
 	}
 }
 
-func TestOpsPoolByteIdenticalResults(t *testing.T) {
-	// Pooled arenas change treap shapes (recycled seeds, rewound slabs) but
-	// must never change the computed pieces.
-	tr := genT(t, workload.Fractal, 10, 10, 6)
-	prep, err := Prepare(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+// emptyPool drops the package pool's idle Ops, so the solves that follow
+// build fresh ones: the reference side of the pool-history tests. No test
+// in this package runs in parallel, so nothing else is using the pool.
+func emptyPool() {
+	pool.mu.Lock()
+	pool.free = [2][]*profiletree.Ops{}
+	pool.mu.Unlock()
+}
+
+// servePool runs both tree kernels in both hull modes on prep, leaving the
+// package pool with Ops of every kind of history: the pooled side of the
+// pool-history tests solves after it.
+func servePool(t testing.TB, prep *Prepared) {
+	t.Helper()
 	for _, hulls := range []bool{false, true} {
+		if _, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prep.SequentialTree(hulls); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestOpsPoolByteIdenticalResults(t *testing.T) {
+	// Recycled arenas (other priority streams, rewound slabs, the other
+	// kernel's in-place history) must never change the computed pieces.
+	prep := prepT(t, genT(t, workload.Fractal, 10, 10, 6))
+	other := prepT(t, genT(t, workload.Massive, 12, 12, 2))
+	for _, hulls := range []bool{false, true} {
+		emptyPool()
 		fresh, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := NewOpsPool()
-		for round := 0; round < 3; round++ {
-			pooled, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls, Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			piecesIdentical(t, "parallel pooled", fresh.Pieces, pooled.Pieces)
-		}
-
+		emptyPool()
 		freshST, err := prep.SequentialTree(hulls)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ {
-			pooledST, err := prep.SequentialTreePooled(hulls, pool)
+			servePool(t, other)
+			pooled, err := prep.ParallelOS(OSOptions{Workers: 2, WithHulls: hulls})
+			if err != nil {
+				t.Fatal(err)
+			}
+			piecesIdentical(t, "parallel pooled", fresh.Pieces, pooled.Pieces)
+			servePool(t, other)
+			pooledST, err := prep.SequentialTree(hulls)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +94,7 @@ func TestOpsPoolByteIdenticalResults(t *testing.T) {
 }
 
 func TestOpsPoolRecyclesOps(t *testing.T) {
-	p := NewOpsPool()
+	p := new(opsPool)
 	first := p.acquire(3, false)
 	p.release(first)
 	second := p.acquire(3, false)
@@ -98,43 +120,36 @@ func TestOpsPoolRecyclesOps(t *testing.T) {
 	p.release(hullOps)
 }
 
-// TestOpsPoolConcurrentSolves runs 8 goroutines over one pool, each
-// cycling through every pooled solver, and compares each answer byte for
-// byte with an unpooled solve: recycled Ops and their query scratch must
-// never leak one solve's state into another.
+// TestOpsPoolConcurrentSolves runs 8 goroutines over the package pool, each
+// cycling through every tree kernel and hull mode, and compares each answer
+// byte for byte with a solve on an emptied pool: recycled Ops and their
+// query scratch must never leak one solve's state into another.
 func TestOpsPoolConcurrentSolves(t *testing.T) {
-	tr := genT(t, workload.Fractal, 14, 14, 3)
-	prep, err := Prepare(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prep := prepT(t, genT(t, workload.Fractal, 14, 14, 3))
 	type variant struct {
 		name  string
-		solve func(pool *OpsPool) (*Result, error)
+		solve func() (*Result, error)
 	}
-	parallelOS := func(workers int, hulls bool) func(*OpsPool) (*Result, error) {
-		return func(pool *OpsPool) (*Result, error) {
-			return prep.ParallelOS(OSOptions{Workers: workers, WithHulls: hulls, Pool: pool})
+	parallelOS := func(workers int, hulls bool) func() (*Result, error) {
+		return func() (*Result, error) {
+			return prep.ParallelOS(OSOptions{Workers: workers, WithHulls: hulls})
 		}
 	}
 	variants := []variant{
 		{"parallel workers=1", parallelOS(1, false)},
 		{"parallel workers=2", parallelOS(2, false)},
 		{"parallel-hulls", parallelOS(2, true)},
-		{"sequential-tree", func(pool *OpsPool) (*Result, error) {
-			if pool == nil {
-				return prep.SequentialTree(false)
-			}
-			return prep.SequentialTreePooled(false, pool)
-		}},
+		{"sequential-tree", func() (*Result, error) { return prep.SequentialTree(false) }},
+		{"sequential-tree hulls", func() (*Result, error) { return prep.SequentialTree(true) }},
 	}
 	want := make([]*Result, len(variants))
 	for i, v := range variants {
-		if want[i], err = v.solve(nil); err != nil {
+		emptyPool()
+		var err error
+		if want[i], err = v.solve(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pool := NewOpsPool()
 	const goroutines, rounds = 8, 2
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*rounds*len(variants))
@@ -144,7 +159,7 @@ func TestOpsPoolConcurrentSolves(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < rounds*len(variants); j++ {
 				i := (g + j) % len(variants)
-				r, err := variants[i].solve(pool)
+				r, err := variants[i].solve()
 				if err != nil {
 					errs <- err
 					continue

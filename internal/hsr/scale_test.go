@@ -15,13 +15,13 @@ func TestScaleSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		seq, _ := Sequential(tr)
+		seq, _ := prepT(t, tr).Sequential()
 		tSeq := time.Since(t0)
 		t0 = time.Now()
-		os, _ := ParallelOS(tr, OSOptions{Workers: 8})
+		os, _ := prepT(t, tr).ParallelOS(OSOptions{Workers: 8})
 		tOS := time.Since(t0)
 		t0 = time.Now()
-		osH, _ := ParallelOS(tr, OSOptions{Workers: 8, WithHulls: true})
+		osH, _ := prepT(t, tr).ParallelOS(OSOptions{Workers: 8, WithHulls: true})
 		tOSH := time.Since(t0)
 		if err := Equivalent(seq, os, 1e-7, 1e-5); err != nil {
 			t.Fatalf("rc=%d: %v", rc, err)

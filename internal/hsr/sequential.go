@@ -4,28 +4,18 @@ import (
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/pram"
-	"terrainhsr/internal/terrain"
 )
 
 // Sequential runs the output-sensitive sequential algorithm of Reif and Sen
-// (the paper's section 2 description): process edges front to back,
-// maintain the upper profile of the edges seen so far, clip each new edge
-// against the profile to obtain its visible portions, and fold the edge
-// into the profile.
+// (the paper's section 2 description) on the prepared order: process edges
+// front to back, maintain the upper profile of the edges seen so far, clip
+// each new edge against the profile to obtain its visible portions, and
+// fold the edge into the profile.
 //
 // The profile here is the flat slice representation, so a profile update
 // costs O(|profile|); the asymptotic refinement of Reif-Sen (balanced
 // dynamic structures) matters on adversarial inputs but not for the role
 // this function plays as the trusted sequential baseline (TH5).
-func Sequential(t *terrain.Terrain) (*Result, error) {
-	prep, err := Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Sequential()
-}
-
-// Sequential runs the Reif-Sen sweep on the prepared order.
 func (prep *Prepared) Sequential() (*Result, error) {
 	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
 	var profile envelope.Profile
@@ -62,15 +52,6 @@ func (prep *Prepared) Sequential() (*Result, error) {
 // by design; use only on small inputs. Its merge order is entirely
 // different from Sequential's incremental order, which makes agreement
 // between the two a meaningful cross-check.
-func BruteForce(t *terrain.Terrain) (*Result, error) {
-	prep, err := Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return prep.BruteForce()
-}
-
-// BruteForce runs the ground-truth reference on the prepared order.
 func (prep *Prepared) BruteForce() (*Result, error) {
 	res := &Result{N: prep.t.NumEdges()}
 	for pos := range prep.segs {
@@ -95,15 +76,6 @@ func (prep *Prepared) BruteForce() (*Result, error) {
 // as in Sequential; the charged work additionally includes the Theta(n^2)
 // pair tests and the I discovered crossings, which is the quantity the
 // paper's output-sensitive algorithm avoids (experiment TH3).
-func AllPairs(t *terrain.Terrain) (*Result, error) {
-	prep, err := Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return prep.AllPairs()
-}
-
-// AllPairs runs the intersection-sensitive baseline on the prepared order.
 func (prep *Prepared) AllPairs() (*Result, error) {
 	res := &Result{N: prep.t.NumEdges()}
 	// Pay for all pairwise crossings in the image plane.

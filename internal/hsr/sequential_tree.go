@@ -6,60 +6,33 @@ import (
 	"terrainhsr/internal/cg"
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/metrics"
-	"terrainhsr/internal/persist"
 	"terrainhsr/internal/pram"
 	"terrainhsr/internal/profiletree"
-	"terrainhsr/internal/terrain"
 )
 
-// SequentialTree runs the Reif-Sen sequential algorithm with the efficient
-// structures of their paper (and of this one): the evolving profile lives
-// in the balanced search structure with crossing queries, so each edge
-// costs O((1 + k_e) polylog) instead of O(|profile|). This is the
-// O((n + k) log^2 n)-style sequential bound the parallel algorithm is
-// measured against in experiment TH5.
-//
-// Options mirror ParallelOS: summary pruning by default, the exact
-// hull-augmented ACG with withHulls.
-func SequentialTree(t *terrain.Terrain, withHulls bool) (*Result, error) {
-	prep, err := Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return prep.SequentialTree(withHulls)
-}
-
-// SequentialTree runs the tree-backed sequential sweep on the prepared
-// order.
-func (prep *Prepared) SequentialTree(withHulls bool) (*Result, error) {
-	return prep.sequentialTree(withHulls, nil)
-}
-
-// SequentialTreePooled is SequentialTree drawing its tree arena from a pool,
-// for batched solves.
-func (prep *Prepared) SequentialTreePooled(withHulls bool, pool *OpsPool) (*Result, error) {
-	return prep.sequentialTree(withHulls, pool)
-}
-
-// pieceBufs recycles sequentialTree's piece buffers: a sweep appends into
+// pieceBufs recycles SequentialTree's piece buffers: a sweep appends into
 // one and returns an exact-size copy, so its pieces are allocated once
 // rather than grown by doubling, and no Result aliases a buffer.
 var pieceBufs = sync.Pool{New: func() any { return new([]VisiblePiece) }}
 
-func (prep *Prepared) sequentialTree(withHulls bool, pool *OpsPool) (*Result, error) {
+// SequentialTree runs the Reif-Sen sequential algorithm on the prepared
+// order with the efficient structures of their paper (and of this one): the
+// evolving profile lives in the balanced search structure with crossing
+// queries, so each edge costs O((1 + k_e) polylog) instead of O(|profile|).
+// This is the O((n + k) log^2 n)-style sequential bound the parallel
+// algorithm is measured against in experiment TH5.
+//
+// Options mirror ParallelOS: summary pruning by default, the exact
+// hull-augmented ACG with withHulls. The tree is built in one Ops drawn
+// from the package's tree-arena pool.
+func (prep *Prepared) SequentialTree(withHulls bool) (*Result, error) {
 	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
-	var o *profiletree.Ops
-	if pool != nil {
-		ops := pool.acquire(1, withHulls)
-		defer pool.release(ops)
-		o = ops[0]
-		// Match the unpooled arena's priority stream: a pooled solve must
-		// produce the same bytes as a fresh one, whatever arena history the
-		// pool hands over.
-		o.Arena.Reseed(0xfeed)
-	} else {
-		o = profiletree.NewOps(persist.NewArena(0xfeed), withHulls)
-	}
+	ops := pool.acquire(1, withHulls)
+	defer pool.release(ops)
+	o := ops[0]
+	// A fixed priority stream: the solve produces the same bytes whatever
+	// arena history the pool hands over.
+	o.Arena.Reseed(0xfeed)
 	o.Edges = prep.segs
 	// The sweep keeps only the current profile, so its tree runs in place:
 	// splices rewrite the profile's nodes and recycle the covered ones, and

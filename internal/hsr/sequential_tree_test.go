@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/workload"
 )
 
@@ -11,11 +12,11 @@ func TestSequentialTreeMatchesSequential(t *testing.T) {
 	for _, kind := range workload.Kinds {
 		for _, hulls := range []bool{false, true} {
 			tr := genT(t, kind, 8, 7, 11)
-			slow, err := Sequential(tr)
+			slow, err := prepT(t, tr).Sequential()
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
-			fast, err := SequentialTree(tr, hulls)
+			fast, err := prepT(t, tr).SequentialTree(hulls)
 			if err != nil {
 				t.Fatalf("%s hulls=%v: %v", kind, hulls, err)
 			}
@@ -30,11 +31,11 @@ func TestSequentialTreeOutputSensitiveWork(t *testing.T) {
 	// On a larger terrain the tree-backed sweep must beat the flat sweep's
 	// charged work (O((n+k) polylog) vs O(n * profile)).
 	tr := genT(t, workload.Fractal, 40, 40, 3)
-	slow, err := Sequential(tr)
+	slow, err := prepT(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := SequentialTree(tr, false)
+	fast, err := prepT(t, tr).SequentialTree(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSequentialTreeOutputSensitiveWork(t *testing.T) {
 
 func TestSequentialTreeOracle(t *testing.T) {
 	tr := genT(t, workload.Steps, 9, 9, 21)
-	res, err := SequentialTree(tr, false)
+	res, err := prepT(t, tr).SequentialTree(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +60,12 @@ func TestSequentialTreeOracle(t *testing.T) {
 }
 
 func TestSequentialTreeEmpty(t *testing.T) {
-	if _, err := SequentialTree(nil, false); err == nil {
-		t.Fatal("nil terrain accepted")
+	var a PrepareArena
+	if _, err := a.Prepare(genT(t, workload.Fractal, 4, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Prepare(&terrain.Terrain{}); err == nil {
+		t.Fatal("a used arena prepared an edgeless terrain")
 	}
 }
 
@@ -68,7 +73,7 @@ func TestSequentialTreeEmpty(t *testing.T) {
 // in an exact-size slice of their own: a later sweep, which reuses the
 // pooled piece buffer, leaves an earlier result's pieces untouched.
 func TestSequentialTreePiecesOwnStorage(t *testing.T) {
-	first, err := SequentialTree(genT(t, workload.Fractal, 16, 16, 2), false)
+	first, err := prepT(t, genT(t, workload.Fractal, 16, 16, 2)).SequentialTree(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func TestSequentialTreePiecesOwnStorage(t *testing.T) {
 	}
 	want := slices.Clone(first.Pieces)
 	for seed := int64(3); seed < 6; seed++ {
-		if _, err := SequentialTree(genT(t, workload.Massive, 16, 16, seed), false); err != nil {
+		if _, err := prepT(t, genT(t, workload.Massive, 16, 16, seed)).SequentialTree(false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
-// Package parallel provides the goroutine-level execution primitives the
-// algorithms run on: bounded worker pools over index ranges, blocked
-// parallel for, parallel prefix scan and parallel reduction.
+// Package parallel provides the goroutine-level execution primitive the
+// algorithms run on: a bounded worker pool over an index range, handing
+// out indices in chunks as workers free up (ForDynamic).
 //
-// These are the physical counterpart of the paper's PRAM: the PRAM cost
+// It is the physical counterpart of the paper's PRAM: the PRAM cost
 // model (package pram) accounts for idealized processors, while this package
 // actually executes phases on up to runtime.NumCPU() cores. Each worker
 // receives a worker id so callers can maintain per-worker state (operation

@@ -23,47 +23,6 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// For runs fn(worker, i) for every i in [0, n), distributing indices over
-// the given number of workers in contiguous blocks. It returns when all
-// calls have completed. workers <= 0 selects DefaultWorkers().
-func For(workers, n int, fn func(worker, i int)) {
-	ForBlocked(workers, n, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
-		}
-	})
-}
-
-// ForBlocked runs fn(worker, lo, hi) over a partition of [0, n) into one
-// contiguous block per worker. Blocks differ in size by at most one.
-func ForBlocked(workers, n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := n / workers
-	extra := n % workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + chunk
-		if w < extra {
-			hi++
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-}
-
 // ForDynamic runs fn(worker, i) for every i in [0, n) with dynamic
 // (work-stealing-ish) assignment in chunks, for irregular task sizes such as
 // phase-2 node merges whose cost depends on the local output size.
@@ -114,75 +73,4 @@ func ForDynamic(workers, n, chunk int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// Reduce computes the reduction of xs under the associative op in parallel,
-// returning zero for an empty slice.
-func Reduce[T any](workers int, xs []T, zero T, op func(a, b T) T) T {
-	n := len(xs)
-	if n == 0 {
-		return zero
-	}
-	workers = clampWorkers(workers, n)
-	partial := make([]T, workers)
-	ForBlocked(workers, n, func(w, lo, hi int) {
-		acc := zero
-		for i := lo; i < hi; i++ {
-			acc = op(acc, xs[i])
-		}
-		partial[w] = acc
-	})
-	acc := zero
-	for _, p := range partial {
-		acc = op(acc, p)
-	}
-	return acc
-}
-
-// Scan computes the exclusive prefix "sums" of xs under op into a new slice:
-// out[i] = op(zero, xs[0], ..., xs[i-1]). This is the Ladner-Fischer blocked
-// scan the paper's phase 2 is modelled on ("an approach similar to the
-// systolic implementation of parallel prefix computation").
-func Scan[T any](workers int, xs []T, zero T, op func(a, b T) T) []T {
-	n := len(xs)
-	out := make([]T, n)
-	if n == 0 {
-		return out
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		acc := zero
-		for i, x := range xs {
-			out[i] = acc
-			acc = op(acc, x)
-		}
-		return out
-	}
-	// Pass 1: block-local totals.
-	totals := make([]T, workers)
-	bounds := make([][2]int, workers)
-	ForBlocked(workers, n, func(w, lo, hi int) {
-		bounds[w] = [2]int{lo, hi}
-		acc := zero
-		for i := lo; i < hi; i++ {
-			acc = op(acc, xs[i])
-		}
-		totals[w] = acc
-	})
-	// Sequential scan over the (few) block totals.
-	offsets := make([]T, workers)
-	acc := zero
-	for w := 0; w < workers; w++ {
-		offsets[w] = acc
-		acc = op(acc, totals[w])
-	}
-	// Pass 2: block-local exclusive scans seeded by the offsets.
-	ForBlocked(workers, n, func(w, lo, hi int) {
-		a := offsets[w]
-		for i := lo; i < hi; i++ {
-			out[i] = a
-			a = op(a, xs[i])
-		}
-	})
-	return out
 }

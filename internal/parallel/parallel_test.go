@@ -1,64 +1,9 @@
 package parallel
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		n := 57
-		hits := make([]int32, n)
-		For(workers, n, func(w, i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForEmpty(t *testing.T) {
-	called := false
-	For(4, 0, func(w, i int) { called = true })
-	if called {
-		t.Fatal("For called fn for empty range")
-	}
-}
-
-func TestForBlockedPartition(t *testing.T) {
-	n, workers := 103, 7
-	covered := make([]int32, n)
-	sizes := make([]int64, workers)
-	ForBlocked(workers, n, func(w, lo, hi int) {
-		atomic.AddInt64(&sizes[w], int64(hi-lo))
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&covered[i], 1)
-		}
-	})
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("index %d covered %d times", i, c)
-		}
-	}
-	// Balanced blocks: sizes differ by at most 1.
-	mn, mx := sizes[0], sizes[0]
-	for _, s := range sizes {
-		if s < mn {
-			mn = s
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	if mx-mn > 1 {
-		t.Fatalf("unbalanced blocks: min %d max %d", mn, mx)
-	}
-}
 
 func TestForDynamicCoversAll(t *testing.T) {
 	n := 250
@@ -70,62 +15,6 @@ func TestForDynamicCoversAll(t *testing.T) {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
 		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	xs := make([]int, 1000)
-	want := 0
-	for i := range xs {
-		xs[i] = i
-		want += i
-	}
-	got := Reduce(8, xs, 0, func(a, b int) int { return a + b })
-	if got != want {
-		t.Fatalf("Reduce = %d, want %d", got, want)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	if got := Reduce(4, nil, 42, func(a, b int) int { return a + b }); got != 42 {
-		t.Fatalf("Reduce empty = %d, want zero value 42", got)
-	}
-}
-
-func TestScanMatchesSequential(t *testing.T) {
-	f := func(raw []int8, workersRaw uint8) bool {
-		xs := make([]int, len(raw))
-		for i, v := range raw {
-			xs[i] = int(v)
-		}
-		workers := 1 + int(workersRaw)%16
-		got := Scan(workers, xs, 0, func(a, b int) int { return a + b })
-		acc := 0
-		for i, x := range xs {
-			if got[i] != acc {
-				return false
-			}
-			acc += x
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(8))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanSingleWorker(t *testing.T) {
-	xs := []int{5, 3, 1}
-	out := Scan(1, xs, 0, func(a, b int) int { return a + b })
-	if out[0] != 0 || out[1] != 5 || out[2] != 8 {
-		t.Fatalf("scan = %v", out)
-	}
-}
-
-func TestScanEmpty(t *testing.T) {
-	if out := Scan(4, []int{}, 0, func(a, b int) int { return a + b }); len(out) != 0 {
-		t.Fatalf("scan empty = %v", out)
 	}
 }
 

@@ -66,11 +66,11 @@ type Relation struct {
 }
 
 // Scratch is a worker's reusable crossing-query memory. It lives in the
-// worker's Ops, so whatever recycles the Ops (hsr.OpsPool) keeps its
-// capacity too, and steady-state queries allocate nothing. Package cg owns
-// the contents and documents how long the results it hands out stay valid.
-// Like the node slabs, the retained capacity is bounded by the largest
-// query (and run batch) the Ops has served.
+// worker's Ops, so whatever recycles the Ops (package hsr's tree-arena
+// pool) keeps its capacity too, and steady-state queries allocate nothing.
+// Package cg owns the contents and documents how long the results it hands
+// out stay valid. Like the node slabs, the retained capacity is bounded by
+// the largest query (and run batch) the Ops has served.
 type Scratch struct {
 	// Raw and Rels hold a query's unstitched and stitched relations.
 	Raw, Rels []Relation

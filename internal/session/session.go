@@ -48,15 +48,6 @@ type FrameInfo struct {
 	Tile      tile.Stats
 }
 
-// Totals accumulates a session's lifetime counters.
-type Totals struct {
-	// Frames counts every NextFrame call that produced output; Replays the
-	// subset answered from the recording.
-	Frames, Replays int64
-	// Reuse sums the solved frames' verify-then-reuse counters.
-	Reuse tile.ReuseStats
-}
-
 // State is one flyover session's warm state. It is not safe for concurrent
 // use; callers serialize NextFrame (frames are inherently ordered — each
 // one's verdicts seed the next).
@@ -74,8 +65,6 @@ type State struct {
 	n         int
 	crossings int64
 	tstats    tile.Stats
-
-	totals Totals
 }
 
 // New builds a session over a terrain with the given tile count and
@@ -88,12 +77,6 @@ func New(tiles int, bounds []tile.WorldBox, minDepth float64) *State {
 	}
 	return &State{tiles: tiles, bounds: bounds, minDepth: minDepth}
 }
-
-// Totals returns the session's lifetime counters.
-func (s *State) Totals() Totals { return s.totals }
-
-// Warm reports whether the session holds a committed previous frame.
-func (s *State) Warm() bool { return s.hasFrame }
 
 // Invalidate drops all warm state; the next frame runs as the first.
 func (s *State) Invalidate() {
@@ -115,8 +98,6 @@ func (s *State) NextFrame(eye geom.Pt3, solve SolveFrameFunc, emit func(p hsr.Vi
 				return nil, err
 			}
 		}
-		s.totals.Frames++
-		s.totals.Replays++
 		return &FrameInfo{
 			Replayed: true,
 			N:        s.n, K: len(s.recorded), Crossings: s.crossings,
@@ -150,8 +131,6 @@ func (s *State) NextFrame(eye geom.Pt3, solve SolveFrameFunc, emit func(p hsr.Vi
 		s.spare = s.verdicts
 		s.verdicts = co.Out
 		info.Reuse = co.Stats
-		s.totals.Reuse.Add(co.Stats)
 	}
-	s.totals.Frames++
 	return info, nil
 }

@@ -26,9 +26,6 @@ func fakeSolve(calls *int) SolveFrameFunc {
 
 func TestReplayOnlyProtocol(t *testing.T) {
 	s := New(0, nil, 0)
-	if s.Warm() {
-		t.Fatal("fresh session claims warm state")
-	}
 	calls := 0
 	solve := fakeSolve(&calls)
 	collect := func(dst *[]hsr.VisiblePiece) func(hsr.VisiblePiece) error {
@@ -73,53 +70,59 @@ func TestReplayOnlyProtocol(t *testing.T) {
 	if fi.Replayed || calls != 2 || moved[0].Edge != 20 {
 		t.Fatalf("moving frame: %+v, calls=%d, first edge %d", fi, calls, moved[0].Edge)
 	}
-
-	tot := s.Totals()
-	if tot.Frames != 3 || tot.Replays != 1 {
-		t.Fatalf("totals %+v, want 3 frames / 1 replay", tot)
-	}
 }
 
 func TestErrorInvalidatesWarmState(t *testing.T) {
 	s := New(0, nil, 0)
 	calls := 0
 	solve := fakeSolve(&calls)
+	discard := func(hsr.VisiblePiece) error { return nil }
 	eye := geom.Pt3{X: -5}
-	if _, err := s.NextFrame(eye, solve, func(hsr.VisiblePiece) error { return nil }); err != nil {
+	if _, err := s.NextFrame(eye, solve, discard); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Warm() {
-		t.Fatal("session cold after a committed frame")
+	if fi, err := s.NextFrame(eye, solve, discard); err != nil || !fi.Replayed {
+		t.Fatalf("committed frame not replayed: %+v, %v", fi, err)
 	}
 	boom := fmt.Errorf("emit failed")
 	failing := func(co *tile.Coherence, emit func(hsr.VisiblePiece) error) (int, int64, tile.Stats, error) {
 		return 0, 0, tile.Stats{}, boom
 	}
-	if _, err := s.NextFrame(geom.Pt3{X: -4}, failing, func(hsr.VisiblePiece) error { return nil }); err == nil {
+	if _, err := s.NextFrame(geom.Pt3{X: -4}, failing, discard); err == nil {
 		t.Fatal("solve error swallowed")
 	}
-	if s.Warm() {
-		t.Fatal("warm state survived a failed solve")
-	}
-	// The eye of the failed frame must not replay afterwards.
-	fi, err := s.NextFrame(geom.Pt3{X: -4}, solve, func(hsr.VisiblePiece) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Replayed {
-		t.Fatal("frame after a failure replayed a dropped recording")
+	// Neither the frame committed before the failure nor the failed frame's
+	// eye may replay afterwards.
+	for _, e := range []geom.Pt3{eye, {X: -4}} {
+		before := calls
+		fi, err := s.NextFrame(e, solve, discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Replayed || calls != before+1 {
+			t.Fatalf("frame at %v after a failure replayed a dropped recording", e)
+		}
 	}
 }
 
 func TestMismatchedBoundsDisableReuse(t *testing.T) {
 	// New guards against a tiles/bounds mismatch by degrading to
-	// replay-only instead of indexing out of range later.
+	// replay-only instead of indexing out of range later: the solve gets
+	// no coherence input and the frame reports no reuse.
 	s := New(9, make([]tile.WorldBox, 4), 1)
 	calls := 0
-	if _, err := s.NextFrame(geom.Pt3{X: -5}, fakeSolve(&calls), func(hsr.VisiblePiece) error { return nil }); err != nil {
+	inner := fakeSolve(&calls)
+	solve := func(co *tile.Coherence, emit func(hsr.VisiblePiece) error) (int, int64, tile.Stats, error) {
+		if co != nil {
+			t.Fatal("mismatched bounds still handed the solve a coherence input")
+		}
+		return inner(co, emit)
+	}
+	fi, err := s.NextFrame(geom.Pt3{X: -5}, solve, func(hsr.VisiblePiece) error { return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Totals().Reuse; got != (tile.ReuseStats{}) {
-		t.Fatalf("mismatched bounds still produced reuse stats: %+v", got)
+	if fi.Reuse != (tile.ReuseStats{}) {
+		t.Fatalf("mismatched bounds still produced reuse stats: %+v", fi.Reuse)
 	}
 }

@@ -59,13 +59,6 @@ func (t *Terrain) EdgeImageSeg(e int) geom.Seg2 { return t.EdgeSeg3(e).ImageSeg(
 // PlanPt returns the plan-view (x-y) projection of vertex v.
 func (t *Terrain) PlanPt(v int32) geom.Pt2 { return t.Verts[v].PlanPoint() }
 
-// Centroid2 returns the plan-view centroid of triangle ti.
-func (t *Terrain) Centroid2(ti int32) geom.Pt2 {
-	tr := t.Tris[ti]
-	a, b, c := t.PlanPt(tr[0]), t.PlanPt(tr[1]), t.PlanPt(tr[2])
-	return geom.Pt2{X: (a.X + b.X + c.X) / 3, Z: (a.Z + b.Z + c.Z) / 3}
-}
-
 // New builds a Terrain from vertices and triangles, orienting every triangle
 // counter-clockwise in plan view and deriving the edge/adjacency table.
 func New(verts []geom.Pt3, tris [][3]int32) (*Terrain, error) {

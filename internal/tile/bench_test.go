@@ -11,7 +11,6 @@ import (
 	"terrainhsr/internal/dem"
 	"terrainhsr/internal/engine"
 	"terrainhsr/internal/geom"
-	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
 )
@@ -80,7 +79,7 @@ func BenchmarkTileSolve(b *testing.B) {
 	}
 	for _, kernel := range []string{engine.AlgoParallel, engine.AlgoSequentialTree} {
 		b.Run("kernel="+kernel, func(b *testing.B) {
-			solve := engine.TileSolver(kernel, hsr.NewOpsPool())
+			solve := engine.TileSolver(kernel)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := tile.Solve(tile.Resident{T: vt}, part, solve, tile.Options{}); err != nil {

@@ -133,14 +133,6 @@ type ReuseStats struct {
 	VerifyFailures int
 }
 
-// Add accumulates another solve's counts.
-func (r *ReuseStats) Add(o ReuseStats) {
-	r.TilesReused += o.TilesReused
-	r.TilesReverified += o.TilesReverified
-	r.TilesResolved += o.TilesResolved
-	r.VerifyFailures += o.VerifyFailures
-}
-
 // Coherence activates frame-coherent verify-then-reuse in Solve (via
 // Options.Coherence): tiles whose previous-frame verdict was culled or
 // hidden are cone-checked against the current front envelope and skipped

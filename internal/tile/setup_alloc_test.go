@@ -5,7 +5,6 @@ import (
 
 	"terrainhsr/internal/engine"
 	"terrainhsr/internal/geom"
-	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/tile"
 )
 
@@ -33,7 +32,7 @@ func TestTiledSolveSetupAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := engine.TileSolver(engine.AlgoSequentialTree, hsr.NewOpsPool())
+	solve := engine.TileSolver(engine.AlgoSequentialTree)
 	run := func() {
 		if _, _, err := tile.Solve(tile.Resident{T: vt}, part, solve, tile.Options{Workers: 1}); err != nil {
 			t.Fatal(err)

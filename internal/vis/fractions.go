@@ -42,21 +42,3 @@ func EdgeVisibilityFractions(t *terrain.Terrain, res *hsr.Result) []EdgeVisibili
 	}
 	return out
 }
-
-// VisibilityHistogram buckets edges by visible fraction into bins
-// [0, 1/bins), [1/bins, 2/bins), ..., with fully visible edges in the last
-// bin. Handy for summarizing a viewshed.
-func VisibilityHistogram(fracs []EdgeVisibility, bins int) []int {
-	if bins < 1 {
-		bins = 1
-	}
-	hist := make([]int, bins)
-	for _, f := range fracs {
-		b := int(f.Fraction * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		hist[b]++
-	}
-	return hist
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"terrainhsr/internal/envelope"
 	"terrainhsr/internal/hsr"
@@ -165,17 +164,4 @@ func Silhouette(res *hsr.Result) envelope.Profile {
 		return nil
 	}
 	return segs[0]
-}
-
-// PiecesByEdge groups a result's visible spans per input edge, sorted.
-func PiecesByEdge(res *hsr.Result) map[int32][]envelope.Span {
-	m := make(map[int32][]envelope.Span)
-	for _, p := range res.Pieces {
-		m[p.Edge] = append(m[p.Edge], p.Span)
-	}
-	for e := range m {
-		spans := m[e]
-		sort.Slice(spans, func(i, j int) bool { return spans[i].X1 < spans[j].X1 })
-	}
-	return m
 }

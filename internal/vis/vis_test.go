@@ -6,8 +6,19 @@ import (
 	"testing"
 
 	"terrainhsr/internal/hsr"
+	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/workload"
 )
+
+// mustPrepare prepares tr's depth order or fails the test.
+func mustPrepare(t *testing.T, tr *terrain.Terrain) *hsr.Prepared {
+	t.Helper()
+	p, err := hsr.Prepare(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func solve(t *testing.T) (*hsr.Result, *hsr.Result) {
 	t.Helper()
@@ -15,11 +26,12 @@ func solve(t *testing.T) (*hsr.Result, *hsr.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hsr.Sequential(tr)
+	prep := mustPrepare(t, tr)
+	res, err := prep.Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := hsr.ParallelOS(tr, hsr.OSOptions{Workers: 4})
+	res2, err := prep.ParallelOS(hsr.OSOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +60,7 @@ func TestRenderSVGStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hsr.Sequential(tr)
+	res, err := mustPrepare(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,29 +133,12 @@ func TestSilhouetteAgreesAcrossAlgorithms(t *testing.T) {
 	}
 }
 
-func TestPiecesByEdge(t *testing.T) {
-	res, _ := solve(t)
-	m := PiecesByEdge(res)
-	total := 0
-	for _, spans := range m {
-		total += len(spans)
-		for i := 1; i < len(spans); i++ {
-			if spans[i].X1 < spans[i-1].X1 {
-				t.Fatal("spans not sorted")
-			}
-		}
-	}
-	if total != len(res.Pieces) {
-		t.Fatalf("grouped %d of %d pieces", total, len(res.Pieces))
-	}
-}
-
 func TestEdgeVisibilityFractions(t *testing.T) {
 	tr, err := workload.Generate(workload.Params{Kind: workload.TiltedUp, Rows: 6, Cols: 6, Seed: 2, Slope: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hsr.Sequential(tr)
+	res, err := mustPrepare(t, tr).Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +158,6 @@ func TestEdgeVisibilityFractions(t *testing.T) {
 	// A terrain tilted toward the sky shows most edges fully.
 	if full < tr.NumEdges()/2 {
 		t.Fatalf("only %d of %d edges fully visible on tilted-up terrain", full, tr.NumEdges())
-	}
-	hist := VisibilityHistogram(fr, 4)
-	total := 0
-	for _, h := range hist {
-		total += h
-	}
-	if total != tr.NumEdges() {
-		t.Fatalf("histogram covers %d of %d edges", total, tr.NumEdges())
-	}
-	if h := VisibilityHistogram(fr, 0); len(h) != 1 {
-		t.Fatal("bins<1 should clamp to 1")
 	}
 }
 

@@ -20,11 +20,12 @@ func TestStressLargeTerrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := hsr.Sequential(tr)
+	prep := mustPrepare(t, tr)
+	seq, err := prep.Sequential()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := hsr.ParallelOS(tr, hsr.OSOptions{})
+	par, err := prep.ParallelOS(hsr.OSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,12 @@ func TestStressManySeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := hsr.Sequential(tr)
+			prep := mustPrepare(t, tr)
+			seq, err := prep.Sequential()
 			if err != nil {
 				t.Fatalf("%s/%d: %v", kind, seed, err)
 			}
-			par, err := hsr.ParallelOS(tr, hsr.OSOptions{Workers: 6})
+			par, err := prep.ParallelOS(hsr.OSOptions{Workers: 6})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", kind, seed, err)
 			}
