@@ -40,5 +40,8 @@
 // — in-core, out-of-core, or a session frame — runs the one banded
 // pipeline, tile.Solve, over the lattice the executor picks per frame: the
 // resident terrain (perspective-transformed for the frame) or the paged
-// grid seen through the frame's view.
+// grid seen through the frame's view. An in-core perspective frame maps
+// its vertices into a pooled frame arena that lives until the frame's
+// solve returns; a Result the executor returns never points into an arena
+// (a monolithic frame copies its Result out once).
 package engine

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/parallel"
+	"terrainhsr/internal/pram"
 	"terrainhsr/internal/terrain"
 	"terrainhsr/internal/tile"
 )
@@ -17,8 +19,9 @@ type Config struct {
 	// TileSpec selects the tile sizing used by tiled plans (zero values pick
 	// the automatic size).
 	TileSpec tile.Spec
-	// NoCull disables the per-tile occlusion cull of tiled plans. Culling
-	// never changes results; the switch exists for tests and measurements.
+	// NoCull disables the per-tile occlusion cull of tiled plans; the switch
+	// exists for tests and measurements. Culling can move piece endpoints
+	// by rounding (see tile.Options.NoCull).
 	NoCull bool
 }
 
@@ -147,9 +150,10 @@ func frameView(req Request, i int) *geom.PerspectiveTransform {
 
 // lattice returns the tile lattice of one view (nil = canonical): the paged
 // grid seen through the view, which transforms vertices as they page in, or
-// the resident terrain mapped through it (vertex-only; the triangle and edge
-// tables are shared).
-func (e *Executor) lattice(view *geom.PerspectiveTransform) (tile.Lattice, error) {
+// the resident terrain mapped through it into the frame arena a
+// (vertex-only; the triangle and edge tables are shared). a is used only
+// for a resident perspective view.
+func (e *Executor) lattice(view *geom.PerspectiveTransform, a *frameArena) (tile.Lattice, error) {
 	if e.paged != nil {
 		g := *e.paged
 		g.View = view
@@ -158,11 +162,10 @@ func (e *Executor) lattice(view *geom.PerspectiveTransform) (tile.Lattice, error
 	if view == nil {
 		return tile.Resident{T: e.t}, nil
 	}
-	tt, err := e.t.TransformShared(view.Apply)
-	if err != nil {
+	if err := e.t.TransformSharedInto(&a.view, view.Apply); err != nil {
 		return nil, err
 	}
-	return tile.Resident{T: tt}, nil
+	return tile.Resident{T: &a.view}, nil
 }
 
 // solveView runs one view — canonical (nil view) or a perspective frame —
@@ -170,11 +173,17 @@ func (e *Executor) lattice(view *geom.PerspectiveTransform) (tile.Lattice, error
 // materializing them (tiled plans flush each depth band as it completes);
 // a non-nil co warm-starts a tiled solve from a session's previous frame.
 func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTransform, emit func(hsr.VisiblePiece) error, co *tile.Coherence) (Outcome, error) {
+	var a *frameArena
+	if view != nil && e.paged == nil {
+		// The arena lives until the solve returns; no outcome points into it.
+		a = framePool.Get().(*frameArena)
+		defer framePool.Put(a)
+	}
 	if plan.Tiled {
 		if err := e.EnsureTiles(); err != nil {
 			return Outcome{}, err
 		}
-		lat, err := e.lattice(view)
+		lat, err := e.lattice(view, a)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -193,9 +202,6 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 		}
 		prep = e.prep
 	} else {
-		// The arena lives until the solve returns; no result points into it.
-		a := framePool.Get().(*frameArena)
-		defer framePool.Put(a)
 		if err := e.t.TransformSharedInto(&a.view, view.Apply); err != nil {
 			return Outcome{}, err
 		}
@@ -216,23 +222,46 @@ func (e *Executor) solveView(plan *Plan, req Request, view *geom.PerspectiveTran
 		}
 		res.Pieces = nil
 	}
+	if a != nil {
+		// The result may live in the arena (see hsr.PrepareArena): copy it
+		// out once, before the arena goes back to the pool.
+		res = detach(res)
+	}
 	return Outcome{Res: res}, nil
 }
 
-// frameArena is the set-up arena of one monolithic perspective frame: the
+// detach returns a copy of res that shares no storage with a set-up arena:
+// its own Pieces and accounting. The per-layer PCT statistics, which no
+// arena holds, are shared.
+func detach(res *hsr.Result) *hsr.Result {
+	out := *res
+	out.Pieces = slices.Clone(res.Pieces)
+	if res.Acct != nil {
+		out.Acct = new(pram.Accounting)
+		out.Acct.Merge(res.Acct)
+	}
+	return &out
+}
+
+// frameArena is the set-up arena of one in-core perspective frame: the
 // terrain mapped through the frame's view, whose vertex table it owns (the
-// triangle and edge tables are the executor's, shared), and the depth order
-// prepared from it.
+// triangle and edge tables are the executor's, shared), and, for a
+// monolithic frame, the depth order prepared from it and the kernel's
+// output.
 type frameArena struct {
 	view terrain.Terrain
 	prep hsr.PrepareArena
 }
 
-// framePool holds the set-up arenas of monolithic perspective frames. An
-// arena keeps the capacity of the largest frame it has prepared, so a
-// steady stream of frames transforms and prepares without allocating; the
-// pool lets idle arenas go at garbage collection. The canonical view instead
-// shares the executor's immutable preparation.
+// framePool holds the set-up arenas of in-core perspective frames, tiled
+// and monolithic. An arena keeps the capacity of the largest frame it has
+// served, so a steady stream of frames transforms and prepares without
+// allocating. It is a sync.Pool, unlike the tile and band pools, because
+// an arena is sized by a whole terrain (a monolithic frame's holds its
+// depth order and output too): the pool lets idle arenas go at garbage
+// collection rather than keep the largest frame ever solved. The
+// canonical view instead shares the executor's terrain and immutable
+// preparation.
 var framePool = sync.Pool{New: func() any { return new(frameArena) }}
 
 // Sink consumes streamed visible pieces; returning an error aborts the

@@ -1,5 +1,5 @@
 //go:build !race
 
-package tile_test
+package engine
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package tile_test
+package engine
 
 // raceEnabled reports a race-detector build, whose sync.Pool drops items at
 // random, so allocation counts of pooled paths do not repeat.

@@ -18,7 +18,7 @@ import (
 // It requires EnsureTiles.
 func (e *Executor) tileBounds() ([]tile.WorldBox, error) {
 	e.boundsOnce.Do(func() {
-		lat, err := e.lattice(nil)
+		lat, err := e.lattice(nil, nil)
 		if err != nil {
 			e.boundsErr = err
 			return

@@ -36,7 +36,14 @@ type ClipResult struct {
 // edge against its prefix profile P_{i-1}) and at every step of the
 // sequential algorithm of Reif and Sen.
 func (e Edges) ClipAbove(s geom.Seg2, edge int32, p Profile) ClipResult {
-	var res ClipResult
+	return e.ClipAboveInto(nil, s, edge, p)
+}
+
+// ClipAboveInto is ClipAbove with the spans written into dst's storage
+// (dst's contents are discarded), so a caller clipping in a loop reuses one
+// buffer; the result's Spans then alias dst.
+func (e Edges) ClipAboveInto(dst []Span, s geom.Seg2, edge int32, p Profile) ClipResult {
+	res := ClipResult{Spans: dst[:0]}
 	s = s.Canon()
 	if s.IsVerticalImage() {
 		return res

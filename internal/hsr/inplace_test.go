@@ -115,7 +115,7 @@ func TestOpsPoolSequentialTreeThenParallel(t *testing.T) {
 		if _, err := prep.SequentialTree(hulls); err != nil {
 			t.Fatal(err)
 		}
-		ops := pool.acquire(1, hulls)
+		ops := pool.acquire(nil, 1, hulls)
 		o := ops[0]
 		if o.P.InPlace {
 			t.Fatal("the pool handed out an Ops still in place")

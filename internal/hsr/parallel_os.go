@@ -54,7 +54,7 @@ func (prep *Prepared) ParallelOS(opt OSOptions) (*Result, error) {
 	// trees built by one worker may be read by any other in later layers.
 	// No tree outlives this solve: pieces are copied into the result, so
 	// the slabs may be rewound by the next acquire.
-	ops := pool.acquire(workers, opt.WithHulls)
+	ops := pool.acquire(nil, workers, opt.WithHulls)
 	defer pool.release(ops)
 	for _, o := range ops {
 		o.Edges = prep.segs

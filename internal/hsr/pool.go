@@ -1,6 +1,7 @@
 package hsr
 
 import (
+	"slices"
 	"sync"
 
 	"terrainhsr/internal/persist"
@@ -55,26 +56,28 @@ func hullIdx(withHulls bool) int {
 	return 0
 }
 
-// acquire returns n reset Ops for the given pruning mode, creating any the
-// pool cannot satisfy from its free list.
-func (p *opsPool) acquire(n int, withHulls bool) []*profiletree.Ops {
+// acquire appends n reset Ops for the given pruning mode to dst and
+// returns the extended slice, creating any the pool cannot satisfy from
+// its free list. A caller that needs one Ops passes a one-element array's
+// empty slice, so acquiring allocates nothing once the pool is warm.
+func (p *opsPool) acquire(dst []*profiletree.Ops, n int, withHulls bool) []*profiletree.Ops {
 	idx := hullIdx(withHulls)
-	out := make([]*profiletree.Ops, 0, n)
+	out := slices.Grow(dst, n)
 	p.mu.Lock()
 	free := p.free[idx]
-	for len(out) < n && len(free) > 0 {
+	for len(out)-len(dst) < n && len(free) > 0 {
 		o := free[len(free)-1]
 		free = free[:len(free)-1]
 		out = append(out, o)
 	}
 	p.free[idx] = free
-	for len(out) < n {
+	for len(out)-len(dst) < n {
 		p.seq++
 		seed := 0x5eed + p.seq*0x9e37
 		out = append(out, profiletree.NewOps(persist.NewArena(seed), withHulls))
 	}
 	p.mu.Unlock()
-	for _, o := range out {
+	for _, o := range out[len(dst):] {
 		o.Reset()
 	}
 	return out

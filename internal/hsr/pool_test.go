@@ -95,9 +95,9 @@ func TestOpsPoolByteIdenticalResults(t *testing.T) {
 
 func TestOpsPoolRecyclesOps(t *testing.T) {
 	p := new(opsPool)
-	first := p.acquire(3, false)
+	first := p.acquire(nil, 3, false)
 	p.release(first)
-	second := p.acquire(3, false)
+	second := p.acquire(nil, 3, false)
 	// LIFO free list: all three must come back (any order).
 	seen := map[any]bool{}
 	for _, o := range first {
@@ -109,7 +109,7 @@ func TestOpsPoolRecyclesOps(t *testing.T) {
 		}
 	}
 	// Hull ops live in a separate free list.
-	hullOps := p.acquire(1, true)
+	hullOps := p.acquire(nil, 1, true)
 	if !hullOps[0].WithHulls {
 		t.Fatal("hull acquire returned summary-mode ops")
 	}

@@ -90,7 +90,9 @@ func ComparePieces(a, b VisiblePiece) int {
 // PrepareArena is backed by the arena's storage, such as that of a tile's
 // or a perspective frame's set-up arena: it is neither immutable nor
 // shareable, and it is valid only until the arena prepares again or is
-// released.
+// released. The same holds for the Result of a SequentialTree solve of it,
+// which lives in the arena too, with its Pieces and accounting; every
+// other Result owns its storage.
 type Prepared struct {
 	t   *terrain.Terrain
 	ord *order.Result
@@ -98,6 +100,10 @@ type Prepared struct {
 	// order: the edge table of every profile a solve builds, so piece Edge
 	// ids are depth positions.
 	segs envelope.Edges
+	// arena is the PrepareArena backing the preparation, which also holds
+	// its SequentialTree working memory and Result; nil on a preparation
+	// from Prepare, whose solves may run concurrently.
+	arena *PrepareArena
 }
 
 // Prepare computes the depth order for a terrain once, for repeated solves.
@@ -111,22 +117,31 @@ func Prepare(t *terrain.Terrain) (*Prepared, error) {
 
 // PrepareArena is reusable storage for one preparation at a time: the
 // depth order, its segment table and the working memory that computes
-// them. A set-up arena that prepares terrains of similar size in a loop
-// embeds one and allocates nothing once the buffers have grown. The zero
-// value is ready to use.
+// them, plus a SequentialTree solve's working memory and Result. A set-up
+// arena that prepares and solves terrains of similar size in a loop embeds
+// one and allocates nothing once the buffers have grown. The zero value is
+// ready to use.
 type PrepareArena struct {
-	prep Prepared
-	sc   order.Scratch
+	prep  Prepared
+	sc    order.Scratch
+	sweep sweepBuf
+	// res, its accounting acct and its pieces out are a SequentialTree
+	// solve's output.
+	res  Result
+	acct pram.Accounting
+	out  []VisiblePiece
 }
 
 // Prepare makes the arena's preparation the one Prepare(t) returns and
-// returns it. The result is backed by the arena (see Prepared); no Result
-// solved from it refers to the arena's storage. On error the arena's
-// contents are unspecified.
+// returns it. The result is backed by the arena (see Prepared), and so is
+// the Result of a SequentialTree solve of it; no other Result solved from
+// it refers to the arena's storage. On error the arena's contents are
+// unspecified.
 func (a *PrepareArena) Prepare(t *terrain.Terrain) (*Prepared, error) {
 	if err := a.prep.prepare(t, &a.sc); err != nil {
 		return nil, err
 	}
+	a.prep.arena = a
 	return &a.prep, nil
 }
 

@@ -1,19 +1,30 @@
 package hsr
 
 import (
-	"sync"
+	"slices"
 
 	"terrainhsr/internal/cg"
 	"terrainhsr/internal/envelope"
+	"terrainhsr/internal/freelist"
 	"terrainhsr/internal/metrics"
 	"terrainhsr/internal/pram"
 	"terrainhsr/internal/profiletree"
 )
 
-// pieceBufs recycles SequentialTree's piece buffers: a sweep appends into
-// one and returns an exact-size copy, so its pieces are allocated once
-// rather than grown by doubling, and no Result aliases a buffer.
-var pieceBufs = sync.Pool{New: func() any { return new([]VisiblePiece) }}
+// sweepBuf is SequentialTree's working memory: the pieces in the order
+// the sweep finds them, depth position by depth position, and where each
+// position's run starts.
+type sweepBuf struct {
+	pieces []VisiblePiece
+	// starts[pos] is the index in pieces of depth position pos's first
+	// piece; starts[len(segs)] is the piece count.
+	starts []int32
+}
+
+// sweepBufs recycles the sweep buffers of preparations that have no arena,
+// so the sweep grows no slice by doubling and its one allocation is the
+// returned exact-size Pieces.
+var sweepBufs freelist.List[sweepBuf]
 
 // SequentialTree runs the Reif-Sen sequential algorithm on the prepared
 // order with the efficient structures of their paper (and of this one): the
@@ -25,9 +36,29 @@ var pieceBufs = sync.Pool{New: func() any { return new([]VisiblePiece) }}
 // Options mirror ParallelOS: summary pruning by default, the exact
 // hull-augmented ACG with withHulls. The tree is built in one Ops drawn
 // from the package's tree-arena pool.
+//
+// The pieces come out in canonical order without a sort: the sweep visits
+// the edges in depth order, and one edge's pieces are one run that already
+// ascends strictly in X1 (they are the disjoint, positive-width visible
+// relations of one segment, or the single piece of a vertical one), so
+// walking the edges by id through the depth positions (order.Result's
+// PosOf) lays the runs out in (Edge, X1, Z1) order. On a preparation from
+// Prepare, the Result and its exact-size Pieces are the caller's. On one
+// from a PrepareArena, the Result, its Pieces and its accounting live in
+// the arena and are valid only as long as the Prepared is: copy what is
+// kept before the arena prepares again or is released.
 func (prep *Prepared) SequentialTree(withHulls bool) (*Result, error) {
-	res := &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
-	ops := pool.acquire(1, withHulls)
+	a := prep.arena
+	var res *Result
+	if a != nil {
+		a.acct.Reset()
+		a.res = Result{N: prep.t.NumEdges(), Acct: &a.acct}
+		res = &a.res
+	} else {
+		res = &Result{N: prep.t.NumEdges(), Acct: &pram.Accounting{}}
+	}
+	var one [1]*profiletree.Ops
+	ops := pool.acquire(one[:0], 1, withHulls)
 	defer pool.release(ops)
 	o := ops[0]
 	// A fixed priority stream: the solve produces the same bytes whatever
@@ -40,14 +71,21 @@ func (prep *Prepared) SequentialTree(withHulls bool) (*Result, error) {
 	// Shapes, aggregates and counters are those of path copying (see package
 	// profiletree). The pool's Reset returns the Ops to the persistent mode.
 	o.P.InPlace = true
-	buf := pieceBufs.Get().(*[]VisiblePiece)
-	defer pieceBufs.Put(buf)
-	pieces := (*buf)[:0]
+	var buf *sweepBuf
+	if a != nil {
+		buf = &a.sweep
+	} else {
+		buf = sweepBufs.Get()
+		defer sweepBufs.Put(buf)
+	}
+	pieces := buf.pieces[:0]
+	starts := slices.Grow(buf.starts[:0], len(prep.segs)+1)[:len(prep.segs)+1]
 	var profile profiletree.Tree
 	var ctr metrics.Counters
 	var maxTask, total int64
 
 	for pos, seg := range prep.segs {
+		starts[pos] = int32(len(pieces))
 		var cost int64
 		s := seg.Canon()
 		if s.IsVerticalImage() {
@@ -95,14 +133,26 @@ func (prep *Prepared) SequentialTree(withHulls bool) (*Result, error) {
 			maxTask = cost
 		}
 	}
-	ctr.Spans = int64(len(pieces))
+	k := len(pieces)
+	starts[len(prep.segs)] = int32(k)
+	ctr.Spans = int64(k)
 	res.Counters = ctr
 	res.Counters.TreeAllocs = o.Arena.Allocs
 	res.Acct.AddPhase("sequential-tree", len(prep.segs), maxTask, total)
-	sortPieces(pieces)
-	if len(pieces) > 0 {
-		res.Pieces = append(make([]VisiblePiece, 0, len(pieces)), pieces...)
+	if k > 0 {
+		var out []VisiblePiece
+		if a != nil {
+			out = slices.Grow(a.out[:0], k)
+			a.out = out
+		} else {
+			out = make([]VisiblePiece, 0, k)
+		}
+		for _, pos := range prep.ord.PosOf {
+			out = append(out, pieces[starts[pos]:starts[pos+1]]...)
+		}
+		res.Pieces = out[:k:k]
 	}
-	*buf = pieces[:0] // keep the grown capacity for the next sweep
+	// Keep the grown capacity for the next sweep.
+	buf.pieces, buf.starts = pieces[:0], starts
 	return res, nil
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers returns the worker count used when a caller passes 0:
@@ -25,7 +26,9 @@ func clampWorkers(workers, n int) int {
 
 // ForDynamic runs fn(worker, i) for every i in [0, n) with dynamic
 // (work-stealing-ish) assignment in chunks, for irregular task sizes such as
-// phase-2 node merges whose cost depends on the local output size.
+// phase-2 node merges whose cost depends on the local output size. Worker 0
+// runs on the calling goroutine; only workers 1..workers-1 get goroutines
+// of their own.
 func ForDynamic(workers, n, chunk int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -40,37 +43,40 @@ func ForDynamic(workers, n, chunk int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var next int64
-	var mu sync.Mutex
-	grab := func() (int, int) {
-		mu.Lock()
-		lo := int(next)
-		next += int64(chunk)
-		mu.Unlock()
-		if lo >= n {
-			return 0, 0
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
+	d := &dynamic{n: n, chunk: chunk, fn: fn}
+	d.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go d.worker(w)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo, hi := grab()
-				if lo == hi {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					fn(w, i)
-				}
-			}
-		}(w)
+	// Wait even if worker 0 panics, so no helper outlives the call.
+	defer d.wg.Wait()
+	d.run(0)
+}
+
+// dynamic is the shared state of one ForDynamic call with several workers:
+// the next unclaimed index and the helper goroutines' wait group.
+type dynamic struct {
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	n, chunk int
+	fn       func(worker, i int)
+}
+
+// worker runs a helper goroutine's share.
+func (d *dynamic) worker(w int) {
+	defer d.wg.Done()
+	d.run(w)
+}
+
+// run claims chunks of indices until none is left.
+func (d *dynamic) run(w int) {
+	for {
+		lo := int(d.next.Add(int64(d.chunk))) - d.chunk
+		if lo >= d.n {
+			return
+		}
+		for i := lo; i < min(lo+d.chunk, d.n); i++ {
+			d.fn(w, i)
+		}
 	}
-	wg.Wait()
 }

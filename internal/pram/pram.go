@@ -26,6 +26,13 @@ type Accounting struct {
 	phases []Phase
 }
 
+// Reset empties the accounting, keeping its storage for the next run.
+func (a *Accounting) Reset() {
+	a.mu.Lock()
+	a.phases = a.phases[:0]
+	a.mu.Unlock()
+}
+
 // AddPhase records a completed phase.
 func (a *Accounting) AddPhase(name string, tasks int, maxTaskCost, totalCost int64) {
 	if tasks <= 0 {

@@ -35,8 +35,8 @@
 // passes or frames of that response, and copies the bytes for every
 // repeat. The bytes are unchanged by this. Nothing is carried from one
 // response to the next but storage: the writer, with its chunk buffer,
-// memo table and byte arena, comes from a sync.Pool and goes back to it
-// when the response ends, however it ends. Pieces go to the connection in
+// memo table and byte arena, comes from a mutex-guarded free list and goes
+// back to it when the response ends, however it ends. Pieces go to the connection in
 // fixed-size chunks, and every pass or frame is flushed before the fields
 // that follow it. Float parameters must be finite; NaN and infinities are
 // a 400.

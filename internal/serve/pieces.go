@@ -8,9 +8,9 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
-	"sync"
 
 	terrainhsr "terrainhsr"
+	"terrainhsr/internal/freelist"
 )
 
 // This file is the JSON encoder of visible pieces, the O(k) part of every
@@ -211,15 +211,19 @@ type pieceWriter struct {
 }
 
 // pieceWriters holds released writers with their chunk buffer, memo table
-// and arena.
-var pieceWriters = sync.Pool{New: func() any {
-	return &pieceWriter{buf: make([]byte, 0, pieceChunk+maxPieceJSON)}
-}}
+// and arena. A free list rather than a sync.Pool: a writer released on one
+// P is found by a response on another, and idle writers survive garbage
+// collections, so it holds at most as many writers as responses were ever
+// encoded at once.
+var pieceWriters freelist.List[pieceWriter]
 
 // newPieceWriter takes a pooled writer for one response to w, with an
 // empty memo and its pieces indented by indent spaces (at most 8).
 func newPieceWriter(w io.Writer, indent int) *pieceWriter {
-	pw := pieceWriters.Get().(*pieceWriter)
+	pw := pieceWriters.Get()
+	if pw.buf == nil {
+		pw.buf = make([]byte, 0, pieceChunk+maxPieceJSON)
+	}
 	pw.w, pw.nl = w, pieceIndent[:1+indent]
 	pw.buf, pw.n = pw.buf[:0], 0
 	pw.memo.reset()

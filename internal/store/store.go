@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"terrainhsr/internal/dem"
+	"terrainhsr/internal/freelist"
 )
 
 // FormatName and FormatVersion identify the on-disk layout; Open rejects
@@ -424,10 +427,46 @@ func (s *Store) readTileInto(d *dem.DEM, l, ti, tj int) error {
 	return nil
 }
 
-// readTile reads and verifies one tile file.
+// tileBufs recycles the raw bytes of tile files between reads: a tile is
+// decoded into heights of its own, so its file's bytes are dead once
+// readTile returns.
+var tileBufs freelist.List[[]byte]
+
+// readFileInto reads the whole named file into buf's storage, growing it
+// as os.ReadFile would, and returns the bytes read.
+func readFileInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	size := 0
+	if info, err := f.Stat(); err == nil && info.Size() < 1<<40 {
+		size = int(info.Size())
+	}
+	buf = slices.Grow(buf[:0], size+1) // one byte spare, so EOF needs no growth
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+	}
+}
+
+// readTile reads and verifies one tile file. The file's bytes go through a
+// pooled buffer; the returned heights are the caller's.
 func (s *Store) readTile(l, ti, tj int) (rows, cols int, heights []float64, err error) {
 	path := filepath.Join(s.dir, levelDirName(l), tileFileName(ti, tj))
-	buf, err := os.ReadFile(path)
+	bp := tileBufs.Get()
+	defer tileBufs.Put(bp)
+	buf, err := readFileInto(*bp, path)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("store: %w", err)
 	}
@@ -453,6 +492,9 @@ func (s *Store) readTile(l, ti, tj int) (rows, cols int, heights []float64, err 
 	if len(buf) != want {
 		return 0, 0, nil, fmt.Errorf("store: %s: %d bytes, want %d", path, len(buf), want)
 	}
+	// Keep the storage only for a well-formed tile, so a corrupt, oversized
+	// file is not pinned in the free list.
+	*bp = buf[:0]
 	payload := buf[7*4 : want-4]
 	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(buf[want-4:]) {
 		return 0, 0, nil, fmt.Errorf("store: %s: checksum mismatch (corrupt tile)", path)

@@ -11,20 +11,30 @@ import (
 	"terrainhsr/internal/workload"
 )
 
-// poisonBandState fills every buffer of one pooled band state, to full
+// poisonBandState fills every buffer of the pooled band states, to full
 // capacity, with values no solve produces, so a solve that reads what an
-// earlier one left behind gives itself away.
+// earlier one left behind gives itself away. It overwrites every idle band
+// state (drawing more than a test's solves ever hold at once).
 func poisonBandState() {
-	bs := bandPool.Get().(*bandState)
-	defer bandPool.Put(bs)
-	junk := envelope.Piece{X1: -1e9, Z1: 1e9, X2: 1e9, Z2: 1e9, Edge: 1 << 30}
-	fillCap(bs.front, junk)
-	fillCap(bs.back, junk)
-	fillCap(bs.band, junk)
-	fillCap(bs.segs, geom.S2(-1e9, 1e9, 1e9, 1e9))
-	fillCap(bs.tables.yFlat, math.NaN())
-	fillCap(bs.tables.ivFlat, yiv{lo: math.NaN(), hi: math.NaN()})
-	fillCap(bs.out, hsr.VisiblePiece{Edge: 1 << 30})
+	var held []*bandState
+	for i := 0; i < poisonDraws; i++ {
+		bs := bandPool.Get()
+		held = append(held, bs)
+		junk := envelope.Piece{X1: -1e9, Z1: 1e9, X2: 1e9, Z2: 1e9, Edge: 1 << 30}
+		fillCap(bs.front, junk)
+		fillCap(bs.back, junk)
+		fillCap(bs.band, junk)
+		fillCap(bs.segs, geom.S2(-1e9, 1e9, 1e9, 1e9))
+		fillCap(bs.tables.yFlat, math.NaN())
+		fillCap(bs.tables.ivFlat, yiv{lo: math.NaN(), hi: math.NaN()})
+		fillCap(bs.out, hsr.VisiblePiece{Edge: 1 << 30})
+		for _, col := range bs.owned {
+			fillCap(col, hsr.VisiblePiece{Edge: 1 << 29})
+		}
+	}
+	for _, bs := range held {
+		bandPool.Put(bs)
+	}
 }
 
 // bandPoolCases are two solves that share the pools but nothing else: a

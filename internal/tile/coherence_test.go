@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"terrainhsr/internal/geom"
+	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/workload"
 )
 
@@ -60,6 +61,7 @@ func TestConeCheckSoundness(t *testing.T) {
 			}
 			ys, ivs := bs.tables.ys, bs.tables.ivs
 			outcomes := make([]tileOutcome, p.NumCols)
+			colPieces := make([][]hsr.VisiblePiece, p.NumCols)
 			for c := 0; c < p.NumCols; c++ {
 				_, _, c0, c1 := p.TileCells(b, c)
 				owned := ownedIV(ys, r0, r1, c0, c1)
@@ -78,7 +80,7 @@ func TestConeCheckSoundness(t *testing.T) {
 					outcomes[c] = tileOutcome{culled: true}
 					continue
 				}
-				if err := solveTile(lat, p, b, c, ys, ivs, bs.front, seqSolve, 1, false, nil, &outcomes[c]); err != nil {
+				if err := solveTile(lat, p, b, c, ys, ivs, bs.front, seqSolve, 1, false, nil, &outcomes[c], &colPieces[c]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -49,16 +49,18 @@
 //     canonical triangulation, so global edge ids and owners come from one
 //     closed form on both, and both produce the same bytes.
 //
-//   - Memory. A solve's working memory is pooled at two levels. Each solved
-//     tile sets up in a set-up arena (setupPool) that lives until its owned
-//     pieces carry global edge ids; the tile owns its kernel's exact-size
-//     pieces and filters them in place. The band loop runs in one band
-//     state (bandPool) per solve, which owns the band tables, the tile
-//     outcomes, the front envelope with its ping-pong partner, the band
-//     silhouette's build scratch and the clipped output. Both keep their
-//     largest capacity, so a warm solve allocates only its kernels'
-//     output and its result; a materializing solve returns an exact-size
-//     copy of the pooled output, so no returned piece aliases either pool.
+//   - Memory. A solve's working memory is pooled at two levels, in free
+//     lists (package freelist). Each solved tile sets up in a set-up arena
+//     (setupPool) that lives until its owned pieces carry global edge ids;
+//     the kernel's output may live in the arena too, and the tile copies
+//     its owned pieces into its column's buffer in the band state. The
+//     band loop runs in one band state (bandPool) per solve, which owns the
+//     band tables, the tile outcomes and column buffers, the front envelope
+//     with its ping-pong partner, the band silhouette's build scratch and
+//     the clipped output. Both keep their largest capacity, so a warm solve
+//     allocates only its result and small per-tile headers; a
+//     materializing solve returns an exact-size copy of the pooled output,
+//     so no returned piece aliases either pool.
 //
 // The accumulated envelope is exactly the prefix profile P_i of the paper's
 // phase 2, coarsened from per-edge granularity to per-band granularity; the

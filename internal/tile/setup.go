@@ -2,8 +2,8 @@ package tile
 
 import (
 	"slices"
-	"sync"
 
+	"terrainhsr/internal/freelist"
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/terrain"
@@ -18,7 +18,9 @@ import (
 // edge ids, so nothing built in it may outlive the tile: the sub-terrain
 // and its Prepared point into it. An arena keeps the capacity of the
 // largest tile it has served, so a steady stream of tiles sets up without
-// allocating; the pool lets idle arenas go at garbage collection.
+// allocating; setupPool holds as many arenas as tiles were ever solved at
+// once. The arena's PrepareArena also holds the tile's kernel output
+// (hsr.Prepared), which solveTile copies out before it releases the arena.
 type setup struct {
 	// halo is haloRanges' per-row cell-column ranges.
 	halo [][2]int
@@ -35,7 +37,7 @@ type setup struct {
 	prep hsr.PrepareArena
 }
 
-var setupPool = sync.Pool{New: func() any { return new(setup) }}
+var setupPool freelist.List[setup]
 
 // resize returns s with length n, reusing its storage when it is large
 // enough. The contents are unspecified.

@@ -70,20 +70,41 @@ func setupCases(t *testing.T) []setupCase {
 	}
 }
 
-// poisonArena fills every buffer of one pooled arena, to full capacity,
+// poisonDraws is how many items the poison helpers draw from a pool: more
+// than any test here holds at once, so every idle item is overwritten.
+const poisonDraws = 8
+
+// poisonArena fills every buffer of the pooled arenas, to full capacity,
 // with values no tile produces, so a solve that reads what an earlier tile
-// left behind gives itself away.
+// left behind gives itself away. It also solves a small unrelated terrain
+// in each arena, which overwrites the kernel output and sweep buffers the
+// arena's preparation holds.
 func poisonArena() {
-	s := setupPool.Get().(*setup)
-	defer setupPool.Put(s)
-	fillCap(s.halo, [2]int{7, 3})
-	fillCap(s.local, 1<<30)
-	fillCap(s.verts, geom.Pt3{X: math.NaN(), Y: math.NaN(), Z: math.NaN()})
-	fillCap(s.gverts, -3)
-	fillCap(s.tris, [3]int32{})
-	fillCap(s.terr.Edges, terrain.Edge{V0: 9, V1: 9, Left: 9, Right: 9})
-	fillCap(s.sub.globalEdge, -5)
-	fillCap(s.sub.owned, true)
+	junk, err := workload.Generate(workload.Params{Kind: workload.Rough, Rows: 5, Cols: 7, Seed: 99, Amplitude: 3})
+	if err != nil {
+		panic(err)
+	}
+	var held []*setup
+	for i := 0; i < poisonDraws; i++ {
+		s := setupPool.Get()
+		held = append(held, s)
+		if prep, err := s.prep.Prepare(junk); err != nil {
+			panic(err)
+		} else if _, err := prep.SequentialTree(false); err != nil {
+			panic(err)
+		}
+		fillCap(s.halo, [2]int{7, 3})
+		fillCap(s.local, 1<<30)
+		fillCap(s.verts, geom.Pt3{X: math.NaN(), Y: math.NaN(), Z: math.NaN()})
+		fillCap(s.gverts, -3)
+		fillCap(s.tris, [3]int32{})
+		fillCap(s.terr.Edges, terrain.Edge{V0: 9, V1: 9, Left: 9, Right: 9})
+		fillCap(s.sub.globalEdge, -5)
+		fillCap(s.sub.owned, true)
+	}
+	for _, s := range held {
+		setupPool.Put(s)
+	}
 }
 
 // fillCap sets every element of xs up to its capacity to v.

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"terrainhsr/internal/envelope"
+	"terrainhsr/internal/freelist"
 	"terrainhsr/internal/geom"
 	"terrainhsr/internal/hsr"
 	"terrainhsr/internal/metrics"
@@ -20,11 +20,12 @@ import (
 // SolveFunc solves one tile with the given intra-tile worker budget and
 // returns its visible scene (in the sub-terrain's local edge numbering).
 // prep is the sub-terrain's depth order, prepared in the tile's set-up
-// arena: it and its terrain are valid only during the call, and the
-// returned Result must not refer to them, and its Pieces belong to the
-// caller, which rewrites them in place. The caller supplies the function,
-// closing over the algorithm choice and any tree-arena pools; package tile
-// stays agnostic of which hidden-surface algorithm runs inside a tile.
+// arena: it and its terrain are valid only during the call. The returned
+// Result may live in that arena too (a SequentialTree solve's does, Pieces
+// included): the caller reads it only during the tile and copies the owned
+// pieces out. The caller supplies the function, closing over the algorithm
+// choice; package tile stays agnostic of which hidden-surface algorithm
+// runs inside a tile.
 type SolveFunc func(prep *hsr.Prepared, workers int) (*hsr.Result, error)
 
 // Options configures a tiled solve.
@@ -33,8 +34,13 @@ type Options struct {
 	// solves inside them (0 = all CPUs).
 	Workers int
 	// NoCull disables the per-tile occlusion cull against the accumulated
-	// silhouette envelope. Culling never changes results; the switch exists
-	// for tests and measurements.
+	// silhouette envelope; the switch exists for tests and measurements.
+	// Culling skips only tiles the front covers, and has never been seen to
+	// change the piece count, but it can move piece endpoints by rounding:
+	// a solved tile's hidden pieces still merge into the band silhouette,
+	// and the front, whose pieces carry no edge table (nil Edges), splits
+	// at points computed from whichever pieces were merged. On random
+	// perspective scenes the two results differed by up to 1.6e-15.
 	NoCull bool
 	// Emit, when non-nil, streams the visible scene instead of
 	// materializing it: every depth band's clipped pieces are handed to
@@ -135,9 +141,10 @@ func Solve(l Lattice, p *Partition, solve SolveFunc, opt Options) (*hsr.Result, 
 	if co != nil {
 		co.prepare(p.NumTiles())
 	}
-	bs := bandPool.Get().(*bandState)
+	bs := bandPool.Get()
 	defer bs.release()
 	bs.start(opt.Emit, co, p.NumCols)
+	bs.job = bandJob{l: l, p: p, solve: solve, workers: subWorkers, noCull: opt.NoCull}
 	solveStart := l.meter()
 	bandStart := solveStart
 	for b := 0; b < p.NumBands; b++ {
@@ -146,22 +153,20 @@ func Solve(l Lattice, p *Partition, solve SolveFunc, opt Options) (*hsr.Result, 
 		if err := bs.tables.fill(l, p.Cols, r0, r1); err != nil {
 			return nil, stats, err
 		}
-		ys, ivs := bs.tables.ys, bs.tables.ivs
 		outcomes := resize(bs.outcomes, p.NumCols)
 		errs := resize(bs.errs, p.NumCols)
 		clear(outcomes)
 		clear(errs)
 		bs.outcomes, bs.errs = outcomes, errs
-		var failed atomic.Bool
-		parallel.ForDynamic(tileWorkers, p.NumCols, 1, func(_, c int) {
-			if failed.Load() {
-				return
-			}
-			if err := solveTile(l, p, b, c, ys, ivs, bs.front, solve, subWorkers, opt.NoCull, co, &outcomes[c]); err != nil {
-				errs[c] = err
-				failed.Store(true)
-			}
-		})
+		if len(bs.owned) < p.NumCols {
+			bs.owned = append(bs.owned, make([][]hsr.VisiblePiece, p.NumCols-len(bs.owned))...)
+		}
+		bs.job.b = b
+		bs.job.failed.Store(false)
+		if bs.solveCol == nil {
+			bs.solveCol = bs.solveColumn // bound once per band state, not per band
+		}
+		parallel.ForDynamic(tileWorkers, p.NumCols, 1, bs.solveCol)
 		for c, err := range errs {
 			if err != nil {
 				return nil, stats, fmt.Errorf("tile: band %d col %d: %w", b, c, err)
@@ -233,9 +238,9 @@ func (bsp bandSpan) end(b int, stats *Stats, mergeStart time.Time, mergeDur time
 // emission) and the global counters — and every buffer of the band loop.
 // Solve takes one from bandPool and puts it back when it returns. Each
 // buffer keeps the capacity of the largest band (the output, of the largest
-// scene) it has served, so a warm solve allocates only its returned result
-// and the kernel's per-tile output. Nothing a solve returns points into a
-// bandState: result copies the output out.
+// scene; a tile column's pieces, of the largest tile in that column) it has
+// served, so a warm solve allocates only its returned result. Nothing a
+// solve returns points into a bandState: result copies the output out.
 type bandState struct {
 	// front is the silhouette of all earlier bands. finishBand merges the
 	// band silhouette band (built with the scratch env) into back and swaps
@@ -243,22 +248,56 @@ type bandState struct {
 	front, back, band envelope.Profile
 	env               envelope.BuildScratch
 	// segs holds the band's silhouette segments, tables its Y table and
-	// cell intervals, outcomes and errs its per-tile results.
+	// cell intervals, outcomes and errs its per-tile results, and owned[c]
+	// the owned pieces of column c's tile, which its outcome points to.
 	segs     []geom.Seg2
 	tables   bandTables
 	outcomes []tileOutcome
 	errs     []error
+	owned    [][]hsr.VisiblePiece
 	// out accumulates the clipped pieces: the whole scene, or one band
-	// when streaming.
+	// when streaming; spans is the clip of one piece against the front.
 	out       []hsr.VisiblePiece
+	spans     []envelope.Span
 	counters  metrics.Counters
 	crossings int64
 	emit      func(p hsr.VisiblePiece) error
 	co        *Coherence // verdict recording + reuse counters; may be nil
 	cols      int        // tile columns per band, for verdict indexing
+	// job is the current band's tile loop, which solveCol (solveColumn,
+	// bound once) runs column by column.
+	job      bandJob
+	solveCol func(worker, c int)
 }
 
-var bandPool = sync.Pool{New: func() any { return new(bandState) }}
+// bandJob is what the tiles of one band share: the solve's lattice,
+// partition, kernel and worker budget per tile, the band index, and the
+// flag that stops the band's remaining tiles after a failure.
+type bandJob struct {
+	l       Lattice
+	p       *Partition
+	solve   SolveFunc
+	workers int
+	noCull  bool
+	b       int
+	failed  atomic.Bool
+}
+
+// solveColumn solves the tile in column c of the current band into its
+// outcome, column buffer and error slot.
+func (bs *bandState) solveColumn(_, c int) {
+	j := &bs.job
+	if j.failed.Load() {
+		return
+	}
+	err := solveTile(j.l, j.p, j.b, c, bs.tables.ys, bs.tables.ivs, bs.front, j.solve, j.workers, j.noCull, bs.co, &bs.outcomes[c], &bs.owned[c])
+	if err != nil {
+		bs.errs[c] = err
+		j.failed.Store(true)
+	}
+}
+
+var bandPool freelist.List[bandState]
 
 // start resets the accumulator for a new solve, keeping the buffers.
 func (bs *bandState) start(emit func(hsr.VisiblePiece) error, co *Coherence, cols int) {
@@ -267,10 +306,11 @@ func (bs *bandState) start(emit func(hsr.VisiblePiece) error, co *Coherence, col
 	bs.emit, bs.co, bs.cols = emit, co, cols
 }
 
-// release drops the solve's references — the caller's callbacks and the
-// tiles' kernel output — and returns bs to bandPool.
+// release drops the solve's references to the caller's lattice, callbacks
+// and coherence state and returns bs to bandPool.
 func (bs *bandState) release() {
 	bs.emit, bs.co = nil, nil
+	bs.job = bandJob{}
 	clear(bs.outcomes)
 	clear(bs.errs)
 	bandPool.Put(bs)
@@ -299,7 +339,7 @@ func (bs *bandState) finishBand(b int, outcomes []tileOutcome, stats *Stats) err
 		before := len(bs.out)
 		for _, pc := range oc.pieces {
 			n := int64(0)
-			bs.out, n = appendClipped(bs.out, pc, bs.front)
+			bs.out, n = appendClipped(bs.out, &bs.spans, pc, bs.front)
 			bs.crossings += n
 			if pc.Span.X2-pc.Span.X1 > geom.Eps {
 				bandSegs = append(bandSegs, geom.Seg2{
@@ -398,8 +438,8 @@ func sortVisible(ps []hsr.VisiblePiece) {
 // when it survives both. front is read-only here (it is only rewritten
 // between bands, after the band barrier). A solved tile sets up in an arena
 // drawn from setupPool for the duration of the call. The outcome is written
-// to oc.
-func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence, oc *tileOutcome) error {
+// to oc, and the owned pieces it points to into the column buffer *dst.
+func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, front envelope.Profile, solve SolveFunc, workers int, noCull bool, co *Coherence, oc *tileOutcome, dst *[]hsr.VisiblePiece) error {
 	r0, r1, c0, c1 := p.TileCells(b, c)
 	verifyFailed := false
 	if co != nil && !noCull && co.reusable(b*p.NumCols+c) {
@@ -423,7 +463,7 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 		}
 	}
 	// The set-up arena lives until the owned pieces carry global ids.
-	s := setupPool.Get().(*setup)
+	s := setupPool.Get()
 	defer setupPool.Put(s)
 	s.halo = haloRanges(ivs, owned, s.halo)
 	sub, err := extract(l, p, b, c, r0, r1, s.halo, s)
@@ -438,9 +478,9 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 	if err != nil {
 		return err
 	}
-	// The tile owns the kernel's pieces: keep the owned ones in place, in
-	// global edge numbering.
-	kept := res.Pieces[:0]
+	// The kernel's pieces may live in the set-up arena: copy the owned ones
+	// out into the column's buffer, in global edge numbering.
+	kept := (*dst)[:0]
 	for _, pc := range res.Pieces {
 		if !sub.owned[pc.Edge] {
 			continue // a halo edge: some other tile owns and reports it
@@ -448,6 +488,7 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 		pc.Edge = sub.globalEdge[pc.Edge]
 		kept = append(kept, pc)
 	}
+	*dst = kept
 	*oc = tileOutcome{pieces: kept, counters: res.Counters, crossings: res.Crossings, verifyFailed: verifyFailed}
 	return nil
 }
@@ -455,8 +496,9 @@ func solveTile(l Lattice, p *Partition, b, c int, ys [][]float64, ivs [][]yiv, f
 // appendClipped appends the portions of piece pc that lie strictly above the
 // profile to dst, returning the extended slice and the number of crossings
 // discovered. Ties count as occluded, matching envelope.ClipAbove and the
-// front-wins convention of the monolithic algorithms.
-func appendClipped(dst []hsr.VisiblePiece, pc hsr.VisiblePiece, front envelope.Profile) ([]hsr.VisiblePiece, int64) {
+// front-wins convention of the monolithic algorithms. *spans is the clip's
+// scratch, reused across calls.
+func appendClipped(dst []hsr.VisiblePiece, spans *[]envelope.Span, pc hsr.VisiblePiece, front envelope.Profile) ([]hsr.VisiblePiece, int64) {
 	if len(front) == 0 {
 		return append(dst, pc), 0
 	}
@@ -484,10 +526,11 @@ func appendClipped(dst []hsr.VisiblePiece, pc hsr.VisiblePiece, front envelope.P
 	// the first piece that can overlap the span (binary search) so a band
 	// merge costs O(pieces · log |front|) rather than O(pieces · |front|).
 	i := sort.Search(len(front), func(i int) bool { return front[i].X2 > sp.X1+geom.Eps })
-	res := envelope.Edges(nil).ClipAbove(geom.Seg2{
+	res := envelope.Edges(nil).ClipAboveInto(*spans, geom.Seg2{
 		A: geom.Pt2{X: sp.X1, Z: sp.Z1},
 		B: geom.Pt2{X: sp.X2, Z: sp.Z2},
 	}, envelope.NoEdge, front[i:])
+	*spans = res.Spans
 	for _, s := range res.Spans {
 		dst = append(dst, hsr.VisiblePiece{Edge: pc.Edge, Span: s})
 	}

@@ -794,21 +794,45 @@ func (s *Server) finishAnswer(qr *QueryResult, tr *obs.Trace, cost *CostLedger) 
 // algorithm, MinDepth and the answering LOD level (error budgets that pick
 // the same level share entries; the level's routed engine is fixed under
 // the epoch); never worker counts (scheduling cannot change pieces).
+//
+// The key is written into one buffer sized once, its only allocation
+// unless the id needs escaping.
 func (s *Server) key(id string, e *serverTerrain, eye Point, algo Algorithm, minDepth float64, level int) string {
 	var b strings.Builder
-	b.Grow(len(id) + 88)
-	b.WriteString(strconv.Quote(id))
+	// Around id and algo: two quotes, seven separators, "L", the epoch
+	// and level in at most 20 decimal digits each and four floats in at
+	// most 16 hex digits each.
+	b.Grow(len(id) + len(algo) + 2 + 7 + 1 + 2*20 + 4*16)
+	if plainASCII(id) {
+		b.WriteByte('"')
+		b.WriteString(id)
+		b.WriteByte('"')
+	} else {
+		b.WriteString(strconv.Quote(id))
+	}
+	var num [20]byte
 	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(e.epoch, 10))
+	b.Write(strconv.AppendUint(num[:0], e.epoch, 10))
 	for _, v := range [...]float64{eye.X, eye.Y, eye.Z, minDepth} {
 		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
+		b.Write(strconv.AppendUint(num[:0], math.Float64bits(v), 16))
 	}
 	b.WriteByte('|')
 	b.WriteString(string(algo))
 	b.WriteString("|L")
-	b.WriteString(strconv.Itoa(level))
+	b.Write(strconv.AppendInt(num[:0], int64(level), 10))
 	return b.String()
+}
+
+// plainASCII reports whether strconv.Quote(s) is s between double quotes:
+// s is printable ASCII with no quote or backslash.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // QueryMany answers one query template from many eye points — the

@@ -3,6 +3,7 @@ package terrainhsr
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -602,5 +603,53 @@ func TestServerRefusesBaselines(t *testing.T) {
 	// Library Solve keeps every algorithm.
 	if _, err := Solve(genTest(t, "fractal", 4, 4, 1), Options{Algorithm: BruteForce}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// keyReference is the cache key as the server built it before its one-buffer
+// construction: the golden construction the key bytes are pinned to.
+func keyReference(id string, epoch uint64, eye Point, algo Algorithm, minDepth float64, level int) string {
+	var b strings.Builder
+	b.WriteString(strconv.Quote(id))
+	b.WriteByte('|')
+	b.WriteString(strconv.FormatUint(epoch, 10))
+	for _, v := range [...]float64{eye.X, eye.Y, eye.Z, minDepth} {
+		b.WriteByte('|')
+		b.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
+	}
+	b.WriteByte('|')
+	b.WriteString(string(algo))
+	b.WriteString("|L")
+	b.WriteString(strconv.Itoa(level))
+	return b.String()
+}
+
+// TestCacheKeyMatchesReference pins the cache key's bytes to the reference
+// construction over ids that need no escaping and ids that do, extreme
+// epochs and levels, and eyes with signed zeros, NaN and infinities; and
+// checks that a plain id's key allocates once.
+func TestCacheKeyMatchesReference(t *testing.T) {
+	s := &Server{}
+	ids := []string{"", "m", "massive", "a b~c", `q"uote`, `back\slash`, "tab\tid", "del\x7f", "ünï", "\xff\xfe", strings.Repeat("long-id-", 20)}
+	eyes := []Point{{X: -4, Y: 8, Z: 14}, {X: math.Copysign(0, -1), Y: 0, Z: 1e-300}, {X: math.NaN(), Y: math.Inf(1), Z: math.Inf(-1)}}
+	for _, id := range ids {
+		for _, epoch := range []uint64{0, 7, math.MaxUint64} {
+			for _, eye := range eyes {
+				for _, level := range []int{0, 3, -1, math.MaxInt, math.MinInt} {
+					for _, algo := range []Algorithm{Parallel, SequentialTree, ""} {
+						e := &serverTerrain{epoch: epoch}
+						got := s.key(id, e, eye, algo, 0.5, level)
+						if want := keyReference(id, epoch, eye, algo, 0.5, level); got != want {
+							t.Fatalf("key %q, reference %q", got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	e := &serverTerrain{epoch: math.MaxUint64}
+	eye := Point{X: -4, Y: 8, Z: 14}
+	if n := testing.AllocsPerRun(100, func() { s.key("massive", e, eye, Parallel, 1, math.MinInt) }); n != 1 {
+		t.Fatalf("a plain id's key allocates %v times, want 1", n)
 	}
 }

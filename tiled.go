@@ -27,8 +27,9 @@ type TileOptions struct {
 	// (0 = automatic: about four tiles per axis, at least 16 cells each).
 	TileRows, TileCols int
 	// DisableCulling turns off the per-tile occlusion cull against the
-	// accumulated silhouette envelope. Culling never changes the result;
-	// the switch exists for measurements and tests.
+	// accumulated silhouette envelope; the switch exists for measurements
+	// and tests. Culling keeps the piece count but can move piece
+	// endpoints by rounding on perspective scenes (see tile.Options.NoCull).
 	DisableCulling bool
 }
 
